@@ -24,7 +24,7 @@
 #include "sched/analysis.h"
 #include "sched/pluto.h"
 #include "suite/suite.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/strings.h"
 #include "support/trace.h"
 
@@ -66,7 +66,7 @@ struct Variant {
 };
 
 /// Parse + analyze + schedule + generate for one benchmark and strategy.
-/// Feeds the pipeline-wide perf counters (support/stats.h): per-phase
+/// Feeds the pipeline-wide perf counters (support/metrics.h): per-phase
 /// wall times accumulate so solver_stats_json() can be archived next to
 /// the timing tables.
 inline Variant build_variant(const suite::Benchmark& b, Strategy strategy) {
@@ -146,7 +146,7 @@ inline std::string decision_summary_json() {
 /// self-checking story needs archived next to timings: how much was
 /// proved and whether anything failed.
 inline std::string verify_summary_json() {
-  const support::Stats& st = support::Stats::instance();
+  const support::MetricsRegistry& st = support::current_metrics();
   return "{\"checked_deps\": " +
          std::to_string(st.get(support::Counter::kVerifyCheckedDeps)) +
          ", \"violations\": " +
@@ -158,7 +158,7 @@ inline std::string verify_summary_json() {
 /// Linter outcome counts (src/analysis) for BENCH_*.json records:
 /// how much was checked and what it found.
 inline std::string lint_summary_json() {
-  const support::Stats& st = support::Stats::instance();
+  const support::MetricsRegistry& st = support::current_metrics();
   return "{\"checked_accesses\": " +
          std::to_string(st.get(support::Counter::kLintCheckedAccesses)) +
          ", \"value_flows\": " +
@@ -174,7 +174,7 @@ inline std::string lint_summary_json() {
 /// over-approximated a dependence. All zero on unbudgeted runs, so
 /// archived records say whether a timing came from a degraded pipeline.
 inline std::string budget_summary_json() {
-  const support::Stats& st = support::Stats::instance();
+  const support::MetricsRegistry& st = support::current_metrics();
   return "{\"fuel_lp_solve\": " +
          std::to_string(st.get(support::Counter::kBudgetFuelLpSolve)) +
          ", \"fuel_fme_project\": " +
@@ -203,7 +203,7 @@ inline std::string budget_summary_json() {
 /// Archived next to timings because a fast-lane speedup claim is only
 /// meaningful when the record shows the lane actually served the solves.
 inline std::string fastlane_summary_json() {
-  const support::Stats& st = support::Stats::instance();
+  const support::MetricsRegistry& st = support::current_metrics();
   const i64 solves = st.get(support::Counter::kFastlaneSolves);
   const i64 fallbacks = st.get(support::Counter::kFastlaneFallbacks);
   const double rate =
@@ -230,7 +230,7 @@ inline std::string fastlane_summary_json() {
 /// embedding in BENCH_*.json records. Includes the decision summary and
 /// the verifier, linter, budget, and fast-lane outcome counts.
 inline std::string solver_stats_json() {
-  std::string s = support::Stats::instance().to_json();
+  std::string s = support::current_metrics().to_json();
   s.insert(s.size() - 1, ", \"decisions\": " + decision_summary_json() +
                              ", \"verify\": " + verify_summary_json() +
                              ", \"lint\": " + lint_summary_json() +

@@ -48,7 +48,6 @@
 #include "support/diskcache.h"
 #include "support/metrics.h"
 #include "support/rational.h"
-#include "support/stats.h"
 
 namespace {
 
@@ -118,8 +117,6 @@ std::string rational_microbench_json() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using pf::support::Stats;
-
   unsigned seed = 11;
   int reps = 3;
   bool smoke = false;
@@ -174,7 +171,7 @@ int main(int argc, char** argv) {
             << std::flush;
 
   // Dependence analysis at 1/2/4 threads.
-  Stats::instance().reset();
+  pf::support::current_metrics().reset();
   const double t1 = time_analyze(analyze_scop, 1, reps);
   const double t2 = time_analyze(analyze_scop, 2, reps);
   const double t4 = time_analyze(analyze_scop, 4, reps);
@@ -187,7 +184,7 @@ int main(int argc, char** argv) {
   // Pluto (wisefuse) scheduling; the solve cache is warm from the
   // program's own analysis, matching the real CLI pipeline.
   std::cerr << "... schedule\n";
-  Stats::instance().reset();
+  pf::support::current_metrics().reset();
   pf::poly::clear_solve_cache();
   const auto dg = pf::ddg::DependenceGraph::analyze(sched_scop);
   auto policy = pf::fusion::make_policy(pf::fusion::FusionModel::kWisefuse);
@@ -263,6 +260,7 @@ int main(int argc, char** argv) {
   // Pluto); the ci.sh perf-smoke stage parses rate_percent from here.
   std::cout << "  \"fastlane\": " << pf::bench::fastlane_summary_json()
             << ",\n";
-  std::cout << "  \"stats\": " << Stats::instance().to_json() << "\n}\n";
+  std::cout << "  \"stats\": " << pf::support::current_metrics().to_json()
+            << "\n}\n";
   return 0;
 }

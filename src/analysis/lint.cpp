@@ -5,7 +5,7 @@
 
 #include "support/budget.h"
 #include "support/error.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 
 namespace pf::analysis {

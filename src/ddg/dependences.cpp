@@ -6,7 +6,7 @@
 
 #include "support/arena.h"
 #include "support/budget.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
 

@@ -18,7 +18,7 @@
 
 #include "support/budget.h"
 #include "support/error.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 
 namespace pf::exec {
@@ -221,7 +221,10 @@ std::optional<JitKernel> JitKernel::compile(const std::string& c_source,
     return fail(msg.str());
   }
 
-  void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+  // RTLD_NODELETE: the first -fopenmp kernel is what loads the OpenMP
+  // runtime, whose worker threads outlive the kernel; unloading it on
+  // dlclose would unmap the runtime under those threads.
+  void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL | RTLD_NODELETE);
   if (handle == nullptr)
     return fail(std::string("dlopen failed: ") + dlerror());
   void* sym = dlsym(handle, entry.c_str());

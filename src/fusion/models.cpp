@@ -6,7 +6,7 @@
 
 #include "sched/analysis.h"
 #include "support/budget.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 
 namespace pf::fusion {

@@ -7,7 +7,6 @@
 #include "lp/fastlane.h"
 #include "support/budget.h"
 #include "support/metrics.h"
-#include "support/stats.h"
 #include "support/trace.h"
 
 namespace pf::lp {

@@ -7,7 +7,6 @@
 #include "support/arena.h"
 #include "support/budget.h"
 #include "support/metrics.h"
-#include "support/stats.h"
 
 namespace pf::lp {
 

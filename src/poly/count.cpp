@@ -1,16 +1,11 @@
 #include "poly/count.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <mutex>
-#include <unordered_map>
 
-#include "poly/cache_internal.h"
+#include "poly/memo.h"
 #include "support/budget.h"
-#include "support/diskcache.h"
 #include "support/error.h"
-#include "support/metrics.h"
 
 namespace pf::poly {
 namespace {
@@ -19,126 +14,18 @@ inline bool in_i64(i128 v) {
   return v >= static_cast<i128>(INT64_MIN) && v <= static_cast<i128>(INT64_MAX);
 }
 
-// ---------------------------------------------------------------------------
-// Count cache. Finished subproblems (a canonical constraint system plus
-// the prefix length and the ILP node cap) are memoized in a sharded,
-// content-addressed table -- the recursion re-derives structurally
-// identical slices constantly (every iteration of a rectangular loop
-// leaves the same remainder set). Keys compare full canonical content,
-// so hits are exact and results are byte-identical with the cache on or
-// off. kUnknown results are never stored: they can depend on transient
-// state (the step guard, the remaining fuel), not just on the key.
-// ---------------------------------------------------------------------------
-
-struct CountKey {
-  std::vector<i64> blob;
-  std::size_t hash = 0;
-  bool operator==(const CountKey& o) const { return blob == o.blob; }
-};
-
-struct CountKeyHash {
-  std::size_t operator()(const CountKey& k) const { return k.hash; }
-};
-
-struct CountShard {
-  std::mutex mu;
-  std::unordered_map<CountKey, Count, CountKeyHash> map;
-};
-
-constexpr std::size_t kNumCountShards = 16;
-
-std::array<CountShard, kNumCountShards>& count_shards() {
-  static auto* shards = new std::array<CountShard, kNumCountShards>();
-  return *shards;
-}
-
-CountKey make_count_key(const IntegerSet& s, std::size_t prefix,
-                        long node_cap) {
-  CountKey key;
-  const std::size_t dims = s.dims();
-  std::vector<std::vector<i64>> rows;
-  rows.reserve(s.num_constraints());
-  for (const Constraint& c : s.constraints()) {
-    std::vector<i64> row;
-    row.reserve(dims + 2);
-    row.push_back(c.is_equality ? 1 : 0);
-    row.push_back(c.expr.const_term());
-    for (std::size_t k = 0; k < dims; ++k) row.push_back(c.expr.coeff(k));
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  key.blob.reserve(4 + rows.size() * (dims + 2));
-  key.blob.push_back(static_cast<i64>(prefix));
-  key.blob.push_back(static_cast<i64>(node_cap));
-  key.blob.push_back(static_cast<i64>(dims));
-  key.blob.push_back(static_cast<i64>(rows.size()));
-  for (const auto& row : rows)
-    key.blob.insert(key.blob.end(), row.begin(), row.end());
-  std::size_t h = std::hash<std::size_t>{}(key.blob.size());
-  for (const i64 v : key.blob) hash_combine(h, std::hash<i64>{}(v));
-  key.hash = h;
-  return key;
-}
-
-using CountMap = std::unordered_map<CountKey, Count, CountKeyHash>;
-
-// SolveCacheScope target (installed via internal::push_private_count_cache
-// from set.cpp): while set, this thread's count-cache traffic stays
-// private. Single-thread access, so no lock.
-thread_local CountMap* tl_private_count = nullptr;
-
-bool count_cache_lookup(const CountKey& key, Count* out) {
-  if (tl_private_count != nullptr) {
-    const auto it = tl_private_count->find(key);
-    if (it == tl_private_count->end()) return false;
-    *out = it->second;
-    return true;
-  }
-  CountShard& shard = count_shards()[key.hash % kNumCountShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void count_cache_store(const CountKey& key, const Count& value) {
-  if (tl_private_count != nullptr) {
-    tl_private_count->emplace(key, value);
-    return;
-  }
-  CountShard& shard = count_shards()[key.hash % kNumCountShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map.emplace(key, value);
-}
-
-// Persistent-store plumbing (support/diskcache, domain "count"). Only
-// exact and unbounded results cross process lifetimes; kUnknown is never
-// persisted for the same reason it is never memoized -- it can reflect
-// transient state (step guard, remaining fuel), not just the key.
+// Count cache: finished subproblems (a canonical constraint system plus
+// the prefix length and the ILP node cap) are memoized in the request's
+// memo table under domain "count" (value {kind, value}) -- the recursion
+// re-derives structurally identical slices constantly (every iteration of
+// a rectangular loop leaves the same remainder set). Hits are exact, so
+// results are byte-identical with the cache on or off. kUnknown results
+// are never stored: they can depend on transient state (the step guard,
+// the remaining fuel), not just on the key.
 constexpr const char* kCountDomain = "count";
 
-bool disk_count_lookup(const CountKey& key, Count* out) {
-  std::vector<i64> raw;
-  if (!support::diskcache::lookup(kCountDomain, key.blob, &raw)) return false;
-  if (raw.size() != 2) return false;
-  if (raw[0] == Count::kExact) {
-    *out = Count::exact(raw[1]);
-    return true;
-  }
-  if (raw[0] == Count::kUnbounded && raw[1] == 0) {
-    *out = Count::unbounded();
-    return true;
-  }
-  return false;
-}
-
-void disk_count_store(const CountKey& key, const Count& value) {
-  if (value.kind == Count::kUnknown) return;
-  support::diskcache::store(
-      kCountDomain, key.blob,
-      {static_cast<i64>(value.kind),
-       value.kind == Count::kExact ? value.value : 0});
+bool count_is_memoizable(const MemoTable::Value& v) {
+  return v[0] != Count::kUnknown;
 }
 
 // ---------------------------------------------------------------------------
@@ -304,26 +191,18 @@ Count count_set_prefix(const IntegerSet& s, std::size_t prefix, Ctx& ctx) {
   if (s.trivially_empty()) return Count::exact(0);
   if (prefix == 0) return probe_nonempty(s, ctx.opts.ilp);
   if (!step(ctx)) return Count::unknown();
-  CountKey key;
-  if (ctx.use_cache) {
-    key = make_count_key(s, prefix, ctx.opts.ilp.node_cap);
-    Count cached;
-    if (count_cache_lookup(key, &cached)) {
-      support::count(support::Counter::kCountCacheHits);
-      return cached;
-    }
-    support::count(support::Counter::kCountCacheMisses);
-    if (disk_count_lookup(key, &cached)) {
-      count_cache_store(key, cached);
-      return cached;
-    }
-  }
-  const Count result = count_set_prefix_uncached(s, prefix, ctx);
-  if (ctx.use_cache && result.kind != Count::kUnknown) {
-    count_cache_store(key, result);
-    disk_count_store(key, result);
-  }
-  return result;
+  if (!ctx.use_cache) return count_set_prefix_uncached(s, prefix, ctx);
+  const MemoTable::Value v = memoize(
+      {kCountDomain, canonical_key(static_cast<i64>(prefix),
+                                   ctx.opts.ilp.node_cap, s.dims(),
+                                   s.constraints())},
+      support::Counter::kCountCacheHits, support::Counter::kCountCacheMisses,
+      [&] {
+        const Count c = count_set_prefix_uncached(s, prefix, ctx);
+        return MemoTable::Value{c.kind, c.value};
+      },
+      count_is_memoizable);
+  return Count{static_cast<Count::Kind>(v[0]), v[1]};
 }
 
 // Union prefix counting: enumerate the leading dim over the union of the
@@ -493,28 +372,5 @@ Count count_points(const SetUnion& u, const CountOptions& options) {
     return count_union_prefix(ds, u.dims(), ctx);
   });
 }
-
-void clear_count_cache() {
-  if (tl_private_count != nullptr) tl_private_count->clear();
-  for (CountShard& shard : count_shards()) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-}
-
-namespace internal {
-
-void* push_private_count_cache() {
-  CountMap* previous = tl_private_count;
-  tl_private_count = new CountMap();
-  return previous;
-}
-
-void pop_private_count_cache(void* previous) {
-  delete tl_private_count;
-  tl_private_count = static_cast<CountMap*>(previous);
-}
-
-}  // namespace internal
 
 }  // namespace pf::poly

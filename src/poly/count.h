@@ -26,9 +26,8 @@
 // reports kUnknown; a genuinely infinite set reports kUnbounded. All
 // arithmetic is int128 compute-then-commit with a checked narrowing to
 // int64 (the PR 6 fast-lane pattern). Every recursion step charges the
-// count_set fuel site, and finished subproblems are memoized in a
-// sharded content-addressed cache alongside the solve cache (cleared by
-// poly::clear_solve_cache).
+// count_set fuel site, and finished subproblems are memoized in the same
+// memo table as the solve cache (cleared by poly::clear_solve_cache).
 #pragma once
 
 #include <string>
@@ -76,8 +75,5 @@ Count count_projection(const IntegerSet& s, std::size_t prefix,
                        const CountOptions& options = {});
 Count count_projection(const SetUnion& u, std::size_t prefix,
                        const CountOptions& options = {});
-
-/// Drop every memoized count (called from poly::clear_solve_cache).
-void clear_count_cache();
 
 }  // namespace pf::poly

@@ -1,0 +1,102 @@
+#include "poly/memo.h"
+
+#include <algorithm>
+#include <functional>
+#include <utility>
+
+#include "support/context.h"
+
+namespace pf::poly {
+
+MemoTable::Key::Key(const char* domain, std::vector<i64> blob)
+    : domain(domain), blob(std::move(blob)), hash(0) {
+  for (const i64 v : this->blob) hash_combine(hash, std::hash<i64>{}(v));
+}
+
+bool MemoTable::find_or_claim(const Key& key, Value* out) {
+  Shard& s = shard(key);
+  std::unique_lock<std::mutex> lock(s.mu);
+  auto it = s.map.end();
+  s.cv.wait(lock, [&] {
+    it = s.map.find(key);
+    return it == s.map.end() || it->second.ready;
+  });
+  if (it == s.map.end()) {
+    s.map.emplace(key, Slot{});
+    return false;
+  }
+  *out = it->second.value;
+  return true;
+}
+
+void MemoTable::publish(const Key& key, const Value& value) {
+  Shard& s = shard(key);
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.map.insert_or_assign(key, Slot{value, true});
+  }
+  s.cv.notify_all();
+}
+
+void MemoTable::drop(const Key& key) {
+  Shard& s = shard(key);
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.map.erase(key);
+  }
+  s.cv.notify_all();
+}
+
+std::size_t MemoTable::size() const {
+  std::size_t n = 0;
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    n += s.map.size();
+  }
+  return n;
+}
+
+void MemoTable::clear() {
+  for (Shard& s : shards_) {
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.map.clear();
+    }
+    s.cv.notify_all();
+  }
+}
+
+MemoTable& process_memo() {
+  static auto* table = new MemoTable();  // never destroyed: usable at exit
+  return *table;
+}
+
+MemoTable& current_memo() {
+  MemoTable* memo = support::current_context().memo;
+  return memo != nullptr ? *memo : process_memo();
+}
+
+std::vector<i64> canonical_key(i64 tag, long node_cap, std::size_t dims,
+                               const std::vector<Constraint>& constraints) {
+  std::vector<std::vector<i64>> rows;
+  rows.reserve(constraints.size());
+  for (const Constraint& c : constraints) {
+    std::vector<i64> row;
+    row.reserve(dims + 2);
+    row.push_back(c.is_equality ? 1 : 0);
+    row.push_back(c.expr.const_term());
+    for (std::size_t k = 0; k < dims; ++k) row.push_back(c.expr.coeff(k));
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  std::vector<i64> blob;
+  blob.reserve(4 + rows.size() * (dims + 2) + dims + 1);
+  blob.push_back(tag);
+  blob.push_back(static_cast<i64>(node_cap));
+  blob.push_back(static_cast<i64>(dims));
+  blob.push_back(static_cast<i64>(rows.size()));
+  for (const auto& row : rows) blob.insert(blob.end(), row.begin(), row.end());
+  return blob;
+}
+
+}  // namespace pf::poly

@@ -1,162 +1,39 @@
 #include "poly/set.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "lp/fastlane.h"
 #include "lp/simplex.h"
-#include "poly/cache_internal.h"
-#include "poly/count.h"
+#include "poly/memo.h"
 #include "support/budget.h"
-#include "support/diskcache.h"
-#include "support/stats.h"
+#include "support/context.h"
 
 namespace pf::poly {
-
-// ---------------------------------------------------------------------------
-// Polyhedral solve cache.
-//
-// Content-addressed memo table for is_empty / integer_min (integer_max
-// funnels through integer_min). The key is the full canonical blob --
-// sorted, gcd-normalized constraint rows plus the operation tag, objective
-// and ILP node cap -- so equality is exact and a hash collision can never
-// return a wrong answer. Sharded by hash to keep lock contention off the
-// dependence-analysis worker threads; the value is computed outside the
-// lock (a racing duplicate computation stores the identical result).
-// ---------------------------------------------------------------------------
 
 namespace {
 
 enum class SolveOp : i64 { kIsEmpty = 1, kMin = 2 };
 
-struct SolveKey {
-  std::vector<i64> blob;
-  std::size_t hash = 0;
-  bool operator==(const SolveKey& o) const { return blob == o.blob; }
-};
-
-struct SolveKeyHash {
-  std::size_t operator()(const SolveKey& k) const { return k.hash; }
-};
-
-struct SolveValue {
-  bool empty = false;                         // for kIsEmpty
-  IntegerSet::Opt opt{IntegerSet::Opt::kEmpty, 0};  // for kMin
-};
-
-struct CacheShard {
-  std::mutex mu;
-  std::unordered_map<SolveKey, SolveValue, SolveKeyHash> map;
-};
-
-constexpr std::size_t kNumShards = 16;
-
-std::array<CacheShard, kNumShards>& cache_shards() {
-  static std::array<CacheShard, kNumShards> shards;
-  return shards;
-}
-
-using SolveMap = std::unordered_map<SolveKey, SolveValue, SolveKeyHash>;
-
-// SolveCacheScope target: while installed, the thread's lookups and
-// stores go to this private table instead of the sharded process-wide
-// one (no lock needed -- it is touched by exactly one thread).
-thread_local SolveMap* tl_private_solve = nullptr;
-
 std::atomic<bool> g_solve_cache_enabled{true};
 
-// Persistent-store domain tags (entry namespaces in support/diskcache).
+// Memo-table and persistent-store domain of solve results. Value layouts:
+// kIsEmpty {empty, 0}; kMin {kind, value}.
 constexpr const char* kSolveDomain = "solve";
 
-// On-disk value layouts. kIsEmpty: {empty}; kMin: {kind, value}. Kept
-// explicit and versionless -- the diskcache fingerprint already rebinds
-// entries on every rebuild of this binary.
-std::vector<i64> encode_empty(const SolveValue& v) {
-  return {v.empty ? i64{1} : i64{0}};
-}
-
-bool decode_empty(const std::vector<i64>& raw, SolveValue* v) {
-  if (raw.size() != 1 || (raw[0] != 0 && raw[0] != 1)) return false;
-  v->empty = raw[0] == 1;
-  return true;
-}
-
-std::vector<i64> encode_opt(const SolveValue& v) {
-  return {static_cast<i64>(v.opt.kind), v.opt.value};
-}
-
-bool decode_opt(const std::vector<i64>& raw, SolveValue* v) {
-  if (raw.size() != 2 || raw[0] < IntegerSet::Opt::kOk ||
-      raw[0] > IntegerSet::Opt::kUnknown)
-    return false;
-  v->opt.kind = static_cast<IntegerSet::Opt::Kind>(raw[0]);
-  v->opt.value = raw[0] == IntegerSet::Opt::kOk ? raw[1] : 0;
-  return true;
-}
-
-SolveKey make_solve_key(SolveOp op, std::size_t dims,
-                        const std::vector<Constraint>& constraints,
-                        const AffineExpr* objective, long node_cap) {
-  // Canonicalize: serialize each (already gcd-normalized) row and sort
-  // rows, so insertion order never splits cache entries.
-  std::vector<std::vector<i64>> rows;
-  rows.reserve(constraints.size());
-  for (const Constraint& c : constraints) {
-    std::vector<i64> row;
-    row.reserve(dims + 2);
-    row.push_back(c.is_equality ? 1 : 0);
-    row.push_back(c.expr.const_term());
-    for (std::size_t k = 0; k < dims; ++k) row.push_back(c.expr.coeff(k));
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-
-  SolveKey key;
-  key.blob.reserve(4 + rows.size() * (dims + 2) + (objective ? dims + 1 : 0));
-  key.blob.push_back(static_cast<i64>(op));
-  key.blob.push_back(static_cast<i64>(node_cap));
-  key.blob.push_back(static_cast<i64>(dims));
-  key.blob.push_back(static_cast<i64>(rows.size()));
-  for (const auto& row : rows)
-    key.blob.insert(key.blob.end(), row.begin(), row.end());
+MemoTable::Key solve_key(SolveOp op, std::size_t dims,
+                         const std::vector<Constraint>& constraints,
+                         const AffineExpr* objective, long node_cap) {
+  std::vector<i64> blob =
+      canonical_key(static_cast<i64>(op), node_cap, dims, constraints);
   if (objective) {
-    key.blob.push_back(objective->const_term());
-    for (std::size_t k = 0; k < dims; ++k)
-      key.blob.push_back(objective->coeff(k));
+    blob.push_back(objective->const_term());
+    for (std::size_t k = 0; k < dims; ++k) blob.push_back(objective->coeff(k));
   }
-  std::size_t seed = 0;
-  for (const i64 v : key.blob) hash_combine(seed, std::hash<i64>{}(v));
-  key.hash = seed;
-  return key;
-}
-
-bool cache_lookup(const SolveKey& key, SolveValue* out) {
-  if (tl_private_solve != nullptr) {
-    const auto it = tl_private_solve->find(key);
-    if (it == tl_private_solve->end()) return false;
-    *out = it->second;
-    return true;
-  }
-  CacheShard& shard = cache_shards()[key.hash % kNumShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void cache_store(SolveKey key, const SolveValue& value) {
-  if (tl_private_solve != nullptr) {
-    tl_private_solve->emplace(std::move(key), value);
-    return;
-  }
-  CacheShard& shard = cache_shards()[key.hash % kNumShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.map.emplace(std::move(key), value);
+  return {kSolveDomain, std::move(blob)};
 }
 
 }  // namespace
@@ -170,24 +47,16 @@ bool solve_cache_enabled() {
 }
 
 void clear_solve_cache() {
-  if (tl_private_solve != nullptr) tl_private_solve->clear();
-  for (CacheShard& shard : cache_shards()) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-  clear_count_cache();
+  current_memo().clear();
+  process_memo().clear();
 }
 
-SolveCacheScope::SolveCacheScope()
-    : previous_solve_(tl_private_solve),
-      previous_count_(internal::push_private_count_cache()) {
-  tl_private_solve = new SolveMap();
+SolveCacheScope::SolveCacheScope() : table_(std::make_unique<MemoTable>()) {
+  previous_ = std::exchange(support::current_context().memo, table_.get());
 }
 
 SolveCacheScope::~SolveCacheScope() {
-  delete tl_private_solve;
-  tl_private_solve = static_cast<SolveMap*>(previous_solve_);
-  internal::pop_private_count_cache(previous_count_);
+  support::current_context().memo = previous_;
 }
 
 bool IntegerSet::normalize(Constraint& c) const {
@@ -274,26 +143,12 @@ bool IntegerSet::is_empty(const lp::IlpOptions& options) const {
   }
   if (!solve_cache_enabled()) return to_ilp().proven_empty(options);
 
-  SolveKey key = make_solve_key(SolveOp::kIsEmpty, dims_, constraints_,
-                                nullptr, options.node_cap);
-  SolveValue value;
-  if (cache_lookup(key, &value)) {
-    support::count(support::Counter::kSolveCacheHits);
-    return value.empty;
-  }
-  support::count(support::Counter::kSolveCacheMisses);
-  std::vector<i64> raw;
-  if (support::diskcache::lookup(kSolveDomain, key.blob, &raw) &&
-      decode_empty(raw, &value)) {
-    // Persisted by an earlier run: adopt into the in-memory layer so the
-    // rest of this run hits locally.
-    cache_store(std::move(key), value);
-    return value.empty;
-  }
-  value.empty = to_ilp().proven_empty(options);
-  support::diskcache::store(kSolveDomain, key.blob, encode_empty(value));
-  cache_store(std::move(key), value);
-  return value.empty;
+  const MemoTable::Value v = memoize(
+      solve_key(SolveOp::kIsEmpty, dims_, constraints_, nullptr,
+                options.node_cap),
+      support::Counter::kSolveCacheHits, support::Counter::kSolveCacheMisses,
+      [&] { return MemoTable::Value{to_ilp().proven_empty(options), 0}; });
+  return v[0] == 1;
 }
 
 bool IntegerSet::contains(const IntVector& point) const {
@@ -334,24 +189,14 @@ IntegerSet::Opt IntegerSet::integer_min(const AffineExpr& e,
   }
   if (!solve_cache_enabled()) return integer_min_uncached(e, options);
 
-  SolveKey key =
-      make_solve_key(SolveOp::kMin, dims_, constraints_, &e, options.node_cap);
-  SolveValue value;
-  if (cache_lookup(key, &value)) {
-    support::count(support::Counter::kSolveCacheHits);
-    return value.opt;
-  }
-  support::count(support::Counter::kSolveCacheMisses);
-  std::vector<i64> raw;
-  if (support::diskcache::lookup(kSolveDomain, key.blob, &raw) &&
-      decode_opt(raw, &value)) {
-    cache_store(std::move(key), value);
-    return value.opt;
-  }
-  value.opt = integer_min_uncached(e, options);
-  support::diskcache::store(kSolveDomain, key.blob, encode_opt(value));
-  cache_store(std::move(key), value);
-  return value.opt;
+  const MemoTable::Value v = memoize(
+      solve_key(SolveOp::kMin, dims_, constraints_, &e, options.node_cap),
+      support::Counter::kSolveCacheHits, support::Counter::kSolveCacheMisses,
+      [&] {
+        const Opt r = integer_min_uncached(e, options);
+        return MemoTable::Value{r.kind, r.value};
+      });
+  return Opt{static_cast<Opt::Kind>(v[0]), v[1]};
 }
 
 IntegerSet::Opt IntegerSet::integer_min_uncached(

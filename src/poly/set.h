@@ -11,14 +11,15 @@
 //    safe choice for loop-bound generation),
 //  * LP-based redundant-constraint removal (keeps emitted bounds tidy).
 //
-// Solve cache. is_empty / integer_min / integer_max are memoized in a
-// process-wide, sharded, content-addressed table keyed by the canonical
+// Solve cache. is_empty / integer_min / integer_max are memoized in the
+// request's memo table (poly/memo.h), keyed by the canonical
 // (gcd-normalized, sorted) constraint system plus the objective and the
-// ILP node cap. The Pluto level loop and FME redundancy elimination
+// ILP node cap; point counts (poly/count.h) share the same table under
+// their own domain. The Pluto level loop and FME redundancy elimination
 // re-test many structurally identical systems; a hit skips the whole
-// branch-and-bound search. Keys compare full canonical content (the hash
-// only picks the shard/bucket), so a hit is always exact -- results are
-// byte-identical with the cache on or off, and safe under concurrency.
+// branch-and-bound search. Keys compare full canonical content, so a hit
+// is always exact -- results are byte-identical with the cache on or off,
+// and safe under concurrency.
 //
 // When support/diskcache is configured, an in-memory miss additionally
 // consults the persistent on-disk store (domain "solve"), and computed
@@ -27,6 +28,7 @@
 // disk layer's run-id guard keeps its hits deterministic within one run.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,24 +37,26 @@
 
 namespace pf::poly {
 
-/// Enable/disable the process-wide polyhedral solve cache (default on).
+class MemoTable;
+
+/// Enable/disable the polyhedral solve and count caches (default on).
 void set_solve_cache_enabled(bool enabled);
 bool solve_cache_enabled();
-/// Drop every cached solve result (e.g. between bench repetitions).
-/// Clears the calling thread's private scope cache too, if one is active.
+/// Drop every memoized solve and count (e.g. between bench repetitions):
+/// the process-wide table and the calling thread's request table, if any.
 void clear_solve_cache();
 
-/// RAII: give the calling thread private in-memory solve and count
-/// caches, isolated from the process-wide sharded tables, until the scope
-/// dies. The batch driver wraps each compile request in one so (a) a
-/// request's cache metrics depend only on its own work -- never on what a
-/// concurrently running sibling happened to memoize first -- and (b) a
-/// long batch's memoization footprint is freed request by request instead
-/// of accumulating for the process lifetime. The persistent on-disk cache
+/// RAII: give the calling thread's request its own memo table for solves
+/// and counts until the scope dies; pool tasks it submits share it. The
+/// batch driver wraps each compile request in one so (a) a request's
+/// cache metrics depend only on its own work -- never on what a
+/// concurrently running sibling memoized first -- and (b) a long batch's
+/// memoization footprint is freed request by request instead of
+/// accumulating for the process lifetime. The persistent on-disk cache
 /// (support/diskcache) is still consulted on misses: its run-id guard
 /// makes disk hits a property of the directory state at startup, which
 /// keeps them deterministic at any --jobs. Scopes nest; the previous
-/// cache (private or process-wide) is restored on destruction.
+/// table is restored on destruction.
 class SolveCacheScope {
  public:
   SolveCacheScope();
@@ -61,8 +65,8 @@ class SolveCacheScope {
   SolveCacheScope& operator=(const SolveCacheScope&) = delete;
 
  private:
-  void* previous_solve_;
-  void* previous_count_;
+  MemoTable* previous_;
+  std::unique_ptr<MemoTable> table_;
 };
 
 class IntegerSet {

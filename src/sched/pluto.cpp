@@ -10,7 +10,7 @@
 #include "sched/analysis.h"
 #include "sched/farkas.h"
 #include "support/budget.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/strings.h"
 #include "support/trace.h"
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "support/error.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 namespace pf::support {
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
+#include "support/context.h"
 #include "support/flightrec.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/strings.h"
 
 namespace pf::support {
@@ -14,8 +16,6 @@ namespace {
 // Deadline checks read the clock, so they run every kDeadlineStride
 // charges rather than on each one; ops are coarse enough to check always.
 constexpr i64 kDeadlineStride = 64;
-
-thread_local Budget* tl_budget = nullptr;
 
 Counter fuel_counter(BudgetSite site) {
   switch (site) {
@@ -250,17 +250,17 @@ void Budget::check_deadline(BudgetSite site) {
     fault(site, BudgetExceeded::Kind::kDeadline, -1);
 }
 
-Budget* current_budget() { return tl_budget; }
+Budget* current_budget() { return current_context().budget; }
 
 bool budget_limited() {
-  return tl_budget != nullptr && tl_budget->limited();
+  const Budget* b = current_budget();
+  return b != nullptr && b->limited();
 }
 
-BudgetScope::BudgetScope(Budget* budget) : previous_(tl_budget) {
-  tl_budget = budget;
-}
+BudgetScope::BudgetScope(Budget* budget)
+    : previous_(std::exchange(current_context().budget, budget)) {}
 
-BudgetScope::~BudgetScope() { tl_budget = previous_; }
+BudgetScope::~BudgetScope() { current_context().budget = previous_; }
 
 BudgetSuspend::BudgetSuspend() : scope_(nullptr) {}
 

@@ -21,9 +21,10 @@
 // constrain the schedule; the original statement order satisfies every
 // dependence), so budgeted runs stay correct -- just less optimized.
 //
-// Budgets are installed per *thread* (BudgetScope); code that must run to
+// The current budget is a field of the calling thread's request context
+// (support/context.h), installed by BudgetScope; code that must run to
 // completion regardless of budget -- codegen, verification, the linter --
-// suspends the current budget with BudgetSuspend. For determinism across
+// suspends it with BudgetSuspend. For determinism across
 // --jobs settings, parallel phases give each task its own sub-budget
 // (make_task_budget) with a fixed fuel allowance and merge the spend back
 // serially (absorb); a shared racing counter would make exhaustion depend
@@ -208,7 +209,8 @@ Budget* current_budget();
 bool budget_limited();
 
 /// RAII: install `budget` as the calling thread's current budget (may be
-/// nullptr to suspend); restores the previous budget on destruction.
+/// nullptr to suspend); restores the previous budget on destruction. Pool
+/// tasks start with none (support/context.h).
 class BudgetScope {
  public:
   explicit BudgetScope(Budget* budget);

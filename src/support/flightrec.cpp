@@ -1,6 +1,8 @@
 #include "support/flightrec.h"
 
 #include <fcntl.h>
+#include <sys/syscall.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -50,6 +52,8 @@ std::atomic<int> g_num_rings{0};
 std::atomic<std::uint64_t> g_seq{0};
 std::atomic<const MetricsRegistry*> g_metrics{nullptr};
 std::atomic<bool> g_dumping{false};
+std::atomic<bool> g_dump_done{false};
+std::atomic<long> g_dumper_tid{0};  // kernel tid of the thread dumping
 
 // Set once at install/startup time (before any crash can use them).
 char g_diag_path[512] = {};
@@ -276,12 +280,17 @@ const char* signal_name(int sig) {
 }
 
 void crash_handler(int sig) {
-  // One dump per process: a second fatal signal (e.g. crashing inside
-  // the handler) falls straight through to the re-raise.
-  if (!g_dumping.exchange(true, std::memory_order_acq_rel) &&
-      g_diag_path[0] != '\0') {
-    const int fd =
-        ::open(g_diag_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // One dump per process. The first thread to fail writes it; threads
+  // failing concurrently wait for it to close the file, since re-raising
+  // now would kill the process mid-write. A fatal signal inside the
+  // dumping thread itself falls straight through to the re-raise. Only
+  // async-signal-safe calls: atomics, syscall, nanosleep.
+  const long self = ::syscall(SYS_gettid);
+  if (!g_dumping.exchange(true, std::memory_order_acq_rel)) {
+    g_dumper_tid.store(self, std::memory_order_release);
+    const int fd = g_diag_path[0] != '\0'
+                       ? ::open(g_diag_path, O_WRONLY | O_CREAT | O_TRUNC, 0644)
+                       : -1;
     if (fd >= 0) {
       dump(fd, signal_name(sig));
       ::close(fd);
@@ -290,6 +299,12 @@ void crash_handler(int sig) {
       (void)!::write(2, g_diag_path, std::strlen(g_diag_path));
       (void)!::write(2, "\n", 1);
     }
+    g_dump_done.store(true, std::memory_order_release);
+  } else if (g_dumper_tid.load(std::memory_order_acquire) != self) {
+    const timespec tick{0, 1000000};  // 1 ms; give up after 10 s
+    for (int i = 0; i < 10000 && !g_dump_done.load(std::memory_order_acquire);
+         ++i)
+      ::nanosleep(&tick, nullptr);
   }
   ::signal(sig, SIG_DFL);
   ::raise(sig);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/context.h"
 #include "support/trace.h"
 
 namespace pf::support {
@@ -473,38 +474,22 @@ std::string MetricsRegistry::to_json() const {
   return os.str();
 }
 
-namespace {
-
-thread_local MetricsRegistry* tl_metrics = nullptr;
-
-}  // namespace
-
 MetricsRegistry& global_metrics() {
   static MetricsRegistry reg;
   return reg;
 }
 
 MetricsRegistry& current_metrics() {
-  return tl_metrics != nullptr ? *tl_metrics : global_metrics();
+  MetricsRegistry* reg = current_context().metrics;
+  return reg != nullptr ? *reg : global_metrics();
 }
-
-MetricsRegistry* current_metrics_ptr() { return tl_metrics; }
 
 MetricsScope::MetricsScope()
-    : previous_(tl_metrics), owned_(std::make_unique<MetricsRegistry>()) {
-  registry_ = owned_.get();
-  absorb_into_ = &current_metrics();
-  tl_metrics = registry_;
-}
-
-MetricsScope::MetricsScope(MetricsRegistry* adopt) : previous_(tl_metrics) {
-  registry_ = adopt != nullptr ? adopt : &global_metrics();
-  tl_metrics = adopt;
-}
+    : previous_(std::exchange(current_context().metrics, &registry_)) {}
 
 MetricsScope::~MetricsScope() {
-  tl_metrics = previous_;
-  if (absorb_into_ != nullptr) absorb_into_->absorb(*owned_);
+  current_context().metrics = previous_;
+  (previous_ != nullptr ? *previous_ : global_metrics()).absorb(registry_);
 }
 
 }  // namespace pf::support

@@ -1,9 +1,6 @@
 // The metrics registry: counters, gauges, and fixed-boundary log-bucket
 // histograms for every layer of the compile pipeline.
 //
-// This generalizes the original flat-counter Stats singleton into the
-// observability substrate a resident compile service needs:
-//
 //  * Counters -- monotone event counts (simplex pivots, FME rows, budget
 //    faults, ...). Lock-free relaxed atomics; worker threads bump them
 //    without contention.
@@ -19,21 +16,19 @@
 //    bit_width plus a few relaxed atomic adds; categorical histograms
 //    (fallback causes) use a linear layout instead.
 //
-// Scoping: metrics flow into the *current* registry -- a thread-local
-// pointer defaulting to the process-wide global registry. A MetricsScope
-// gives one unit of work (today: one polyfuse invocation; tomorrow: one
-// service request) an isolated registry and absorbs it into the parent
-// when the scope ends; absorption is a serial, ordered merge, so scoped
-// runs report deterministically. ThreadPool propagates the submitting
-// thread's registry into its workers, mirroring the per-task budget
-// plumbing.
+// Scoping: metrics flow into the *current* registry, the metrics field of
+// the calling thread's request context (support/context.h), defaulting to
+// the process-wide global registry. A MetricsScope gives one request an
+// isolated registry and absorbs it into the parent when the scope ends;
+// absorption is a serial, ordered merge, so scoped runs report
+// deterministically. Pool tasks run under their submitter's context, so
+// dependence workers report into the request's registry.
 //
 // Determinism contract (docs/observability.md): everything under the
 // "runtime" subtree of to_json() -- gauges, wall-clock histograms, phase
 // times, arena footprints -- legitimately varies with machine load and
 // thread count. Everything *outside* it is byte-identical at every
-// --jobs setting (with the solve cache off; cache hit/miss totals depend
-// on interleaving). Tests enforce exactly that split.
+// --jobs setting. Tests enforce exactly that split.
 #pragma once
 
 #include <array>
@@ -41,7 +36,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -275,33 +269,21 @@ MetricsRegistry& global_metrics();
 /// MetricsScope's registry, else global_metrics().
 MetricsRegistry& current_metrics();
 
-/// Raw thread-local scope pointer (nullptr = global); used by ThreadPool
-/// to propagate the submitter's scope into worker tasks.
-MetricsRegistry* current_metrics_ptr();
-
-/// RAII metrics scoping. The default constructor opens an *owning* scope:
-/// a fresh registry that the thread reports into, absorbed into the
-/// previously-current registry when the scope closes (a serial, ordered
-/// merge -- this is the per-request isolation a compile service needs).
-/// The pointer constructor opens an *adopting* scope: the thread reports
-/// into an existing registry (nullptr = the global one) and nothing is
-/// absorbed on close -- this is how pool workers join the submitting
-/// thread's scope.
+/// RAII request scope: a fresh registry the thread reports into, absorbed
+/// into the previously-current registry when the scope closes (a serial,
+/// ordered merge -- the per-request isolation a compile service needs).
 class MetricsScope {
  public:
   MetricsScope();
-  explicit MetricsScope(MetricsRegistry* adopt);
   ~MetricsScope();
   MetricsScope(const MetricsScope&) = delete;
   MetricsScope& operator=(const MetricsScope&) = delete;
 
-  MetricsRegistry& registry() { return *registry_; }
+  MetricsRegistry& registry() { return registry_; }
 
  private:
   MetricsRegistry* previous_;
-  MetricsRegistry* registry_;
-  MetricsRegistry* absorb_into_ = nullptr;  // owning scopes only
-  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry registry_;
 };
 
 /// Shorthands: report into the calling thread's current registry.

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <utility>
 
-#include "support/metrics.h"
+#include "support/context.h"
 #include "support/strings.h"
 
 namespace pf::support {
@@ -19,6 +19,20 @@ std::size_t hardware_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
+
+// Runs the calling thread under `ctx`, restoring its own context on exit
+// (exceptions included: the worker thread outlives the task).
+class ContextScope {
+ public:
+  explicit ContextScope(const Context& ctx)
+      : saved_(std::exchange(current_context(), ctx)) {}
+  ~ContextScope() { current_context() = saved_; }
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
+
+ private:
+  Context saved_;
+};
 
 std::size_t env_or_hardware_jobs() {
   if (const char* env = std::getenv("POLYFUSE_JOBS")) {
@@ -85,14 +99,15 @@ void ThreadPool::worker_loop() {
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> fn) {
-  // Workers report metrics into the submitting thread's scope: capture
-  // the submitter's registry pointer now and adopt it inside the task,
-  // mirroring the per-task BudgetScope plumbing in dependence analysis.
-  // Inline mode skips the wrap -- the caller's TLS is already right.
+  // A task runs inside its submitter's request (support/context.h): same
+  // metrics registry, same memo table, no budget -- a Budget is
+  // single-threaded, so parallel phases install per-task sub-budgets.
+  // Inline mode skips the wrap: the caller's context is already right.
   if (!workers_.empty()) {
-    MetricsRegistry* scope = current_metrics_ptr();
-    fn = [scope, inner = std::move(fn)] {
-      MetricsScope adopt(scope);
+    Context ctx = current_context();
+    ctx.budget = nullptr;
+    fn = [ctx, inner = std::move(fn)] {
+      ContextScope scope(ctx);
       inner();
     };
   }

@@ -4,7 +4,8 @@
 // (each pair's ILP solves are independent); anything else that wants
 // coarse-grained parallelism can submit() closures or use parallel_for.
 // Exceptions thrown by tasks are captured and rethrown on the waiting
-// thread, so pf::Error diagnostics survive the fan-out.
+// thread, so pf::Error diagnostics survive the fan-out. Every task runs
+// under its submitter's request context (support/context.h).
 //
 // The worker count comes from --jobs=N / POLYFUSE_JOBS, defaulting to
 // hardware_concurrency; jobs == 1 means "run inline on the caller" and is

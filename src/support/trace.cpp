@@ -251,6 +251,22 @@ TraceSpan::~TraceSpan() {
   t.record_span(std::move(info_));
 }
 
+PhaseTimer::PhaseTimer(std::string phase)
+    : phase_(std::move(phase)), start_us_(Tracer::instance().now_us()) {
+  flightrec::record(flightrec::EventKind::kPhaseBegin, "phase",
+                    phase_.c_str());
+  // Phases double as top-level trace spans, so a --trace run shows the
+  // driver's parse/deps/schedule/codegen regions without extra plumbing.
+  if (Tracer::spans_on()) span_.emplace("phase", phase_);
+}
+
+PhaseTimer::~PhaseTimer() {
+  const double elapsed_us = Tracer::instance().now_us() - start_us_;
+  flightrec::record(flightrec::EventKind::kPhaseEnd, "phase", phase_.c_str(),
+                    static_cast<i64>(elapsed_us));
+  current_metrics().add_phase_seconds(phase_, elapsed_us / 1e6);
+}
+
 void TraceSpan::attr(const char* key, i64 value) {
   if (!active_) return;
   info_.attrs.emplace_back(key, std::to_string(value));

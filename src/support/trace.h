@@ -1,8 +1,8 @@
 // Structured tracing for the compile pipeline: spans + decision remarks.
 //
-// Two channels, both collected by a process-wide Tracer singleton
-// (alongside Stats) and both near-zero-cost when disabled (one relaxed
-// atomic load per call site):
+// Two channels, both collected by a process-wide Tracer singleton and
+// both near-zero-cost when disabled (one relaxed atomic load per call
+// site):
 //
 //  * Spans -- RAII timed regions (TraceSpan) with a category, a name,
 //    key=value attributes, the recording thread and a nesting depth.
@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,6 +116,7 @@ class Tracer {
 
  private:
   friend class TraceSpan;
+  friend class PhaseTimer;
 
   double now_us() const;
   void record_span(SpanInfo info);  // called by ~TraceSpan
@@ -146,6 +148,23 @@ class TraceSpan {
  private:
   bool active_ = false;
   SpanInfo info_;
+};
+
+/// RAII phase timer: accumulates elapsed wall time into the named phase
+/// of the current metrics registry. When span tracing is enabled, the
+/// phase is also recorded as a top-level trace span; the flight recorder
+/// always logs the phase boundaries.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(std::string phase);
+  ~PhaseTimer();
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  std::string phase_;
+  double start_us_;
+  std::optional<TraceSpan> span_;
 };
 
 /// Shorthand: emit a remark iff the channel is enabled. Callers building

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "support/budget.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 #include "verify/internal.h"
 

@@ -784,6 +784,29 @@ TEST(Cli, HardInjectionLeavesParseableCrashDiagnostic) {
   EXPECT_NE(dump.find("\"invocation\""), std::string::npos);
 }
 
+TEST(Cli, ConcurrentHardAbortsLeaveOneParseableDump) {
+  // Every dependence pair has its own sub-budget, so at --jobs=4 the
+  // first solve of each pair aborts: several workers die at once. The
+  // threads that lose the race to write the dump must wait for the
+  // winner instead of killing the process mid-write. Repeated because
+  // the race does not show on every run.
+  const std::string path = write_program("p.pf", kPipeline);
+  for (int run = 0; run < 20; ++run) {
+    const std::string dir = make_diag_dir("concurrentdiag" +
+                                          std::to_string(run));
+    const CmdResult r =
+        run_cli("--jobs=4 --inject=lp_solve:abort-after=0 " + path,
+                "POLYFUSE_DIAG_DIR=" + dir);
+    EXPECT_NE(r.exit_code, 0);
+    const auto diags = diag_files_in(dir);
+    ASSERT_EQ(diags.size(), 1u) << "run " << run << ": " << r.output;
+    const std::string dump = slurp(diags[0]);
+    ASSERT_TRUE(pf::testjson::valid(dump)) << "run " << run << ": " << dump;
+    EXPECT_NE(dump.find("\"cause\": \"signal:SIGABRT\""), std::string::npos);
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(Cli, DiagnoseFlagWritesReportOnNormalExit) {
   const std::string path = write_program("p.pf", kPipeline);
   const std::string diag = temp_path("diagnose.json");

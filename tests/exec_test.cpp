@@ -139,6 +139,34 @@ TEST(Jit, RunsMinimalKernel) {
     EXPECT_DOUBLE_EQ(store.at(0, {i}), 2.0 * static_cast<double>(i) + 1.0);
 }
 
+// Unloading a kernel must not unload the OpenMP runtime under its own
+// worker threads: the first -fopenmp kernel is what loads libgomp, and
+// its pool threads outlive the kernel. num_threads(4) makes the runtime
+// spawn workers on any host, so two kernels back to back exercise the
+// teardown even on one core.
+TEST(Jit, OpenMPKernelsCreatedAndDestroyedBackToBack) {
+  if (!jit_available()) GTEST_SKIP();
+  const ir::Scop scop = frontend::parse_scop(R"(
+    scop t(N) { context N >= 2; array a[N];
+      for (i = 0 .. N-1) { S1: a[i] = 0.0; } })");
+  const std::string source = R"(
+    void pf_kernel(double** a, const long long* p) {
+      #pragma omp parallel for num_threads(4)
+      for (long long i = 0; i < p[0]; ++i) a[0][i] = (double)(i + K);
+    })";
+  for (int k = 1; k <= 2; ++k) {
+    std::string err;
+    auto kernel = JitKernel::compile(
+        "#define K " + std::to_string(k) + "\n" + source, "pf_kernel", {},
+        &err);
+    ASSERT_TRUE(kernel.has_value()) << err;
+    ArrayStore store(scop, {64});
+    kernel->run(store);
+    for (i64 i = 0; i < 64; ++i)
+      EXPECT_DOUBLE_EQ(store.at(0, {i}), static_cast<double>(i + k));
+  }
+}
+
 TEST(CEmit, HelpersAndLinearization) {
   const ir::Scop scop = frontend::parse_scop(R"(
     scop t(N) { context N >= 2; array A[N][N+1];

@@ -20,7 +20,7 @@
 #include "sched/pluto.h"
 #include "suite/synthetic.h"
 #include "support/budget.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 namespace pf {
 namespace {
@@ -33,7 +33,7 @@ class LaneGuard {
   ~LaneGuard() { lp::set_fastlane_enabled(true); }
 };
 
-i64 counter(support::Counter c) { return support::Stats::instance().get(c); }
+i64 counter(support::Counter c) { return support::current_metrics().get(c); }
 
 void expect_same_result(const lp::SimplexSolver::Result& fast,
                         const lp::SimplexSolver::Result& exact,
@@ -94,7 +94,7 @@ TEST(Fastlane, OverflowFallsBackToExactLaneMidPipeline) {
   s.add_inequality(row, Rational(-1));  // sum x_i/p_i >= 1
   const RatVector obj(4, Rational(1));
 
-  support::Stats::instance().reset();
+  support::current_metrics().reset();
   lp::SimplexSolver::Result fast, exact;
   {
     LaneGuard g(true);
@@ -117,7 +117,7 @@ TEST(Fastlane, InjectionForcesSimplexFallbackWithoutFault) {
   spec.injections.push_back({support::BudgetSite::kLpFastlane, 1});
   support::Budget b(spec);
   support::BudgetScope scope(&b);
-  support::Stats::instance().reset();
+  support::current_metrics().reset();
 
   auto s = lp::SimplexSolver::all_nonneg(2);
   s.add_inequality(RatVector{Rational(1), Rational(0)}, Rational(-2));
@@ -182,7 +182,7 @@ TEST(Fastlane, InjectionForcesFmeFallback) {
   spec.injections.push_back({support::BudgetSite::kLpFastlane, 0});
   support::Budget b(spec);
   support::BudgetScope scope(&b);
-  support::Stats::instance().reset();
+  support::current_metrics().reset();
 
   std::mt19937 rng(5);
   const poly::IntegerSet set = random_set(rng, 4);
@@ -215,7 +215,7 @@ TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {
   const auto cold = p.lexmin(objectives);
   ASSERT_EQ(cold.status, lp::IlpStatus::kOptimal);
 
-  support::Stats::instance().reset();
+  support::current_metrics().reset();
   // A feasible warm point (not the optimum): accepted, same answer.
   const IntVector feasible{3, 1};
   const auto warm = p.lexmin(objectives, {}, &feasible);

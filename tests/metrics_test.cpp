@@ -1,10 +1,11 @@
 // Unit tests for the observability substrate: the metrics registry
-// (counters, gauges, log-bucket histograms, scoped absorption), the
-// Stats compatibility shim, the tracer's buffer cap, and the flight
-// recorder (ring recording, snapshots, async-signal-safe dumps).
+// (counters, gauges, log-bucket histograms, scoped absorption), request
+// context propagation into pool tasks, the tracer's buffer cap, and the
+// flight recorder (ring recording, snapshots, async-signal-safe dumps).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,9 +13,12 @@
 #include <vector>
 
 #include "json_check.h"
+#include "poly/memo.h"
+#include "poly/set.h"
+#include "support/budget.h"
+#include "support/context.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
-#include "support/stats.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
 
@@ -125,39 +129,42 @@ TEST(MetricsRegistry, ResetZeroesAndEmptiesSentinels) {
 }
 
 TEST(MetricsScope, OwningScopeIsolatesAndAbsorbs) {
-  MetricsRegistry outer;
-  MetricsScope adopt_outer(&outer);
-  const i64 before = outer.get(Counter::kFmeRowsGenerated);
+  MetricsScope outer;
   {
-    MetricsScope inner;  // owning: fresh registry
+    MetricsScope inner;  // fresh registry
     count(Counter::kFmeRowsGenerated, 4);
     EXPECT_EQ(inner.registry().get(Counter::kFmeRowsGenerated), 4);
-    EXPECT_EQ(outer.get(Counter::kFmeRowsGenerated), before);  // isolated
+    EXPECT_EQ(outer.registry().get(Counter::kFmeRowsGenerated), 0);
   }
   // Scope close absorbed into the previously-current registry.
-  EXPECT_EQ(outer.get(Counter::kFmeRowsGenerated), before + 4);
+  EXPECT_EQ(outer.registry().get(Counter::kFmeRowsGenerated), 4);
 }
 
 TEST(MetricsScope, ConcurrentScopesStayIsolated) {
-  MetricsRegistry a, b;
   std::atomic<bool> go{false};
-  auto work = [&go](MetricsRegistry* reg, i64 n) {
-    MetricsScope scope(reg);
+  i64 counted[2] = {0, 0};
+  i64 observed[2] = {0, 0};
+  i64 max_seen[2] = {0, 0};
+  auto work = [&](int slot, i64 n) {
+    MetricsScope scope;
     while (!go.load()) std::this_thread::yield();
     for (i64 i = 0; i < n; ++i) {
       count(Counter::kDepPairsAnalyzed);
       observe(Hist::kDepPairMicros, i);
     }
+    counted[slot] = scope.registry().get(Counter::kDepPairsAnalyzed);
+    observed[slot] = scope.registry().hist_count(Hist::kDepPairMicros);
+    max_seen[slot] = scope.registry().hist_max(Hist::kDepPairMicros);
   };
-  std::thread ta(work, &a, 100), tb(work, &b, 37);
+  std::thread ta(work, 0, 100), tb(work, 1, 37);
   go.store(true);
   ta.join();
   tb.join();
-  EXPECT_EQ(a.get(Counter::kDepPairsAnalyzed), 100);
-  EXPECT_EQ(b.get(Counter::kDepPairsAnalyzed), 37);
-  EXPECT_EQ(a.hist_count(Hist::kDepPairMicros), 100);
-  EXPECT_EQ(b.hist_count(Hist::kDepPairMicros), 37);
-  EXPECT_EQ(b.hist_max(Hist::kDepPairMicros), 36);
+  EXPECT_EQ(counted[0], 100);
+  EXPECT_EQ(counted[1], 37);
+  EXPECT_EQ(observed[0], 100);
+  EXPECT_EQ(observed[1], 37);
+  EXPECT_EQ(max_seen[1], 36);
 }
 
 TEST(MetricsScope, AbsorbIsDeterministicAcrossThreadCounts) {
@@ -165,14 +172,13 @@ TEST(MetricsScope, AbsorbIsDeterministicAcrossThreadCounts) {
   // same deterministic JSON subtree (the contract --stats=json tests
   // enforce end to end on the real binary).
   auto run = [](std::size_t workers) {
-    MetricsRegistry total;
-    MetricsScope adopt(&total);
+    MetricsScope scope;
     ThreadPool pool(workers);
     pool.parallel_for(0, 64, [](std::size_t i) {
       count(Counter::kSimplexPivots, static_cast<i64>(i));
       observe(Hist::kSimplexPivotsPerSolve, static_cast<i64>(i % 11));
     });
-    std::string json = total.to_json();
+    std::string json = scope.registry().to_json();
     // Mask the runtime subtree: gauges and wall-clock data may differ.
     const std::size_t runtime = json.find("\"runtime\"");
     return json.substr(0, runtime);
@@ -181,25 +187,80 @@ TEST(MetricsScope, AbsorbIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(MetricsScope, ThreadPoolWorkersReportIntoSubmitterScope) {
-  MetricsRegistry total;
+  MetricsScope scope;
   {
-    MetricsScope adopt(&total);
     ThreadPool pool(4);
     pool.parallel_for(0, 32, [](std::size_t) {
       count(Counter::kDepPolyhedraBuilt);
     });
   }
-  EXPECT_EQ(total.get(Counter::kDepPolyhedraBuilt), 32);
+  EXPECT_EQ(scope.registry().get(Counter::kDepPolyhedraBuilt), 32);
 }
 
-TEST(StatsShim, RoutesToCurrentRegistry) {
-  MetricsRegistry reg;
-  MetricsScope scope(&reg);
-  Stats::instance().add(Counter::kLintFindings, 3);
-  EXPECT_EQ(reg.get(Counter::kLintFindings), 3);
-  EXPECT_EQ(Stats::instance().get(Counter::kLintFindings), 3);
-  Stats::instance().add_phase_seconds("verify", 0.25);
-  EXPECT_DOUBLE_EQ(reg.phase_seconds("verify"), 0.25);
+TEST(MetricsScope, CurrentMetricsRoutesToInnermostScope) {
+  MetricsScope scope;
+  EXPECT_EQ(&current_metrics(), &scope.registry());
+  current_metrics().add(Counter::kLintFindings, 3);
+  EXPECT_EQ(scope.registry().get(Counter::kLintFindings), 3);
+  current_metrics().add_phase_seconds("verify", 0.25);
+  EXPECT_DOUBLE_EQ(scope.registry().phase_seconds("verify"), 0.25);
+}
+
+// A pool task runs inside its submitter's request: it reports into the
+// submitter's registry, memoizes into the submitter's memo table, and
+// starts with no budget (Budget is single-threaded).
+TEST(RequestContext, PoolTaskJoinsSubmitterRequest) {
+  Budget budget(BudgetSpec{});
+  BudgetScope budget_scope(&budget);
+  MetricsScope metrics;
+  poly::SolveCacheScope cache_scope;
+  poly::MemoTable& table = poly::current_memo();
+  ASSERT_NE(&table, &poly::process_memo());
+  std::atomic<int> saw_budget{0};
+  std::atomic<int> saw_table{0};
+  {
+    ThreadPool pool(4);
+    pool.parallel_for(0, 16, [&](std::size_t i) {
+      if (current_budget() != nullptr) ++saw_budget;
+      if (&poly::current_memo() == &table) ++saw_table;
+      count(Counter::kDepPairsAnalyzed);
+      const poly::MemoTable::Key key("test", {static_cast<i64>(i)});
+      poly::memoize(key, Counter::kSolveCacheHits, Counter::kSolveCacheMisses,
+                    [i] { return poly::MemoTable::Value{i64(i), 0}; });
+    });
+  }
+  EXPECT_EQ(saw_budget.load(), 0);
+  EXPECT_EQ(saw_table.load(), 16);
+  EXPECT_EQ(metrics.registry().get(Counter::kDepPairsAnalyzed), 16);
+  EXPECT_EQ(metrics.registry().get(Counter::kSolveCacheMisses), 16);
+  EXPECT_EQ(table.size(), 16u);
+  // The submitting thread keeps its own budget.
+  EXPECT_EQ(current_budget(), &budget);
+}
+
+// Threads asking for a key another thread is computing wait for its
+// value instead of computing it again, so a key is computed exactly once.
+TEST(RequestContext, MemoTableComputesEachKeyOnce) {
+  MetricsScope metrics;
+  poly::SolveCacheScope cache_scope;
+  std::atomic<int> computed{0};
+  {
+    ThreadPool pool(4);
+    pool.parallel_for(0, 64, [&](std::size_t i) {
+      const poly::MemoTable::Key key("test", {static_cast<i64>(i % 4)});
+      const poly::MemoTable::Value v = poly::memoize(
+          key, Counter::kSolveCacheHits, Counter::kSolveCacheMisses, [&] {
+            ++computed;
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            return poly::MemoTable::Value{static_cast<i64>(i % 4), 7};
+          });
+      EXPECT_EQ(v[0], static_cast<i64>(i % 4));
+      EXPECT_EQ(v[1], 7);
+    });
+  }
+  EXPECT_EQ(computed.load(), 4);
+  EXPECT_EQ(metrics.registry().get(Counter::kSolveCacheMisses), 4);
+  EXPECT_EQ(metrics.registry().get(Counter::kSolveCacheHits), 60);
 }
 
 TEST(MetricsJson, OutputIsValidJsonWithHostilePhaseNames) {
@@ -233,13 +294,12 @@ TEST(TracerCap, DropsBeyondMaxEventsAndCounts) {
   tracer.set_remarks_enabled(true);
   Tracer::set_max_events(4);
 
-  MetricsRegistry reg;
   {
-    MetricsScope scope(&reg);
+    MetricsScope scope;
     for (int i = 0; i < 10; ++i) remark("test", "remark " + std::to_string(i));
+    EXPECT_EQ(scope.registry().get(Counter::kTraceEventsDropped), 6);
   }
   EXPECT_EQ(tracer.num_remarks(), 4u);
-  EXPECT_EQ(reg.get(Counter::kTraceEventsDropped), 6);
 
   Tracer::set_max_events(old_cap);
   tracer.set_remarks_enabled(old_remarks);

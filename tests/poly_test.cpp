@@ -5,11 +5,14 @@
 
 #include <random>
 
+#include "ddg/dependences.h"
 #include "poly/affine.h"
 #include "poly/count.h"
+#include "poly/memo.h"
 #include "poly/set.h"
+#include "suite/suite.h"
 #include "support/budget.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 namespace pf::poly {
 namespace {
@@ -264,7 +267,7 @@ TEST(IntegerSet, HashIsOrderIndependent) {
 }
 
 TEST(IntegerSet, SolveCacheHitsRepeatedQueries) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   ASSERT_TRUE(solve_cache_enabled());
   clear_solve_cache();
   stats.reset();
@@ -304,7 +307,7 @@ TEST(IntegerSet, SolveCacheHitsRepeatedQueries) {
 }
 
 TEST(IntegerSet, SolveCacheCanBeDisabled) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   set_solve_cache_enabled(false);
   clear_solve_cache();
   stats.reset();
@@ -319,6 +322,36 @@ TEST(IntegerSet, SolveCacheCanBeDisabled) {
   EXPECT_EQ(stats.get(support::Counter::kSolveCacheMisses), 0);
   set_solve_cache_enabled(true);
   stats.reset();
+}
+
+// Request isolation reaches the dependence workers: two identical
+// requests, each under a fresh MetricsScope + SolveCacheScope, do the
+// same solver work at jobs=4 -- the same as at jobs=1, down to every
+// deterministic counter and histogram -- and nothing lands in the
+// process-wide memo table.
+TEST(RequestContext, ScopeIsolationCoversDependenceWorkers) {
+  clear_solve_cache();
+  for (const char* name : {"swim", "gemver", "applu"}) {
+    const ir::Scop scop = suite::parse(suite::benchmark(name));
+    i64 ilp_solves = 0;
+    auto request = [&scop, &ilp_solves](std::size_t jobs) {
+      support::MetricsScope metrics;
+      SolveCacheScope cache;
+      ddg::AnalysisOptions options;
+      options.jobs = jobs;
+      ddg::DependenceGraph::analyze(scop, options);
+      ilp_solves = metrics.registry().get(support::Counter::kIlpSolves);
+      const std::string json = metrics.registry().to_json();
+      return json.substr(0, json.find("\"runtime\""));
+    };
+    const std::string first = request(4);
+    const i64 first_solves = ilp_solves;
+    EXPECT_GT(first_solves, 0) << name;
+    EXPECT_EQ(request(4), first) << name;
+    EXPECT_EQ(ilp_solves, first_solves) << name;
+    EXPECT_EQ(request(1), first) << name;
+    EXPECT_EQ(process_memo().size(), 0u) << name;
+  }
 }
 
 TEST(IntegerSet, ToStringReadable) {

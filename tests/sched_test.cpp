@@ -291,11 +291,20 @@ TEST(Scheduler, AdvectWisefuseCutsS4AndStaysParallel) {
 // Every model must produce a legal schedule on every program.
 // ---------------------------------------------------------------------------
 
+// A test program, printed by name so the parameterized test names do not
+// carry the address of its source text, which changes from run to run.
+struct Program {
+  const char* name;
+  const char* source;
+};
+
+void PrintTo(const Program& p, std::ostream* os) { *os << p.name; }
+
 class AllModelsLegal
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, Program>> {};
 
 TEST_P(AllModelsLegal, ScheduleIsLegal) {
-  const ir::Scop scop = frontend::parse_scop(std::get<1>(GetParam()));
+  const ir::Scop scop = frontend::parse_scop(std::get<1>(GetParam()).source);
   const auto dg = ddg::DependenceGraph::analyze(scop);
   const Schedule sch =
       run_model(scop, dg, static_cast<FusionModel>(std::get<0>(GetParam())));
@@ -305,28 +314,28 @@ TEST_P(AllModelsLegal, ScheduleIsLegal) {
     EXPECT_EQ(sch.rows[s].size(), sch.num_levels());
 }
 
-constexpr const char* kPrograms[] = {
+constexpr Program kPrograms[] = {
     // producer-consumer chain
-    R"(scop t(N) { context N >= 4; array a[N]; array b[N]; array c[N];
+    {"chain", R"(scop t(N) { context N >= 4; array a[N]; array b[N]; array c[N];
        for (i = 0 .. N-1) { a[i] = 1.0; }
        for (i = 0 .. N-1) { b[i] = a[i] + 1.0; }
-       for (i = 0 .. N-1) { c[i] = b[i] * 2.0; } })",
+       for (i = 0 .. N-1) { c[i] = b[i] * 2.0; } })"},
     // reversal-free stencil chain with shifts
-    R"(scop t(N) { context N >= 4; array a[N+2]; array b[N+2];
+    {"shifted_stencil", R"(scop t(N) { context N >= 4; array a[N+2]; array b[N+2];
        for (i = 1 .. N) { a[i] = b[i-1] + b[i+1]; }
-       for (i = 1 .. N) { b[i] = a[i] * 0.5; } })",
+       for (i = 1 .. N) { b[i] = a[i] * 0.5; } })"},
     // triangular (lu-like)
-    R"(scop t(N) { context N >= 3; array A[N][N];
+    {"triangular", R"(scop t(N) { context N >= 3; array A[N][N];
        for (k = 0 .. N-2) {
          for (i = k+1 .. N-1) { A[i][k] = A[i][k] / A[k][k]; }
          for (i = k+1 .. N-1) { for (j = k+1 .. N-1) {
            A[i][j] = A[i][j] - A[i][k] * A[k][j]; } }
-       } })",
+       } })"},
     // mixed dimensionality
-    R"(scop t(N) { context N >= 4; array a[N]; array B[N][N];
+    {"mixed_dims", R"(scop t(N) { context N >= 4; array a[N]; array B[N][N];
        for (i = 0 .. N-1) { a[i] = 2.0; }
        for (i = 0 .. N-1) { for (j = 0 .. N-1) { B[i][j] = a[i] + a[j]; } }
-       for (i = 0 .. N-1) { a[i] = B[i][i]; } })",
+       for (i = 0 .. N-1) { a[i] = B[i][i]; } })"},
 };
 
 INSTANTIATE_TEST_SUITE_P(

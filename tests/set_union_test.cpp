@@ -285,12 +285,12 @@ TEST_P(CountVsEnumeration, CountMatchesEnumeration) {
   // Differential: the Rational-only lane counts the same points.
   if (lp::fastlane_enabled()) {
     lp::set_fastlane_enabled(false);
-    clear_count_cache();
+    clear_solve_cache();
     expect_exact(count_points(a), na, "single set (no fastlane)");
     expect_exact(count_points(u), nu, "union (no fastlane)");
     expect_exact(count_projection(u, 1), nproj, "projection (no fastlane)");
     lp::set_fastlane_enabled(true);
-    clear_count_cache();
+    clear_solve_cache();
   }
 }
 

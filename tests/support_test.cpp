@@ -16,8 +16,8 @@
 #include "support/intmath.h"
 #include "support/linalg.h"
 #include "support/matrix.h"
+#include "support/metrics.h"
 #include "support/rational.h"
-#include "support/stats.h"
 #include "support/strings.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
@@ -378,7 +378,7 @@ TEST(Strings, ParseI64IsStrict) {
 }
 
 TEST(Stats, CountersAccumulateAndReset) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   stats.reset();
   support::count(support::Counter::kSimplexPivots);
   support::count(support::Counter::kSimplexPivots, 4);
@@ -389,7 +389,7 @@ TEST(Stats, CountersAccumulateAndReset) {
 }
 
 TEST(Stats, PhaseTimerRecordsWallTime) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   stats.reset();
   {
     support::PhaseTimer timer("unit_test_phase");
@@ -405,7 +405,7 @@ TEST(Stats, PhaseTimerRecordsWallTime) {
 }
 
 TEST(Stats, ResetDropsPhaseTimings) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   stats.reset();
   stats.add_phase_seconds("reset_me", 1.5);
   EXPECT_GT(stats.phase_seconds("reset_me"), 0.0);
@@ -415,7 +415,7 @@ TEST(Stats, ResetDropsPhaseTimings) {
 }
 
 TEST(Stats, PhaseAccumulationIsThreadSafe) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   stats.reset();
   constexpr int kThreads = 4, kAdds = 1000;
   std::vector<std::thread> threads;
@@ -431,7 +431,7 @@ TEST(Stats, PhaseAccumulationIsThreadSafe) {
 }
 
 TEST(Stats, ConcurrentPhaseTimersOnSamePhaseAccumulate) {
-  auto& stats = support::Stats::instance();
+  auto& stats = support::current_metrics();
   stats.reset();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
@@ -445,7 +445,7 @@ TEST(Stats, ConcurrentPhaseTimersOnSamePhaseAccumulate) {
   stats.reset();
 }
 
-// The tracer is a process-wide singleton like Stats, so every test
+// The tracer is a process-wide singleton, so every test
 // starts from (and restores) the disabled, empty state.
 class TracerTest : public ::testing::Test {
  protected:

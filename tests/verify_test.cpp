@@ -18,7 +18,7 @@
 #include "sched/pluto.h"
 #include "suite/suite.h"
 #include "suite/synthetic.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 #include "verify/verify.h"
 
@@ -296,7 +296,7 @@ TEST(Verify, DetectsNeverSatisfiedDependence) {
 // ---------------------------------------------------------------------------
 
 TEST(Verify, FeedsStatsCountersAndRemarks) {
-  support::Stats::instance().reset();
+  support::current_metrics().reset();
   support::Tracer::instance().reset();
   support::Tracer::instance().set_remarks_enabled(true);
 
@@ -307,7 +307,7 @@ TEST(Verify, FeedsStatsCountersAndRemarks) {
   const verify::Report r = verify::run_all(p.scop, p.dg, sch, ast.get());
   ASSERT_TRUE(r.ok());
 
-  const support::Stats& st = support::Stats::instance();
+  const support::MetricsRegistry& st = support::current_metrics();
   EXPECT_EQ(st.get(support::Counter::kVerifyCheckedDeps),
             static_cast<i64>(r.checked_deps));
   EXPECT_EQ(st.get(support::Counter::kVerifyRaceChecks),
@@ -321,7 +321,7 @@ TEST(Verify, FeedsStatsCountersAndRemarks) {
   EXPECT_TRUE(saw_summary);
   support::Tracer::instance().set_remarks_enabled(false);
   support::Tracer::instance().reset();
-  support::Stats::instance().reset();
+  support::current_metrics().reset();
 }
 
 TEST(Verify, FindingRendersPreciseDiagnostic) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Local CI: the exact gauntlet a change must survive before review.
 #
-#   1. Plain release-ish build + full ctest.
+#   1. Plain release-ish build + full ctest, then the full ctest again
+#      at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every tier-1 test
+#      runs serial and multi-threaded whatever the host's core count.
 #   2. clang-tidy over src/, tools/ and bench/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
@@ -27,7 +29,8 @@
 #      reduction tests: the JIT differential test compiles the emitted
 #      OpenMP reduction(...) kernels with -fsanitize=thread too, so the
 #      actual pragmas race across real threads under the tool
-#      (docs/reductions.md).
+#      (docs/reductions.md). The same stage runs the RequestContext
+#      tests, whose dependence workers share one request's memo table.
 #
 # Any failing ctest stage sweeps crash diagnostics (polyfuse-diag.*.json,
 # written by the flight recorder when a test run dies) from the build
@@ -69,6 +72,19 @@ run_stage() {
   # shellcheck disable=SC2086  # intentional word-splitting of CTEST_ARGS
   ctest --test-dir "$dir" -j "$JOBS" --output-on-failure $CTEST_ARGS ||
     { collect_diagnostics "$name" "$dir"; exit 1; }
+}
+
+# The suite once more at one worker and at four: byte-identity and
+# crash-path tests must hold at both, not only at the host's nproc.
+run_jobs_legs() {
+  local name="$1" dir="$2"
+  for jobs in 1 4; do
+    echo "==== [$name] ctest at POLYFUSE_JOBS=$jobs ===="
+    # shellcheck disable=SC2086
+    POLYFUSE_JOBS="$jobs" ctest --test-dir "$dir" -j "$JOBS" \
+      --output-on-failure $CTEST_ARGS ||
+      { collect_diagnostics "$name-jobs$jobs" "$dir"; exit 1; }
+  done
 }
 
 # Degradation must never cost correctness: every budgeted or
@@ -226,6 +242,7 @@ run_bench_gate() {
 }
 
 run_stage "plain" "$PREFIX" -DCMAKE_BUILD_TYPE=Release
+run_jobs_legs "plain" "$PREFIX"
 run_robustness "plain" "$PREFIX"
 run_perf_smoke "plain" "$PREFIX"
 run_bench_gate "plain" "$PREFIX"
@@ -252,6 +269,8 @@ run_robustness "asan+ubsan" "$PREFIX-san"
 # runs genuinely concurrent updates. reductions_test detects its own TSan
 # build and adds -fsanitize=thread to the JIT compile, so the emitted
 # `#pragma omp parallel for reduction(...)` is exercised instrumented.
+# The RequestContext tests run here too: dependence workers share their
+# request's metrics registry and memo table.
 # ignore_noninstrumented_modules silences false positives from the
 # (uninstrumented) libgomp runtime itself.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:ignore_noninstrumented_modules=1}"
@@ -260,10 +279,10 @@ cmake -S . -B "$PREFIX-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DPOLYFUSE_SANITIZE=thread"
 echo "==== [tsan] build ===="
 cmake --build "$PREFIX-tsan" -j "$JOBS"
-echo "==== [tsan] ctest -R Reduction ===="
+echo "==== [tsan] ctest -R 'Reduction|RequestContext' ===="
 # shellcheck disable=SC2086
 ctest --test-dir "$PREFIX-tsan" -j "$JOBS" --output-on-failure \
-  -R Reduction $CTEST_ARGS ||
+  -R 'Reduction|RequestContext' $CTEST_ARGS ||
   { collect_diagnostics "tsan" "$PREFIX-tsan"; exit 1; }
 
 echo "==== ci.sh: all stages passed ===="

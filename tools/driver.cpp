@@ -28,7 +28,6 @@
 #include "support/diskcache.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
-#include "support/stats.h"
 #include "support/strings.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
@@ -371,9 +370,9 @@ void finish_outputs(const Options& o, std::ostream& err) {
                      support::flightrec::recording_threads());
   if (o.stats) {
     if (o.stats_json)
-      err << support::Stats::instance().to_json() << "\n";
+      err << support::current_metrics().to_json() << "\n";
     else
-      err << support::Stats::instance().to_string();
+      err << support::current_metrics().to_string();
   }
   if (o.explain) {
     const support::Tracer& tracer = support::Tracer::instance();
@@ -715,9 +714,10 @@ RequestResult run_request(const Options& o, std::ostream& out,
   RequestResult result;
   // Request isolation: its own budget, its own metrics registry (absorbed
   // into the parent when the scope closes -- absorption is atomic, so
-  // concurrent request teardowns are safe), and a private in-memory solve
-  // cache so per-request cache behavior never depends on what a sibling
-  // thread memoized first.
+  // concurrent request teardowns are safe), and its own memo table so
+  // per-request cache behavior never depends on what a sibling request
+  // memoized first. Pool workers the request fans out to report into the
+  // same registry and share the same table (support/context.h).
   BudgetInstall budget(o);
   support::MetricsScope metrics;
   poly::SolveCacheScope solve_scope;
