@@ -160,15 +160,7 @@ IlpResult IlpProblem::minimize(const IntVector& objective,
   // The base LP relaxation is identical for every node; build it once and
   // copy per node (a flat copy of canonical Rationals), adding only the
   // node's branch bounds on top.
-  SimplexSolver base(num_vars_, nonneg_);
-  for (const Row& row : rows_) {
-    RatVector c(num_vars_);
-    for (std::size_t j = 0; j < num_vars_; ++j) c[j] = Rational(row.coeffs[j]);
-    if (row.is_equality)
-      base.add_equality(std::move(c), Rational(row.constant));
-    else
-      base.add_inequality(std::move(c), Rational(row.constant));
-  }
+  const SimplexSolver base = relaxation();
 
   std::optional<IntVector> incumbent;
   Rational incumbent_obj(0);
@@ -307,6 +299,28 @@ IlpResult IlpProblem::lexmin(const std::vector<IntVector>& objectives,
   }
   if (objectives.empty()) last = find_point(options);
   return last;
+}
+
+SimplexSolver IlpProblem::relaxation() const {
+  SimplexSolver lp(num_vars_, nonneg_);
+  for (const Row& row : rows_) {
+    if (row.is_equality)
+      lp.add_equality(to_rat(row.coeffs), Rational(row.constant));
+    else
+      lp.add_inequality(to_rat(row.coeffs), Rational(row.constant));
+  }
+  return lp;
+}
+
+std::optional<Rational> IlpProblem::relaxation_max(
+    const IntVector& objective) const {
+  PF_CHECK(objective.size() == num_vars_);
+  if (trivially_infeasible_) return std::nullopt;
+  // Charged like one B&B node; the pivots charge their own fuel.
+  support::budget_charge(support::BudgetSite::kLpSolve);
+  const SimplexSolver::Result r = relaxation().maximize(to_rat(objective));
+  if (r.status != Status::kOptimal) return std::nullopt;
+  return r.objective;
 }
 
 bool IlpProblem::is_feasible_point(const IntVector& point) const {

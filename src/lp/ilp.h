@@ -85,6 +85,12 @@ class IlpProblem {
                    const IlpOptions& options = {},
                    const IntVector* warm_start = nullptr) const;
 
+  /// max objective . x over the LP relaxation (rational points of the
+  /// GCD-tightened rows); nullopt when the relaxation is infeasible or
+  /// unbounded. An upper bound on maximize()'s integer optimum, at the
+  /// cost of one B&B node: same fuel, same pivot counters.
+  std::optional<Rational> relaxation_max(const IntVector& objective) const;
+
   /// True if the constraint set has no integer point (kInfeasible). A
   /// kCapExceeded search counts as "not proven empty" -> false.
   bool proven_empty(const IlpOptions& options = {}) const;
@@ -102,6 +108,9 @@ class IlpProblem {
   // Normalize a row by the gcd of its coefficients; returns false if an
   // equality is thereby proven unsatisfiable over the integers.
   static bool normalize(Row& row);
+
+  // The rows as an LP (the root of every branch-and-bound search).
+  SimplexSolver relaxation() const;
 
   // Exact membership test (128-bit row evaluation, no solver) -- the
   // warm-start validator.

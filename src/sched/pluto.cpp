@@ -365,6 +365,60 @@ class Scheduler {
     return *cached;
   }
 
+  // The sign-independent part of one level's ILP, built once per
+  // find_hyperplane call and copied per orientation: coefficient bounds
+  // plus the deduplicated Farkas rows, and, per unfinished statement, the
+  // summed orthogonal-complement row v_s over the unknowns (empty for
+  // finished and 0-dim statements).
+  struct LevelSystem {
+    lp::IlpProblem base;
+    std::vector<IntVector> indep;
+  };
+
+  LevelSystem level_system(const std::vector<std::size_t>& active) {
+    LevelSystem sys{lp::IlpProblem::all_nonneg(num_unknowns_), {}};
+    lp::IlpProblem& ilp = sys.base;
+    // Bounds.
+    const std::size_t p = scop_.num_params();
+    for (std::size_t q = 0; q < p; ++q) ilp.add_upper_bound(q, opts_.u_bound);
+    ilp.add_upper_bound(w_index_, opts_.w_bound);
+    for (std::size_t s = 0; s < scop_.num_statements(); ++s) {
+      const std::size_t m = scop_.statement(s).dim();
+      for (std::size_t k = 0; k < m; ++k)
+        ilp.add_upper_bound(c_base_[s] + k, opts_.coeff_bound);
+      ilp.add_upper_bound(c_base_[s] + m, opts_.shift_bound);
+    }
+    // Dependence constraints, deduplicated across dependences (different
+    // depth cases of one access pair often linearize identically).
+    std::set<std::pair<std::vector<i64>, std::pair<i64, bool>>> seen;
+    for (const std::size_t dep_idx : active) {
+      for (const poly::Constraint& c : constraints_for(dep_idx)) {
+        if (!seen
+                 .emplace(c.expr.coeffs(),
+                          std::make_pair(c.expr.const_term(), c.is_equality))
+                 .second)
+          continue;
+        if (c.is_equality)
+          ilp.add_equality(c.expr.coeffs(), c.expr.const_term());
+        else
+          ilp.add_inequality(c.expr.coeffs(), c.expr.const_term());
+      }
+    }
+    sys.indep.resize(scop_.num_statements());
+    for (std::size_t s = 0; s < scop_.num_statements(); ++s) {
+      const std::size_t m = scop_.statement(s).dim();
+      if (h_[s].rows() >= m) continue;  // finished (or 0-dim)
+      const IntMatrix comp = orthogonal_complement_rows(h_[s]);
+      PF_CHECK(comp.rows() > 0);
+      IntVector& row = sys.indep[s];
+      row.assign(num_unknowns_, 0);
+      for (std::size_t j = 0; j < comp.rows(); ++j)
+        for (std::size_t k = 0; k < m; ++k)
+          row[c_base_[s] + k] = checked_add(row[c_base_[s] + k], comp(j, k));
+    }
+    return sys;
+  }
+
   // The linear-independence condition ("the new row has a nonzero
   // component in the orthogonal complement of the rows found so far") is a
   // disjunction; Pluto's encoding keeps only one branch, sum(M c) >= 1,
@@ -395,70 +449,74 @@ class Scheduler {
         combos.push_back(std::uint64_t{1} << i);        // single flips
       combos.push_back((std::uint64_t{1} << k) - 1);    // all flipped
     }
+    const LevelSystem sys = level_system(active);
     bool first = true;
     for (const std::uint64_t combo : combos) {
       std::vector<int> sign(scop_.num_statements(), +1);
       for (std::size_t i = 0; i < k; ++i)
         if ((combo >> i) & 1) sign[unfinished[i]] = -1;
-      if (auto hp = find_hyperplane_signed(active, sign)) return hp;
+      if (auto hp = find_hyperplane_signed(sys, sign)) return hp;
       if (first) {
         // Cheap triage: if the system is infeasible even *without* any
         // independence constraint (sign 0 = omit), the dependences
         // themselves are the blocker and a cut is needed -- skip the
-        // sign enumeration.
+        // sign enumeration. Otherwise the LP certificate may still prove
+        // that no orientation can succeed.
         first = false;
         const std::vector<int> none(scop_.num_statements(), 0);
-        if (!find_hyperplane_signed(active, none)) return std::nullopt;
+        if (!find_hyperplane_signed(sys, none)) return std::nullopt;
+        if (no_orientation_succeeds(sys, combos.size() - 1))
+          return std::nullopt;
       }
     }
     return std::nullopt;
   }
 
-  std::optional<std::vector<poly::AffineExpr>> find_hyperplane_signed(
-      const std::vector<std::size_t>& active, const std::vector<int>& sign) {
-    lp::IlpProblem ilp = lp::IlpProblem::all_nonneg(num_unknowns_);
-    // Bounds.
-    const std::size_t p = scop_.num_params();
-    for (std::size_t q = 0; q < p; ++q) ilp.add_upper_bound(q, opts_.u_bound);
-    ilp.add_upper_bound(w_index_, opts_.w_bound);
+  // Exact certificate that every orientation fails. At an integer point c
+  // of the base system, v_s . c is an integer, so if its LP range over
+  // the base system lies strictly inside (-1, 1) for some unfinished s,
+  // v_s . c = 0 at every integer point: neither sign of v_s . c >= 1 is
+  // satisfiable, whatever the other statements' signs. The enumeration
+  // would only fail `skipped` more lexmins, so it is skipped instead; a
+  // failed call never moves warm_point_, so schedules are unchanged.
+  bool no_orientation_succeeds(const LevelSystem& sys, std::size_t skipped) {
+    // "outcome" stays unset when a budget fault unwinds the certificate.
+    support::TraceSpan span("sched", "orientation_certificate");
     for (std::size_t s = 0; s < scop_.num_statements(); ++s) {
-      const std::size_t m = scop_.statement(s).dim();
-      for (std::size_t k = 0; k < m; ++k)
-        ilp.add_upper_bound(c_base_[s] + k, opts_.coeff_bound);
-      ilp.add_upper_bound(c_base_[s] + m, opts_.shift_bound);
+      const IntVector& v = sys.indep[s];
+      if (v.empty()) continue;
+      const std::optional<Rational> hi = sys.base.relaxation_max(v);
+      if (!hi || *hi >= 1) continue;
+      IntVector neg(v.size());
+      for (std::size_t j = 0; j < v.size(); ++j) neg[j] = checked_neg(v[j]);
+      const std::optional<Rational> neg_lo = sys.base.relaxation_max(neg);
+      if (!neg_lo || *neg_lo >= 1) continue;
+      support::count(support::Counter::kSchedOrientationSkips);
+      support::remark(
+          "sched", "independence orientations skipped",
+          {{"level", std::to_string(level_linear_.size())},
+           {"stmt", scop_.statement(s).name()},
+           {"lp_min", (-*neg_lo).to_string()},
+           {"lp_max", hi->to_string()},
+           {"orientations_skipped", std::to_string(skipped)}});
+      span.attr("outcome", "skip");
+      return true;
     }
-    // Dependence constraints, deduplicated across dependences (different
-    // depth cases of one access pair often linearize identically).
-    {
-      std::set<std::pair<std::vector<i64>, std::pair<i64, bool>>> seen;
-      for (const std::size_t dep_idx : active) {
-        for (const poly::Constraint& c : constraints_for(dep_idx)) {
-          if (!seen
-                   .emplace(c.expr.coeffs(),
-                            std::make_pair(c.expr.const_term(), c.is_equality))
-                   .second)
-            continue;
-          if (c.is_equality)
-            ilp.add_equality(c.expr.coeffs(), c.expr.const_term());
-          else
-            ilp.add_inequality(c.expr.coeffs(), c.expr.const_term());
-        }
-      }
-    }
+    span.attr("outcome", "enumerate");
+    return false;
+  }
+
+  std::optional<std::vector<poly::AffineExpr>> find_hyperplane_signed(
+      const LevelSystem& sys, const std::vector<int>& sign) {
+    lp::IlpProblem ilp = sys.base;
     // Linear independence for unfinished statements (sign[s] == 0 omits
     // the constraint -- used only for the infeasibility triage; a zero
     // row returned in that mode is rejected below).
     for (std::size_t s = 0; s < scop_.num_statements(); ++s) {
-      const std::size_t m = scop_.statement(s).dim();
-      if (h_[s].rows() >= m) continue;  // finished (or 0-dim)
-      if (sign[s] == 0) continue;
-      const IntMatrix comp = orthogonal_complement_rows(h_[s]);
-      PF_CHECK(comp.rows() > 0);
+      if (sys.indep[s].empty() || sign[s] == 0) continue;
       IntVector row(num_unknowns_, 0);
-      for (std::size_t j = 0; j < comp.rows(); ++j)
-        for (std::size_t k = 0; k < m; ++k)
-          row[c_base_[s] + k] = checked_add(
-              row[c_base_[s] + k], checked_mul(sign[s], comp(j, k)));
+      for (std::size_t j = 0; j < num_unknowns_; ++j)
+        row[j] = checked_mul(sign[s], sys.indep[s][j]);
       ilp.add_inequality(std::move(row), -1);  // sign * sum >= 1
     }
 
@@ -466,6 +524,7 @@ class Scheduler {
     // then a tie-break preferring earlier original iterators (so a free
     // choice keeps the source loop order and its spatial locality --
     // row-major innermost stride stays innermost).
+    const std::size_t p = scop_.num_params();
     IntVector obj_u(num_unknowns_, 0), obj_w(num_unknowns_, 0),
         obj_c(num_unknowns_, 0), obj_order(num_unknowns_, 0);
     for (std::size_t q = 0; q < p; ++q) obj_u[q] = 1;

@@ -122,6 +122,8 @@ const char* to_string(Counter c) {
       return "batch_requests_retried";
     case Counter::kBatchRequestsFailed:
       return "batch_requests_failed";
+    case Counter::kSchedOrientationSkips:
+      return "sched_orientation_skips";
     case Counter::kNumCounters:
       break;
   }

@@ -102,6 +102,8 @@ enum class Counter : std::size_t {
   kBatchRequestsDegraded,  // batch requests that completed degraded
   kBatchRequestsRetried,  // batch requests that needed a retry to complete
   kBatchRequestsFailed,   // batch requests that failed every attempt
+  kSchedOrientationSkips,  // independence-orientation enumerations skipped
+                           // (LP certificate: every orientation infeasible)
   kNumCounters,
 };
 

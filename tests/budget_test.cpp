@@ -8,6 +8,7 @@
 #include <chrono>
 #include <thread>
 
+#include "analysis/reductions.h"
 #include "codegen/codegen.h"
 #include "ddg/dependences.h"
 #include "exec/interp.h"
@@ -17,9 +18,12 @@
 #include "poly/set_union.h"
 #include "sched/analysis.h"
 #include "sched/pluto.h"
+#include "suite/suite.h"
 #include "suite/synthetic.h"
 #include "support/budget.h"
+#include "support/metrics.h"
 #include "support/threadpool.h"
+#include "support/trace.h"
 #include "verify/verify.h"
 
 namespace pf::support {
@@ -410,6 +414,104 @@ TEST(BudgetPipeline, UnbudgetedChainMatchesPlainScheduler) {
       scop, dg, fusion::FusionModel::kWisefuse, {}, &used);
   EXPECT_EQ(used, fusion::FusionModel::kWisefuse);
   EXPECT_EQ(plain.to_string(), chained.to_string());
+}
+
+// The outcomes of the orientation_certificate trace spans a run left,
+// in order; a certificate unwound by a budget fault reports "unwound".
+std::vector<std::string> certificate_outcomes() {
+  std::vector<std::string> out;
+  for (const SpanInfo& span : Tracer::instance().spans()) {
+    if (span.name != "orientation_certificate") continue;
+    std::string outcome = "unwound";
+    for (const auto& [key, value] : span.attrs)
+      if (key == "outcome") outcome = value;
+    out.push_back(outcome);
+  }
+  return out;
+}
+
+// A fuel sweep over gemver under wisefuse (reductions relaxed, as the CLI
+// runs it) that includes the exact fuel level at which a Pluto level runs
+// dry inside the independence-orientation certificate. Fuel spend is
+// deterministic, so the smallest fuel at which the certificate completes,
+// minus one, exhausts on the certificate's last LP charge. That level
+// must degrade to a scalar cut; every schedule of the sweep must verify
+// and execute like the original program.
+TEST(BudgetPipeline, FuelSweepThroughOrientationCertificate) {
+  const ir::Scop scop = suite::parse(suite::benchmark("gemver"));
+  const auto dg = ddg::DependenceGraph::analyze(scop);
+  sched::SchedulerOptions opts;
+  opts.relaxed_deps = analysis::analyze_reductions(scop, dg).relaxable;
+  ASSERT_FALSE(opts.relaxed_deps.empty());
+
+  sched::Schedule ident = sched::identity_schedule(scop);
+  sched::annotate_dependences(ident, dg);
+  const exec::ArrayStore ref =
+      run_program(scop, *codegen::generate_ast(scop, ident));
+
+  struct Run {
+    sched::Schedule sch;
+    i64 skips = 0;
+    i64 downgrades = 0;
+    i64 spent = 0;
+  };
+  const auto schedule_with = [&](i64 fuel) {
+    Budget budget(fuel_spec(fuel));
+    BudgetScope scope(&budget);
+    MetricsScope metrics;
+    Run run;
+    run.sch = fusion::compute_schedule_degrading(
+        scop, dg, fusion::FusionModel::kWisefuse, opts);
+    run.skips = metrics.registry().get(Counter::kSchedOrientationSkips);
+    run.downgrades = metrics.registry().get(Counter::kBudgetDowngrades);
+    run.spent = budget.spent();
+    return run;
+  };
+
+  const Run full = schedule_with(i64{1} << 40);
+  ASSERT_EQ(full.skips, 1);
+  ASSERT_EQ(full.downgrades, 0);
+  // Smallest fuel at which the certificate completes.
+  i64 lo = 0, hi = full.spent;
+  ASSERT_EQ(schedule_with(lo).skips, 0);
+  while (hi - lo > 1) {
+    const i64 mid = lo + (hi - lo) / 2;
+    if (schedule_with(mid).skips > 0)
+      hi = mid;
+    else
+      lo = mid;
+  }
+  const i64 inside = hi - 1;
+  {
+    Tracer& tracer = Tracer::instance();
+    const bool old_spans = Tracer::spans_on();
+    tracer.reset();
+    tracer.set_spans_enabled(true);
+    const Run dry = schedule_with(inside);
+    EXPECT_EQ(certificate_outcomes(), std::vector<std::string>{"unwound"});
+    tracer.reset();
+    schedule_with(hi);
+    EXPECT_EQ(certificate_outcomes(), std::vector<std::string>{"skip"});
+    tracer.set_spans_enabled(old_spans);
+    tracer.reset();
+    EXPECT_EQ(dry.skips, 0);
+    EXPECT_GE(dry.downgrades, 1);
+  }
+
+  for (const i64 fuel :
+       {i64{0}, inside / 2, inside, hi, (hi + full.spent) / 2, full.spent}) {
+    SCOPED_TRACE("fuel=" + std::to_string(fuel));
+    const sched::Schedule sch = schedule_with(fuel).sch;
+    const auto ast = codegen::generate_ast(scop, sch);
+    const verify::Report r = verify::run_all(scop, dg, sch, ast.get());
+    EXPECT_TRUE(r.ok()) << r.to_string(&scop);
+    // Relaxed reductions may reassociate floating-point sums (the CLI's
+    // --validate contract); nothing else may change a value.
+    const double tol = sch.relaxed_deps.empty() ? 0.0 : 1e-9;
+    EXPECT_LE(exec::ArrayStore::max_abs_diff(ref, run_program(scop, *ast)),
+              tol);
+  }
+  EXPECT_EQ(schedule_with(full.spent).sch.to_string(), full.sch.to_string());
 }
 
 }  // namespace

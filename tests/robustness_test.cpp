@@ -75,6 +75,10 @@ struct SiteCase {
   const char* remark;  // the recovery remark the site must produce
 };
 
+// Prints the case as its site, which names the ctest case; gtest would
+// otherwise print the two pointers' raw bytes into the discovered name.
+void PrintTo(const SiteCase& c, std::ostream* os) { *os << c.site; }
+
 class InjectionMatrix : public ::testing::TestWithParam<SiteCase> {};
 
 TEST_P(InjectionMatrix, RecoversWithRemarkAndStaysCorrect) {
@@ -98,10 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
         SiteCase{"fme_project", "degraded"},
         SiteCase{"dep_pair", "dependence pair degraded to over-approximation"},
         SiteCase{"pluto_level", "pluto level degraded to scalar cut"},
-        SiteCase{"fusion_model", "fusion model degraded"}),
-    [](const ::testing::TestParamInfo<SiteCase>& info) {
-      return std::string(info.param.site);
-    });
+        SiteCase{"fusion_model", "fusion model degraded"}));
 
 // ---- determinism across --jobs ---------------------------------------
 

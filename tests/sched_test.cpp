@@ -3,11 +3,15 @@
 // property tests over every policy.
 #include <gtest/gtest.h>
 
+#include "analysis/reductions.h"
 #include "ddg/dependences.h"
 #include "frontend/parser.h"
 #include "fusion/models.h"
 #include "sched/farkas.h"
 #include "sched/pluto.h"
+#include "suite/suite.h"
+#include "support/linalg.h"
+#include "support/metrics.h"
 
 namespace pf::sched {
 namespace {
@@ -406,6 +410,63 @@ TEST(Wisefuse, PrecedenceConstraintBlocksReordering) {
   for (std::size_t p = 0; p < order.size(); ++p) pos[order[p]] = p;
   EXPECT_LT(pos[static_cast<std::size_t>(sccs.scc_of[1])],
             pos[static_cast<std::size_t>(sccs.scc_of[2])]);
+}
+
+// ---------------------------------------------------------------------------
+// The independence-orientation certificate skips only enumerations that
+// would fail, so it never changes a schedule.
+// ---------------------------------------------------------------------------
+
+// gemver under wisefuse (reductions relaxed, the CLI default) has one
+// level where the sign-0 triage succeeds but no orientation can: the
+// certificate fires there once, and the schedule is the recorded one
+// (tests/golden/sched/gemver.sched).
+TEST(OrientationCertificate, FiresOnceOnGemverWisefuse) {
+  const ir::Scop scop = suite::parse(suite::benchmark("gemver"));
+  const auto dg = ddg::DependenceGraph::analyze(scop);
+  SchedulerOptions opts;
+  opts.relaxed_deps = analysis::analyze_reductions(scop, dg).relaxable;
+  const auto policy = fusion::make_policy(FusionModel::kWisefuse);
+  support::MetricsScope metrics;
+  const Schedule sch = compute_schedule(scop, dg, *policy, opts);
+  EXPECT_EQ(metrics.registry().get(support::Counter::kSchedOrientationSkips),
+            1);
+  EXPECT_EQ(sch.to_string(),
+            "T_S1 = (j, 0, i, 0)\n"
+            "T_S2 = (i, 0, j, 1)\n"
+            "T_S3 = (i, 1, 0, 2)\n"
+            "T_S4 = (j, 2, i, 3)\n");
+}
+
+// The skewed stencil of PermutableBands.SeidelBreaksMatmulDoesNot needs
+// the flipped orientation at its second level: the certificate must not
+// fire, and the enumeration must still find the flipped hyperplane.
+TEST(OrientationCertificate, NeverFiresWhenAFlippedOrientationSucceeds) {
+  const ir::Scop scop = frontend::parse_scop(R"(
+    scop sk(N) { context N >= 4;
+      array a[N+2][N+2];
+      for (i = 1 .. N) { for (j = 1 .. N) {
+        S1: a[i][j] = a[i-1][j+1] * 0.5; } } })");
+  const auto dg = ddg::DependenceGraph::analyze(scop);
+  const auto policy = fusion::make_policy(FusionModel::kSmartfuse);
+  support::MetricsScope metrics;
+  const Schedule sch = compute_schedule(scop, dg, *policy);
+  EXPECT_EQ(metrics.registry().get(support::Counter::kSchedOrientationSkips),
+            0);
+  EXPECT_EQ(sch.to_string(), "T_S1 = (i + j, i)\n");
+  expect_legal(scop, dg, sch);
+
+  // The second row has a negative product with the default (summed)
+  // complement of the first, so only the flipped sign admits it.
+  ASSERT_EQ(sch.num_levels(), 2u);
+  IntMatrix h(0, 2);
+  h.append_row({sch.rows[0][0].coeff(0), sch.rows[0][0].coeff(1)});
+  const IntMatrix comp = orthogonal_complement_rows(h);
+  i64 dot = 0;
+  for (std::size_t j = 0; j < comp.rows(); ++j)
+    for (std::size_t k = 0; k < 2; ++k)
+      dot += comp(j, k) * sch.rows[0][1].coeff(k);
+  EXPECT_LT(dot, 0);
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 #
 #   1. Plain release-ish build + full ctest, then the full ctest again
 #      at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every tier-1 test
-#      runs serial and multi-threaded whatever the host's core count.
+#      runs serial and multi-threaded whatever the host's core count;
+#      then the golden-schedule test (tests/golden/sched/) once more with
+#      POLYFUSE_NO_FASTLANE=1, so the exact Rational path schedules the
+#      paper suite byte-identically too.
 #   2. clang-tidy over src/, tools/ and bench/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
@@ -85,6 +88,16 @@ run_jobs_legs() {
       --output-on-failure $CTEST_ARGS ||
       { collect_diagnostics "$name-jobs$jobs" "$dir"; exit 1; }
   done
+}
+
+# The paper suite's golden schedules with the int64 fast lane and the
+# scheduler's warm start off.
+run_golden_fastlane_off() {
+  local name="$1" dir="$2"
+  echo "==== [$name] golden schedules at POLYFUSE_NO_FASTLANE=1 ===="
+  POLYFUSE_NO_FASTLANE=1 ctest --test-dir "$dir" -j "$JOBS" \
+    --output-on-failure -R '^Suite/GoldenSchedule\.' ||
+    { collect_diagnostics "$name-nofastlane" "$dir"; exit 1; }
 }
 
 # Degradation must never cost correctness: every budgeted or
@@ -243,6 +256,7 @@ run_bench_gate() {
 
 run_stage "plain" "$PREFIX" -DCMAKE_BUILD_TYPE=Release
 run_jobs_legs "plain" "$PREFIX"
+run_golden_fastlane_off "plain" "$PREFIX"
 run_robustness "plain" "$PREFIX"
 run_perf_smoke "plain" "$PREFIX"
 run_bench_gate "plain" "$PREFIX"
