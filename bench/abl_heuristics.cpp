@@ -6,6 +6,8 @@
 //   no-dim    -- dimensionality check dropped from Heuristic 1
 //   no-order  -- no reordering at all (DFS/topological order kept)
 //   no-alg2   -- outer-parallelism pass disabled
+#include <set>
+
 #include "common.h"
 
 int main() {

@@ -7,10 +7,8 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -67,12 +65,8 @@ struct Variant {
 
 /// Parse + analyze + schedule + generate for one benchmark and strategy.
 /// Feeds the pipeline-wide perf counters (support/metrics.h): per-phase
-/// wall times accumulate so solver_stats_json() can be archived next to
-/// the timing tables.
+/// wall times accumulate next to the solver counters.
 inline Variant build_variant(const suite::Benchmark& b, Strategy strategy) {
-  // Keep the decision-remark channel on so every scheduling/fusion choice
-  // made while building variants lands in decision_summary_json().
-  support::Tracer::instance().set_remarks_enabled(true);
   Variant v;
   {
     support::PhaseTimer timer("parse");
@@ -120,123 +114,6 @@ inline Variant build_variant(const suite::Benchmark& b, Strategy strategy) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return v;
-}
-
-/// Remark/span summary from the tracer: total counts plus remarks broken
-/// down by category (deps / sched / fusion), so BENCH_*.json records say
-/// how many decisions each layer reported, not just how long it took.
-inline std::string decision_summary_json() {
-  const support::Tracer& tracer = support::Tracer::instance();
-  std::map<std::string, std::size_t> by_category;
-  for (const support::Remark& r : tracer.remarks()) ++by_category[r.category];
-  std::string s = "{\"remarks\": " + std::to_string(tracer.num_remarks()) +
-                  ", \"spans\": " + std::to_string(tracer.num_spans()) +
-                  ", \"remarks_by_category\": {";
-  bool first = true;
-  for (const auto& [category, n] : by_category) {
-    if (!first) s += ", ";
-    first = false;
-    s += "\"" + support::json_escape(category) + "\": " + std::to_string(n);
-  }
-  s += "}}";
-  return s;
-}
-
-/// Verifier outcome counts (src/verify) in the exact shape the paper's
-/// self-checking story needs archived next to timings: how much was
-/// proved and whether anything failed.
-inline std::string verify_summary_json() {
-  const support::MetricsRegistry& st = support::current_metrics();
-  return "{\"checked_deps\": " +
-         std::to_string(st.get(support::Counter::kVerifyCheckedDeps)) +
-         ", \"violations\": " +
-         std::to_string(st.get(support::Counter::kVerifyViolations)) +
-         ", \"race_checks\": " +
-         std::to_string(st.get(support::Counter::kVerifyRaceChecks)) + "}";
-}
-
-/// Linter outcome counts (src/analysis) for BENCH_*.json records:
-/// how much was checked and what it found.
-inline std::string lint_summary_json() {
-  const support::MetricsRegistry& st = support::current_metrics();
-  return "{\"checked_accesses\": " +
-         std::to_string(st.get(support::Counter::kLintCheckedAccesses)) +
-         ", \"value_flows\": " +
-         std::to_string(st.get(support::Counter::kLintValueFlows)) +
-         ", \"findings\": " +
-         std::to_string(st.get(support::Counter::kLintFindings)) +
-         ", \"errors\": " +
-         std::to_string(st.get(support::Counter::kLintErrors)) + "}";
-}
-
-/// Budget outcome counts (src/support/budget): per-site fuel spend plus
-/// how often the pipeline exhausted, was fault-injected, downgraded, or
-/// over-approximated a dependence. All zero on unbudgeted runs, so
-/// archived records say whether a timing came from a degraded pipeline.
-inline std::string budget_summary_json() {
-  const support::MetricsRegistry& st = support::current_metrics();
-  return "{\"fuel_lp_solve\": " +
-         std::to_string(st.get(support::Counter::kBudgetFuelLpSolve)) +
-         ", \"fuel_fme_project\": " +
-         std::to_string(st.get(support::Counter::kBudgetFuelFmeProject)) +
-         ", \"fuel_dep_pair\": " +
-         std::to_string(st.get(support::Counter::kBudgetFuelDepPair)) +
-         ", \"fuel_pluto_level\": " +
-         std::to_string(st.get(support::Counter::kBudgetFuelPlutoLevel)) +
-         ", \"fuel_fusion_model\": " +
-         std::to_string(st.get(support::Counter::kBudgetFuelFusionModel)) +
-         ", \"fuel_jit_cc\": " +
-         std::to_string(st.get(support::Counter::kBudgetFuelJitCc)) +
-         ", \"exhaustions\": " +
-         std::to_string(st.get(support::Counter::kBudgetExhaustions)) +
-         ", \"injected_faults\": " +
-         std::to_string(st.get(support::Counter::kBudgetInjectedFaults)) +
-         ", \"downgrades\": " +
-         std::to_string(st.get(support::Counter::kBudgetDowngrades)) +
-         ", \"assumed_deps\": " +
-         std::to_string(st.get(support::Counter::kBudgetAssumedDeps)) + "}";
-}
-
-/// Int64 fast-lane outcome counts (lp/fastlane.h): solves and FM row
-/// combinations served by the integer lane vs fallen back to the exact
-/// Rational path, warm-start acceptance, and arena storage footprint.
-/// Archived next to timings because a fast-lane speedup claim is only
-/// meaningful when the record shows the lane actually served the solves.
-inline std::string fastlane_summary_json() {
-  const support::MetricsRegistry& st = support::current_metrics();
-  const i64 solves = st.get(support::Counter::kFastlaneSolves);
-  const i64 fallbacks = st.get(support::Counter::kFastlaneFallbacks);
-  const double rate =
-      solves + fallbacks > 0
-          ? 100.0 * static_cast<double>(solves) /
-                static_cast<double>(solves + fallbacks)
-          : 0.0;
-  return "{\"solves\": " + std::to_string(solves) +
-         ", \"fallbacks\": " + std::to_string(fallbacks) +
-         ", \"rate_percent\": " + std::to_string(rate) +
-         ", \"fme_rows\": " +
-         std::to_string(st.get(support::Counter::kFastlaneFmeRows)) +
-         ", \"fme_fallbacks\": " +
-         std::to_string(st.get(support::Counter::kFastlaneFmeFallbacks)) +
-         ", \"warm_hits\": " +
-         std::to_string(st.get(support::Counter::kFastlaneWarmHits)) +
-         ", \"warm_misses\": " +
-         std::to_string(st.get(support::Counter::kFastlaneWarmMisses)) +
-         ", \"arena_bytes\": " +
-         std::to_string(st.get(support::Counter::kFastlaneArenaBytes)) + "}";
-}
-
-/// Accumulated solver work (counters + phase wall times) as JSON, for
-/// embedding in BENCH_*.json records. Includes the decision summary and
-/// the verifier, linter, budget, and fast-lane outcome counts.
-inline std::string solver_stats_json() {
-  std::string s = support::current_metrics().to_json();
-  s.insert(s.size() - 1, ", \"decisions\": " + decision_summary_json() +
-                             ", \"verify\": " + verify_summary_json() +
-                             ", \"lint\": " + lint_summary_json() +
-                             ", \"budget\": " + budget_summary_json() +
-                             ", \"fastlane\": " + fastlane_summary_json());
-  return s;
 }
 
 /// Modeled 8-core evaluation at the benchmark's bench_params.

@@ -76,6 +76,6 @@ int main() {
                  "==\n"
               << wall.to_string();
   std::cout << "\n== Solver work (pipeline-wide perf counters, JSON) ==\n"
-            << bench::solver_stats_json() << "\n";
+            << support::current_metrics().to_json() << "\n";
   return 0;
 }

@@ -3,6 +3,9 @@
 // and the partition (loop nest) it lands in under the icc-like baseline,
 // smartfuse and wisefuse -- the same columns as the paper's figure, plus
 // maxfuse for completeness.
+#include <map>
+#include <set>
+
 #include "common.h"
 
 int main() {

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "json_check.h"
 #include "poly/memo.h"
 #include "poly/set.h"
@@ -355,7 +357,9 @@ TEST(FlightRec, TruncatesOverlongStringsSafely) {
 }
 
 std::string dump_to_string(const char* cause) {
-  std::string path = ::testing::TempDir() + "flightrec_dump_test.json";
+  // One file per process: ctest -j runs these tests concurrently.
+  std::string path = ::testing::TempDir() + "flightrec_dump_test_" +
+                     std::to_string(::getpid()) + ".json";
   EXPECT_TRUE(flightrec::write_diag_file(path, cause));
   std::ifstream in(path);
   std::stringstream ss;

@@ -653,5 +653,44 @@ TEST(Count, ProjectionCountsDistinctPrefixes) {
   EXPECT_EQ(count_points(twice).value, 10);
 }
 
+TEST(Count, SeparableCostIndependentOfExtent) {
+  // Separable dims multiply in as range lengths: an n^3 box costs the same
+  // recursion steps at n = 4096 as at n = 16.
+  auto box3 = [](i64 n) {
+    IntegerSet s(3);
+    for (std::size_t d = 0; d < 3; ++d) {
+      const auto x = AffineExpr::var(3, d);
+      s.add_constraint(Constraint::ge(x, AffineExpr::constant(3, 0)));
+      s.add_constraint(Constraint::le(x, AffineExpr::constant(3, n - 1)));
+    }
+    return s;
+  };
+  auto& stats = support::current_metrics();
+  auto steps_to_count_box = [&](i64 n) {
+    clear_solve_cache();  // also drops the count cache
+    const i64 before = stats.get(support::Counter::kCountSteps);
+    const Count c = count_points(box3(n));
+    EXPECT_TRUE(c.is_exact());
+    EXPECT_EQ(c.value, n * n * n);
+    return stats.get(support::Counter::kCountSteps) - before;
+  };
+  const i64 small = steps_to_count_box(16);
+  EXPECT_GT(small, 0);
+  EXPECT_EQ(steps_to_count_box(4096), small);
+
+  // The footprint of a[2*i] over 0 <= i < n: exactly n cells.
+  for (const i64 n : {16, 4096}) {
+    IntegerSet acc(2);
+    const auto c = AffineExpr::var(2, 0);
+    const auto i = AffineExpr::var(2, 1);
+    acc.add_constraint(Constraint::eq(c, i * 2));
+    acc.add_constraint(Constraint::ge(i, AffineExpr::constant(2, 0)));
+    acc.add_constraint(Constraint::le(i, AffineExpr::constant(2, n - 1)));
+    const Count cells = count_projection(acc, 1);
+    EXPECT_TRUE(cells.is_exact());
+    EXPECT_EQ(cells.value, n);
+  }
+}
+
 }  // namespace
 }  // namespace pf::poly

@@ -31,8 +31,8 @@
 namespace pf {
 namespace {
 
-// The shared generator (suite/synthetic.h); also exercised at larger
-// sizes by bench/compile_scaling.cpp.
+// The shared generator (suite/synthetic.h); perfbench's analysis-reports
+// workload also runs it at larger sizes.
 std::string random_program(unsigned seed) {
   return suite::synthetic_program(seed);
 }

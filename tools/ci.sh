@@ -19,16 +19,15 @@
 #      corrupted entries must be output-invisible), a fork-isolated batch
 #      with an injected hard crash, and recovery after a SIGKILL mid-batch
 #      (docs/service.md).
-#   4. Perf smoke on the plain build: compile_scaling --smoke must show
-#      the int64 fast lane serving >= 90% of simplex solves
-#      (docs/performance.md).
-#   5. Bench regression gate: the same --smoke record must pass
-#      tools/bench_diff against the committed baseline (BENCH_pr10.json)
-#      under smoke-generous thresholds (docs/observability.md), including
-#      the persistent cache's warm-rerun solve-reduction floor.
-#   6. ASan+UBSan build + full ctest (POLYFUSE_SANITIZE=address,undefined),
+#   4. perfbench gate: perfbench/ built in Release into <prefix>-perfbench,
+#      then pipeline_bench on paper-suite, analysis-reports and warm-rerun,
+#      each at --jobs 1 and --jobs 4. tools/perf_gate.py checks every run
+#      against its pin in tests/golden/perfbench/: every non-timing figure
+#      exactly equal, the run correct, and pipeline_cpu_s at most 2x the
+#      perfbench/baseline.json median (docs/observability.md).
+#   5. ASan+UBSan build + full ctest (POLYFUSE_SANITIZE=address,undefined),
 #      then the same robustness sweep under the sanitizers.
-#   7. ThreadSanitizer build (POLYFUSE_SANITIZE=thread) running the
+#   6. ThreadSanitizer build (POLYFUSE_SANITIZE=thread) running the
 #      reduction tests: the JIT differential test compiles the emitted
 #      OpenMP reduction(...) kernels with -fsanitize=thread too, so the
 #      actual pragmas race across real threads under the tool
@@ -195,71 +194,33 @@ run_robustness() {
     { echo "batch rerun after SIGKILL reported failures"; exit 1; }
 }
 
-# Perf smoke: the int64 fast lane must actually serve the solver work.
-# compile_scaling --smoke does one rep under a generous fuel budget and
-# reports the lane's solve/fallback split; a rate below the threshold
-# means solves are silently degrading to the exact Rational path, and
-# recorded BENCH_*.json compile times would no longer mean what they
-# claim (docs/performance.md).
-run_perf_smoke() {
-  local name="$1" dir="$2" threshold=90
-  echo "==== [$name] perf smoke: compile_scaling --smoke ===="
-  local out line solves fallbacks total rate
-  out="$("$dir/bench/compile_scaling" --smoke 2>/dev/null)"
-  line="$(printf '%s\n' "$out" | grep '"fastlane":' | head -n 1)"
-  solves="$(printf '%s\n' "$line" | sed -n 's/.*"solves": \([0-9]*\).*/\1/p')"
-  fallbacks="$(printf '%s\n' "$line" |
-    sed -n 's/.*"fallbacks": \([0-9]*\).*/\1/p')"
-  if [ -z "$solves" ] || [ -z "$fallbacks" ]; then
-    echo "perf smoke: could not parse fastlane counters from:"
-    printf '%s\n' "$out"
-    exit 1
-  fi
-  total=$((solves + fallbacks))
-  if [ "$total" -eq 0 ]; then
-    echo "perf smoke: fast lane never attempted a solve"
-    exit 1
-  fi
-  rate=$((100 * solves / total))
-  echo "fast-lane rate: ${rate}% ($solves/$total solves)"
-  if [ "$rate" -lt "$threshold" ]; then
-    echo "perf smoke: fast-lane rate ${rate}% below ${threshold}% threshold"
-    exit 1
-  fi
-}
-
-# Regression gate: a fresh compile_scaling --smoke record must pass
-# bench_diff against the committed baseline. --smoke does one rep with
-# the solve cache cold, so the thresholds are deliberately generous --
-# 4x on wall time (shared CI machines), 2x on the deterministic
-# counters; the committed BENCH_*.json records track the precise
-# numbers. A genuine blowup (a solver regression, the fast lane dying)
-# still trips it.
-run_bench_gate() {
-  local name="$1" dir="$2" baseline="BENCH_pr10.json"
-  local record="$dir/bench_gate_smoke.json"
-  echo "==== [$name] bench regression gate (vs $baseline) ===="
-  "$dir/bench/compile_scaling" --smoke 2>/dev/null > "$record"
-  # diskcache.warm_solve_reduction_percent guards the persistent cache's
-  # reason to exist: a warm rerun must keep eliminating the bulk of the
-  # ILP solves (the PR acceptance bar is >= 50%; the drop threshold
-  # tolerates program-shape drift, not the cache silently dying).
-  "$dir/tools/bench_diff" --no-defaults \
-    --max-increase=end_to_end_compile_seconds:300 \
-    --max-drop=fastlane.rate_percent:5 \
-    --max-drop=diskcache.warm_solve_reduction_percent:25 \
-    --max-increase=stats.counters.simplex_pivots:100 \
-    --max-increase=stats.counters.ilp_nodes:150 \
-    --max-increase=stats.counters.fme_rows_generated:100 \
-    "$baseline" "$record"
+# The benchmark of record as a gate. Each pin is the --counters-out file
+# of a --jobs 1 run, so the --jobs 4 legs also check that no counter
+# depends on the number of dependence workers. A change that moves a
+# counter on purpose re-records the pins (docs/observability.md).
+run_perfbench_gate() {
+  local name="$1" dir="$PREFIX-perfbench" w jobs out
+  echo "==== [$name] perfbench gate: configure + build ($dir) ===="
+  cmake -S perfbench -B "$dir" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$dir" -j "$JOBS"
+  for w in paper-suite analysis-reports warm-rerun; do
+    for jobs in 1 4; do
+      echo "==== [$name] perfbench gate: $w at --jobs $jobs ===="
+      out="$dir/gate-$w-jobs$jobs"
+      "$dir/pipeline_bench" --workload "$w" --seed 1 --seconds 1 --trace 0 \
+        --jobs "$jobs" --tmp-root "$dir/tmp" --counters-out "$out.json" \
+        > "$out.out"
+      python3 tools/perf_gate.py "tests/golden/perfbench/$w.json" \
+        "$out.json" "$out.out" perfbench/baseline.json
+    done
+  done
 }
 
 run_stage "plain" "$PREFIX" -DCMAKE_BUILD_TYPE=Release
 run_jobs_legs "plain" "$PREFIX"
 run_golden_fastlane_off "plain" "$PREFIX"
 run_robustness "plain" "$PREFIX"
-run_perf_smoke "plain" "$PREFIX"
-run_bench_gate "plain" "$PREFIX"
+run_perfbench_gate "plain"
 
 echo "==== [clang-tidy] src/ tools/ bench/ ===="
 if command -v clang-tidy >/dev/null 2>&1; then
