@@ -13,7 +13,7 @@
 //                 boundary) that satisfies some dependence.
 //
 // Wisefuse's Algorithm 1 heuristics can be individually disabled through
-// WisefuseOptions -- that is what the ablation benches sweep.
+// WisefuseOptions; fusion_test checks each one's effect on gemsfdtd.
 #pragma once
 
 #include <memory>

@@ -76,26 +76,34 @@ MemoTable& current_memo() {
   return memo != nullptr ? *memo : process_memo();
 }
 
+std::vector<const Constraint*> canonical_order(
+    const std::vector<Constraint>& constraints) {
+  std::vector<const Constraint*> rows;
+  rows.reserve(constraints.size());
+  for (const Constraint& c : constraints) rows.push_back(&c);
+  std::sort(rows.begin(), rows.end(),
+            [](const Constraint* a, const Constraint* b) {
+              if (a->is_equality != b->is_equality) return b->is_equality;
+              if (a->expr.const_term() != b->expr.const_term())
+                return a->expr.const_term() < b->expr.const_term();
+              return a->expr.coeffs() < b->expr.coeffs();
+            });
+  return rows;
+}
+
 std::vector<i64> canonical_key(i64 tag, long node_cap, std::size_t dims,
                                const std::vector<Constraint>& constraints) {
-  std::vector<std::vector<i64>> rows;
-  rows.reserve(constraints.size());
-  for (const Constraint& c : constraints) {
-    std::vector<i64> row;
-    row.reserve(dims + 2);
-    row.push_back(c.is_equality ? 1 : 0);
-    row.push_back(c.expr.const_term());
-    for (std::size_t k = 0; k < dims; ++k) row.push_back(c.expr.coeff(k));
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
   std::vector<i64> blob;
-  blob.reserve(4 + rows.size() * (dims + 2) + dims + 1);
+  blob.reserve(4 + constraints.size() * (dims + 2) + dims + 1);
   blob.push_back(tag);
   blob.push_back(static_cast<i64>(node_cap));
   blob.push_back(static_cast<i64>(dims));
-  blob.push_back(static_cast<i64>(rows.size()));
-  for (const auto& row : rows) blob.insert(blob.end(), row.begin(), row.end());
+  blob.push_back(static_cast<i64>(constraints.size()));
+  for (const Constraint* c : canonical_order(constraints)) {
+    blob.push_back(c->is_equality ? 1 : 0);
+    blob.push_back(c->expr.const_term());
+    for (std::size_t k = 0; k < dims; ++k) blob.push_back(c->expr.coeff(k));
+  }
   return blob;
 }
 

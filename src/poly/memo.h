@@ -83,9 +83,16 @@ MemoTable& process_memo();
 /// The calling thread's table: its request's, else process_memo().
 MemoTable& current_memo();
 
+/// The rows of `constraints` sorted by (is_equality, constant,
+/// coefficients). Solving in this order makes a solve's work independent
+/// of insertion order, as its memo key is.
+std::vector<const Constraint*> canonical_order(
+    const std::vector<Constraint>& constraints);
+
 /// Key blob of a constraint system, shared by the solve and count caches:
 /// {tag, node_cap, dims, #rows}, then the rows (is_equality, constant,
-/// coefficients) sorted, so insertion order never splits entries.
+/// coefficients) in canonical_order, so insertion order never splits
+/// entries.
 std::vector<i64> canonical_key(i64 tag, long node_cap, std::size_t dims,
                                const std::vector<Constraint>& constraints);
 

@@ -114,11 +114,13 @@ void IntegerSet::intersect(const IntegerSet& other) {
 
 lp::IlpProblem IntegerSet::to_ilp() const {
   lp::IlpProblem p = lp::IlpProblem::all_free(dims_);
-  for (const Constraint& c : constraints_) {
-    if (c.is_equality)
-      p.add_equality(c.expr.coeffs(), c.expr.const_term());
+  // Canonical row order: structurally equal sets share one memo entry, so
+  // they must also solve identically, whichever was built first.
+  for (const Constraint* c : canonical_order(constraints_)) {
+    if (c->is_equality)
+      p.add_equality(c->expr.coeffs(), c->expr.const_term());
     else
-      p.add_inequality(c.expr.coeffs(), c.expr.const_term());
+      p.add_inequality(c->expr.coeffs(), c->expr.const_term());
   }
   return p;
 }

@@ -120,7 +120,8 @@ class IntegerSet {
   /// Remove inequalities implied (over the rationals) by the rest.
   void remove_redundant();
 
-  /// Lower the set onto an ILP problem (all variables free integers).
+  /// Lower the set onto an ILP problem (all variables free integers),
+  /// rows in canonical_order (poly/memo.h).
   lp::IlpProblem to_ilp() const;
 
   /// Order-independent hash of the canonical constraint system: two sets

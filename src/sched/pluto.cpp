@@ -69,25 +69,26 @@ class Scheduler {
     }
 
     // The policy's pre-fusion schedule, over the ORIGINAL SCCs of the DDG.
-    orig_sccs_ = dg_.sccs();
-    orig_order_ = policy_.prefusion_order(scop_, dg_, orig_sccs_);
-    PF_CHECK_MSG(orig_order_.size() == orig_sccs_.num_sccs(),
+    const ddg::SccResult orig_sccs = dg_.sccs();
+    const std::vector<std::size_t> orig_order =
+        policy_.prefusion_order(scop_, dg_, orig_sccs);
+    PF_CHECK_MSG(orig_order.size() == orig_sccs.num_sccs(),
                  "policy returned pre-fusion order of wrong size");
-    std::vector<std::size_t> pos_of_scc(orig_order_.size());
+    std::vector<std::size_t> pos_of_scc(orig_order.size());
     {
-      std::vector<bool> seen(orig_order_.size(), false);
-      for (std::size_t pos = 0; pos < orig_order_.size(); ++pos) {
-        PF_CHECK_MSG(orig_order_[pos] < orig_order_.size() &&
-                         !seen[orig_order_[pos]],
+      std::vector<bool> seen(orig_order.size(), false);
+      for (std::size_t pos = 0; pos < orig_order.size(); ++pos) {
+        PF_CHECK_MSG(orig_order[pos] < orig_order.size() &&
+                         !seen[orig_order[pos]],
                      "pre-fusion order is not a permutation");
-        seen[orig_order_[pos]] = true;
-        pos_of_scc[orig_order_[pos]] = pos;
+        seen[orig_order[pos]] = true;
+        pos_of_scc[orig_order[pos]] = pos;
       }
     }
     stmt_pref_pos_.resize(n);
     for (std::size_t s = 0; s < n; ++s)
       stmt_pref_pos_[s] =
-          pos_of_scc[static_cast<std::size_t>(orig_sccs_.scc_of[s])];
+          pos_of_scc[static_cast<std::size_t>(orig_sccs.scc_of[s])];
     // Validate precedence of the pre-fusion order.
     for (const ddg::Dependence& d : dg_.deps())
       PF_CHECK_MSG(stmt_pref_pos_[d.src] <= stmt_pref_pos_[d.dst],
@@ -197,8 +198,6 @@ class Scheduler {
     out.carried_at = std::move(carried_at_);
     for (const ddg::Dependence& d : dg_.deps())
       out.dep_endpoints.emplace_back(d.src, d.dst);
-    out.scc_of_stmt = orig_sccs_.scc_of;
-    out.prefusion_order = orig_order_;
     record_relaxed_carried(out);
     return out;
   }
@@ -844,10 +843,7 @@ class Scheduler {
   // keeping results byte-identical (see lp/ilp.h).
   std::optional<IntVector> warm_point_;
 
-  // Original SCCs + pre-fusion schedule (policy's view; kept for
-  // reporting) and per-statement pre-fusion positions.
-  ddg::SccResult orig_sccs_;
-  std::vector<std::size_t> orig_order_;
+  // Per-statement position in the policy's pre-fusion schedule.
   std::vector<std::size_t> stmt_pref_pos_;
 
   // Current SCC structure over the active dependences.

@@ -38,12 +38,6 @@ struct Schedule {
   /// endpoints in the group.
   std::vector<std::vector<std::size_t>> carried_at;
 
-  /// Pre-fusion metadata (for Figure 5/8-style reporting): SCC id per
-  /// statement (topological ids) and the pre-fusion order (position ->
-  /// scc id) chosen by the fusion policy.
-  std::vector<int> scc_of_stmt;
-  std::vector<std::size_t> prefusion_order;
-
   /// Reduction self-dependences the scheduler was allowed to ignore
   /// (SchedulerOptions::relaxed_deps), sorted by dep_id. A relaxed dep
   /// keeps satisfied_at == SIZE_MAX but IS entered into carried_at with

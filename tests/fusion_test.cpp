@@ -1,11 +1,14 @@
-// Tests for the fusion policies themselves: Algorithm 1 ablations, policy
-// metadata, and the cut recipes.
+// Tests for the fusion policies themselves: Algorithm 1 ablations and
+// their effect on gemsfdtd, policy metadata, and the cut recipes.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "ddg/dependences.h"
 #include "frontend/parser.h"
 #include "fusion/models.h"
 #include "sched/pluto.h"
+#include "suite/suite.h"
 
 namespace pf::fusion {
 namespace {
@@ -169,6 +172,28 @@ scop advect(N) {
   auto policy_on = make_wisefuse(on);
   const auto sch_on = sched::compute_schedule(scop, dg, *policy_on);
   EXPECT_NE(sch_on.nest_partitions()[2], sch_on.nest_partitions()[3]);
+}
+
+TEST(Ablation, GemsfdtdPartitionsPerWisefuseIngredient) {
+  // Figure 8's program has no reductions, so this is the CLI default path
+  // with one Algorithm 1 ingredient switched off at a time. Each one is
+  // needed for wisefuse's two partitions.
+  const ir::Scop scop = suite::parse(suite::benchmark("gemsfdtd"));
+  const auto dg = ddg::DependenceGraph::analyze(scop);
+  const auto partitions = [&](const WisefuseOptions& opts) {
+    auto policy = make_wisefuse(opts);
+    const auto parts =
+        sched::compute_schedule(scop, dg, *policy).nest_partitions();
+    return std::set<int>(parts.begin(), parts.end()).size();
+  };
+  WisefuseOptions full, no_rar, no_dim, no_order;
+  no_rar.use_rar = false;
+  no_dim.require_same_dim = false;
+  no_order.reorder = false;
+  EXPECT_EQ(partitions(full), 2u);
+  EXPECT_EQ(partitions(no_rar), 6u);
+  EXPECT_EQ(partitions(no_dim), 8u);
+  EXPECT_EQ(partitions(no_order), 8u);
 }
 
 }  // namespace

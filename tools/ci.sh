@@ -7,7 +7,7 @@
 #      then the golden-schedule test (tests/golden/sched/) once more with
 #      POLYFUSE_NO_FASTLANE=1, so the exact Rational path schedules the
 #      paper suite byte-identically too.
-#   2. clang-tidy over src/, tools/ and bench/ against that build's
+#   2. clang-tidy over src/ and tools/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
 #      skipped with a notice when clang-tidy is not installed.
@@ -222,13 +222,13 @@ run_golden_fastlane_off "plain" "$PREFIX"
 run_robustness "plain" "$PREFIX"
 run_perfbench_gate "plain"
 
-echo "==== [clang-tidy] src/ tools/ bench/ ===="
+echo "==== [clang-tidy] src/ tools/ ===="
 if command -v clang-tidy >/dev/null 2>&1; then
   # CMAKE_EXPORT_COMPILE_COMMANDS is on unconditionally, so the plain
   # stage's build dir always has the compilation database. .clang-tidy
   # promotes every bugprone-*/performance-* finding to an error, so any
   # such warning fails this stage (xargs propagates the nonzero exit).
-  find src tools bench -name '*.cpp' -print0 |
+  find src tools -name '*.cpp' -print0 |
     xargs -0 -n 8 -P "$JOBS" clang-tidy -p "$PREFIX" --quiet
 else
   echo "clang-tidy not installed; skipping static-analysis stage"
