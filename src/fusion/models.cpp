@@ -11,23 +11,6 @@
 
 namespace pf::fusion {
 
-namespace {
-// Observational only (see models.h): consulted when building candidate
-// remarks, never when deciding fusion.
-const ProfitabilityOracle* g_profitability_oracle = nullptr;
-}  // namespace
-
-const ProfitabilityOracle* set_profitability_oracle(
-    const ProfitabilityOracle* oracle) {
-  const ProfitabilityOracle* previous = g_profitability_oracle;
-  g_profitability_oracle = oracle;
-  return previous;
-}
-
-const ProfitabilityOracle* profitability_oracle() {
-  return g_profitability_oracle;
-}
-
 const char* to_string(FusionModel m) {
   switch (m) {
     case FusionModel::kWisefuse:
@@ -169,12 +152,12 @@ std::vector<std::size_t> wisefuse_prefusion_order(
             {"candidate_dim", std::to_string(scop.statement(t).dim())},
             {"reuse_score", std::to_string(reuse_pairs)},
             {"verdict", v}};
-        // With a profitability oracle installed (--analyze), quantify the
+        // With a profitability oracle given (--analyze), quantify the
         // candidate: exact distinct cells shared between the fusable set
         // and SCC_t, plus the candidate's own self-reuse (cells two
         // distinct instances of one statement revisit -- the accumulator
         // of a reduction) -- the data fusion would keep hot.
-        if (const ProfitabilityOracle* oracle = profitability_oracle()) {
+        if (const ProfitabilityOracle& oracle = options.oracle) {
           i64 shared = 0;
           bool unknown = false;
           const auto add = [&](i64 cells) {
@@ -185,9 +168,9 @@ std::vector<std::size_t> wisefuse_prefusion_order(
           };
           for (const std::size_t i : fusable)
             for (const std::size_t j : sccs.members[scc_t])
-              add(oracle->shared_cells(i, j));
+              add(oracle(i, j));
           for (const std::size_t j : sccs.members[scc_t])
-            add(oracle->shared_cells(j, j));
+            add(oracle(j, j));
           attrs.emplace_back("shared_cells",
                              unknown ? "unknown" : std::to_string(shared));
         }
@@ -367,7 +350,8 @@ sched::Schedule compute_schedule_degrading(const ir::Scop& scop,
                                            const ddg::DependenceGraph& dg,
                                            FusionModel model,
                                            const sched::SchedulerOptions& options,
-                                           FusionModel* used) {
+                                           FusionModel* used,
+                                           const ProfitabilityOracle& oracle) {
   // Cheaper models ask strictly less of the solver stack, so walking down
   // the chain converges; nofuse needs no cross-nest reasoning at all.
   std::vector<FusionModel> chain;
@@ -387,10 +371,13 @@ sched::Schedule compute_schedule_degrading(const ir::Scop& scop,
       chain = {FusionModel::kNofuse};
       break;
   }
+  WisefuseOptions wisefuse;
+  wisefuse.oracle = oracle;
   for (std::size_t i = 0; i < chain.size(); ++i) {
     try {
       const std::unique_ptr<sched::FusionPolicy> policy =
-          make_policy(chain[i]);
+          chain[i] == FusionModel::kWisefuse ? make_wisefuse(wisefuse)
+                                             : make_policy(chain[i]);
       sched::Schedule sch = sched::compute_schedule(scop, dg, *policy, options);
       if (used != nullptr) *used = chain[i];
       return sch;

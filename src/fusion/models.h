@@ -16,6 +16,7 @@
 // WisefuseOptions; fusion_test checks each one's effect on gemsfdtd.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -28,7 +29,18 @@ enum class FusionModel { kWisefuse, kSmartfuse, kNofuse, kMaxfuse };
 
 const char* to_string(FusionModel m);
 
-/// Ablation switches for wisefuse (paper Section 4.1 heuristics).
+/// Quantitative profitability feed for the fusion remark channel: the
+/// distinct array cells statements `s` and `t` both touch, -1 when
+/// unknown. With one given (the --analyze pass passes its
+/// LocalityReport), wisefuse's per-candidate decision remarks carry the
+/// exact number of cells the candidate shares with the fusable set --
+/// *why* fusion pays -- alongside the reuse-pair score the heuristic
+/// itself uses. Purely observational: the oracle never changes a fusion
+/// decision, so schedules are identical with or without it.
+using ProfitabilityOracle = std::function<i64(std::size_t s, std::size_t t)>;
+
+/// Ablation switches for wisefuse (paper Section 4.1 heuristics), plus
+/// the optional profitability oracle its remarks consult.
 struct WisefuseOptions {
   /// Consider input (RAR) dependences as reuse when ordering SCCs.
   bool use_rar = true;
@@ -39,28 +51,9 @@ struct WisefuseOptions {
   bool reorder = true;
   /// Algorithm 2: cut to preserve outer-level parallelism.
   bool enforce_outer_parallelism = true;
+  /// Consulted only by the candidate remarks; empty = no shared_cells.
+  ProfitabilityOracle oracle;
 };
-
-/// Quantitative profitability feed for the fusion remark channel. When
-/// an oracle is installed (the --analyze pass adapts its LocalityReport
-/// into one), wisefuse's per-candidate decision remarks carry the exact
-/// number of distinct array cells the candidate shares with the fusable
-/// set -- *why* fusion pays -- alongside the reuse-pair score the
-/// heuristic itself uses. Purely observational: the oracle never changes
-/// a fusion decision, so schedules are identical with or without it.
-class ProfitabilityOracle {
- public:
-  virtual ~ProfitabilityOracle() = default;
-  /// Distinct cells statements `s` and `t` both touch; -1 when unknown.
-  virtual i64 shared_cells(std::size_t s, std::size_t t) const = 0;
-};
-
-/// Install (or clear, with nullptr) the process-wide oracle consulted by
-/// the wisefuse candidate remarks. Returns the previous oracle so scoped
-/// installers can restore it.
-const ProfitabilityOracle* set_profitability_oracle(
-    const ProfitabilityOracle* oracle);
-const ProfitabilityOracle* profitability_oracle();
 
 /// Create a policy implementing the given model.
 std::unique_ptr<sched::FusionPolicy> make_policy(FusionModel m);
@@ -78,10 +71,12 @@ std::unique_ptr<sched::FusionPolicy> make_wisefuse(const WisefuseOptions& o);
 /// downgrade emits a "budget" remark and bumps budget_downgrades. With no
 /// budget installed this is exactly make_policy + sched::compute_schedule.
 /// `used` (optional) receives the model that produced the schedule, or is
-/// left untouched on the identity fallback.
+/// left untouched on the identity fallback. `oracle` (optional) feeds
+/// wisefuse's candidate remarks.
 sched::Schedule compute_schedule_degrading(
     const ir::Scop& scop, const ddg::DependenceGraph& dg, FusionModel model,
-    const sched::SchedulerOptions& options = {}, FusionModel* used = nullptr);
+    const sched::SchedulerOptions& options = {}, FusionModel* used = nullptr,
+    const ProfitabilityOracle& oracle = {});
 
 /// The pre-fusion schedule of wisefuse's Algorithm 1, exposed for tests
 /// and Figure-5 style reporting: returns position -> scc id.

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "support/context.h"
-#include "support/flightrec.h"
+#include "support/trace.h"
 #include "support/metrics.h"
 #include "support/strings.h"
 
@@ -198,8 +198,8 @@ bool Budget::injection_fires(BudgetSite site) {
     if (inj.site == site && inj.fail_at == ordinal) {
       if (inj.hard) hard_abort(site, ordinal);
       count(Counter::kBudgetInjectedFaults);
-      flightrec::record(flightrec::EventKind::kFault, to_string(site),
-                        "fault-injected", ordinal);
+      record_event(flightrec::EventKind::kFault, to_string(site),
+                   "fault-injected", ordinal);
       return true;
     }
   return false;
@@ -231,8 +231,8 @@ void Budget::fault(BudgetSite site, BudgetExceeded::Kind kind, i64 ordinal) {
             ? Counter::kBudgetInjectedFaults
             : Counter::kBudgetExhaustions);
   const BudgetExceeded ex(site, kind, ordinal);
-  flightrec::record(flightrec::EventKind::kFault, to_string(site), ex.cause(),
-                    ordinal);
+  record_event(flightrec::EventKind::kFault, to_string(site), ex.cause(),
+               ordinal);
   throw ex;
 }
 
@@ -240,8 +240,8 @@ void Budget::hard_abort(BudgetSite site, i64 ordinal) {
   // A hard injection simulates a real crash: leave a breadcrumb in the
   // ring, then die by SIGABRT so the installed crash handler (if any)
   // produces the same diagnostic a genuine fatal signal would.
-  flightrec::record(flightrec::EventKind::kFault, to_string(site),
-                    "abort-injected", ordinal);
+  record_event(flightrec::EventKind::kFault, to_string(site),
+               "abort-injected", ordinal);
   std::abort();
 }
 

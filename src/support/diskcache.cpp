@@ -13,7 +13,7 @@
 #include <mutex>
 #include <system_error>
 
-#include "support/flightrec.h"
+#include "support/trace.h"
 #include "support/metrics.h"
 
 namespace pf::support::diskcache {
@@ -113,9 +113,8 @@ bool injection_fires(BudgetSite site, std::atomic<i64>& ops) {
   const i64 ordinal = ops.fetch_add(1, std::memory_order_relaxed);
   for (const Injection& inj : s.injections)
     if (inj.site == site && inj.fail_at == ordinal) {
-      flightrec::record(flightrec::EventKind::kFault, to_string(site),
-                        inj.hard ? "abort-injected" : "fault-injected",
-                        ordinal);
+      record_event(flightrec::EventKind::kFault, to_string(site),
+                   inj.hard ? "abort-injected" : "fault-injected", ordinal);
       if (inj.hard) std::abort();
       // Deliberately not counted as a budget fault: which *request*
       // performs the K-th process-wide cache I/O is scheduling-dependent,
@@ -141,7 +140,7 @@ void quarantine(const fs::path& file) {
   fs::rename(file, target, ec);
   if (ec) fs::remove(file, ec);
   count(Counter::kDiskCacheCorrupt);
-  flightrec::record(flightrec::EventKind::kMark, "diskcache", "quarantined");
+  record_event(flightrec::EventKind::kMark, "diskcache", "quarantined");
 }
 
 bool read_words(std::ifstream& in, i64* out, std::size_t words) {

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <new>
 
+#include "support/context.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -25,12 +26,6 @@ using Clock = std::chrono::steady_clock;
 Clock::time_point recorder_epoch() {
   static const Clock::time_point epoch = Clock::now();
   return epoch;
-}
-
-i64 now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               recorder_epoch())
-      .count();
 }
 
 // One ring per recording thread. Rings are heap-allocated once, then
@@ -47,10 +42,10 @@ struct Ring {
 
 constexpr std::size_t kMaxRings = 256;
 
+// Ring slot i belongs to the thread with thread_index() i.
 std::atomic<Ring*> g_rings[kMaxRings];
-std::atomic<int> g_num_rings{0};
+std::atomic<int> g_num_threads{0};
 std::atomic<std::uint64_t> g_seq{0};
-std::atomic<const MetricsRegistry*> g_metrics{nullptr};
 std::atomic<bool> g_dumping{false};
 std::atomic<bool> g_dump_done{false};
 std::atomic<long> g_dumper_tid{0};  // kernel tid of the thread dumping
@@ -59,17 +54,21 @@ std::atomic<long> g_dumper_tid{0};  // kernel tid of the thread dumping
 char g_diag_path[512] = {};
 std::string g_invocation_escaped;  // pre-escaped; bytes written verbatim
 
-Ring* this_thread_ring() {
-  thread_local Ring* ring = [] {
-    const int idx = g_num_rings.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= static_cast<int>(kMaxRings)) return static_cast<Ring*>(nullptr);
-    Ring* r = new (std::nothrow) Ring;  // record() is noexcept
+Ring* this_thread_ring(int tid) {
+  thread_local Ring* ring = [tid] {
+    if (tid >= static_cast<int>(kMaxRings)) return static_cast<Ring*>(nullptr);
+    Ring* r = new (std::nothrow) Ring;  // append() is noexcept
     if (r == nullptr) return static_cast<Ring*>(nullptr);
-    r->tid = idx;
-    g_rings[idx].store(r, std::memory_order_release);
+    r->tid = tid;
+    g_rings[tid].store(r, std::memory_order_release);
     return r;
   }();
   return ring;
+}
+
+int num_ring_slots() {
+  return std::min<int>(g_num_threads.load(std::memory_order_acquire),
+                       static_cast<int>(kMaxRings));
 }
 
 void copy_bounded(char* dst, std::size_t cap, const char* src) {
@@ -257,8 +256,6 @@ void dump_event(SigsafeWriter& w, const Event& e) {
   w.string(e.name);
   w.raw(", \"a\": ");
   w.integer(e.a);
-  w.raw(", \"b\": ");
-  w.integer(e.b);
   w.raw("}");
 }
 
@@ -314,14 +311,12 @@ void crash_handler(int sig) {
 
 const char* to_string(EventKind kind) {
   switch (kind) {
-    case EventKind::kSpan:
-      return "span";
+    case EventKind::kSpanOpen:
+      return "span-open";
+    case EventKind::kSpanClose:
+      return "span-close";
     case EventKind::kRemark:
       return "remark";
-    case EventKind::kPhaseBegin:
-      return "phase-begin";
-    case EventKind::kPhaseEnd:
-      return "phase-end";
     case EventKind::kFault:
       return "fault";
     case EventKind::kMark:
@@ -336,21 +331,32 @@ void set_enabled(bool on) {
   enabled_flag().store(on, std::memory_order_relaxed);
 }
 
-void record(EventKind kind, const char* category, const char* name, i64 a,
-            i64 b) noexcept {
+double now_us() {
+  return std::chrono::duration<double, std::micro>(Clock::now() -
+                                                   recorder_epoch())
+      .count();
+}
+
+int thread_index() {
+  thread_local const int tid =
+      g_num_threads.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
+
+void append(EventKind kind, const char* category, const char* name, i64 a,
+            double t_us, int tid) noexcept {
   if (!enabled()) return;
-  Ring* ring = this_thread_ring();
+  Ring* ring = this_thread_ring(tid);
   if (ring == nullptr) return;  // beyond kMaxRings threads: stop recording
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
   Event& e = ring->events[head % kRingEvents];
   e.seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  e.t_us = now_us();
-  e.tid = ring->tid;
+  e.t_us = static_cast<i64>(t_us);
+  e.tid = tid;
   e.kind = kind;
   copy_bounded(e.category, kEventCategoryBytes, category);
   copy_bounded(e.name, kEventNameBytes, name);
   e.a = a;
-  e.b = b;
   ring->head.store(head + 1, std::memory_order_release);
 }
 
@@ -358,16 +364,11 @@ std::uint64_t events_recorded() {
   return g_seq.load(std::memory_order_relaxed);
 }
 
-int recording_threads() {
-  return std::min<int>(g_num_rings.load(std::memory_order_relaxed),
-                       static_cast<int>(kMaxRings));
-}
+int recording_threads() { return num_ring_slots(); }
 
 std::vector<Event> snapshot() {
   std::vector<Event> out;
-  const int nrings =
-      std::min<int>(g_num_rings.load(std::memory_order_acquire),
-                    static_cast<int>(kMaxRings));
+  const int nrings = num_ring_slots();
   for (int i = 0; i < nrings; ++i) {
     const Ring* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
@@ -379,10 +380,6 @@ std::vector<Event> snapshot() {
   std::sort(out.begin(), out.end(),
             [](const Event& x, const Event& y) { return x.seq < y.seq; });
   return out;
-}
-
-void set_metrics(const MetricsRegistry* registry) {
-  g_metrics.store(registry, std::memory_order_release);
 }
 
 void set_invocation(int argc, char** argv) {
@@ -425,7 +422,7 @@ void set_diag_path(const std::string& path) {
 
 bool dump(int fd, const char* cause) noexcept {
   SigsafeWriter w(fd);
-  w.raw("{\"tool\": \"polyfuse\", \"diag_format\": 1, \"cause\": ");
+  w.raw("{\"tool\": \"polyfuse\", \"diag_format\": 2, \"cause\": ");
   w.string(cause);
   w.raw(",\n\"pid\": ");
   w.integer(static_cast<i64>(::getpid()));
@@ -450,9 +447,7 @@ bool dump(int fd, const char* cause) noexcept {
   // Ring by ring (not globally sorted -- sorting is off-limits here);
   // within a ring, oldest first. Consumers order by "seq".
   bool first_event = true;
-  const int nrings =
-      std::min<int>(g_num_rings.load(std::memory_order_acquire),
-                    static_cast<int>(kMaxRings));
+  const int nrings = num_ring_slots();
   for (int i = 0; i < nrings; ++i) {
     const Ring* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
@@ -466,7 +461,11 @@ bool dump(int fd, const char* cause) noexcept {
     }
   }
   w.raw("\n],\n");
-  const MetricsRegistry* reg = g_metrics.load(std::memory_order_acquire);
+  // The dumping thread's request registry. Reading the thread-local
+  // context is safe in a signal handler: tl_context is a constant-
+  // initialized POD defined in this static library, so the read neither
+  // allocates nor runs a lazy initializer.
+  const MetricsRegistry* reg = current_context().metrics;
   dump_metrics(w, reg != nullptr ? *reg : global_metrics());
   w.raw("}\n");
   w.flush();
@@ -483,9 +482,7 @@ bool write_diag_file(const std::string& path, const char* cause) {
 }
 
 void reset_for_test() {
-  const int nrings =
-      std::min<int>(g_num_rings.load(std::memory_order_acquire),
-                    static_cast<int>(kMaxRings));
+  const int nrings = num_ring_slots();
   for (int i = 0; i < nrings; ++i)
     if (Ring* ring = g_rings[i].load(std::memory_order_acquire))
       ring->head.store(0, std::memory_order_release);

@@ -3,21 +3,26 @@
 // when a run dies.
 //
 // Every thread that records gets its own ring of the last kRingEvents
-// events (span opens, decision remarks, phase boundaries, budget faults,
-// injected faults). Recording is wait-free -- a global sequence
-// fetch_add, a bounded byte copy into the thread's own slot, no locks,
-// no allocation after ring creation -- so it stays on in production
-// builds; the recorded overhead budget is <= 2% of end-to-end compile
-// time (enforced by the BENCH_*.json trajectory, docs/observability.md).
+// events: span opens and closes (a phase is a span of category "phase"),
+// decision remarks, budget faults and injected faults. Events arrive
+// through support::record_event (support/trace.h), the one event path,
+// which stamps them with this recorder's clock and thread index; the
+// request tracer uses the same two. Recording is wait-free -- a global
+// sequence fetch_add, a bounded byte copy into the thread's own slot, no
+// locks, no allocation after ring creation -- so it stays on in
+// production builds. Its cost is measured, not gated:
+// docs/observability.md records a perfbench A/B with and without
+// POLYFUSE_NO_FLIGHTREC=1.
 //
 // Dumping is async-signal-safe: install_crash_handler() hooks the fatal
 // signals (SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL) with a handler that
 // writes `polyfuse-diag.<pid>.json` -- ring contents, a metrics
-// snapshot (relaxed atomic reads of the registered registry), and
-// build/invocation info -- using only write(2)/open(2) and hand-rolled
-// formatting, then re-raises the signal. The same writer serves the
-// non-signal dump paths: --diagnose=FILE on exit, BudgetExceeded
-// escaping the pipeline, and strict --verify/--lint failures.
+// snapshot (relaxed atomic reads of the dumping thread's request
+// registry), and build/invocation info -- using only write(2)/open(2)
+// and hand-rolled formatting, then re-raises the signal. The same writer
+// serves the non-signal dump paths: --diagnose=FILE on exit,
+// BudgetExceeded escaping the pipeline, and strict --verify/--lint
+// failures.
 //
 // Reader caveat: the signal handler snapshots rings other threads are
 // still writing; an event may be torn (mixed fields). Events carry a
@@ -37,17 +42,14 @@
 
 namespace pf::support {
 
-class MetricsRegistry;
-
 namespace flightrec {
 
 enum class EventKind : unsigned char {
-  kSpan = 0,    // a TraceSpan opened (a = nesting depth)
-  kRemark,      // a decision remark was emitted
-  kPhaseBegin,  // a PhaseTimer opened (name = phase)
-  kPhaseEnd,    // a PhaseTimer closed (a = elapsed microseconds)
-  kFault,       // a budget fault was raised (name = cause, a = ordinal)
-  kMark,        // anything else worth a breadcrumb
+  kSpanOpen = 0,  // a TraceSpan or PhaseTimer opened (a = nesting depth)
+  kSpanClose,     // it closed (a = nesting depth; pairs with its open)
+  kRemark,        // a decision remark was emitted
+  kFault,         // a budget fault was raised (name = cause, a = ordinal)
+  kMark,          // anything else worth a breadcrumb
 };
 
 const char* to_string(EventKind kind);
@@ -64,18 +66,24 @@ struct Event {
   char category[kEventCategoryBytes] = {};
   char name[kEventNameBytes] = {};
   i64 a = 0;
-  i64 b = 0;
 };
 
 /// Recording gate; initialized from POLYFUSE_NO_FLIGHTREC on first use.
 bool enabled();
 void set_enabled(bool on);
 
-/// Append one event to the calling thread's ring. Strings are copied
-/// (truncated) into the fixed-size event; near-zero cost, never throws,
-/// no-op when disabled.
-void record(EventKind kind, const char* category, const char* name,
-            i64 a = 0, i64 b = 0) noexcept;
+/// The one clock: microseconds since the recorder's epoch.
+double now_us();
+
+/// The one thread index: small, sequential, per process (0 = first
+/// thread to record), stable for the thread's lifetime.
+int thread_index();
+
+/// Append one stamped event to the calling thread's ring. Strings are
+/// copied (truncated) into the fixed-size event; never throws, no-op
+/// when disabled. Only support::record_event calls this.
+void append(EventKind kind, const char* category, const char* name, i64 a,
+            double t_us, int tid) noexcept;
 
 /// Total events ever recorded (each ring keeps only its last
 /// kRingEvents).
@@ -87,11 +95,6 @@ int recording_threads();
 /// All currently-retained events, oldest first by global sequence (for
 /// tests and the bench harness; takes no locks, same caveats as dumps).
 std::vector<Event> snapshot();
-
-/// Register the registry whose counters/gauges/histograms dumps
-/// snapshot; nullptr restores the global registry. (An atomic pointer,
-/// not the thread-local scope: signal handlers must not touch TLS.)
-void set_metrics(const MetricsRegistry* registry);
 
 /// Remember the (pre-escaped) command line for dump headers.
 void set_invocation(int argc, char** argv);
@@ -111,7 +114,9 @@ std::string default_diag_path();
 /// for one file named after the parent pid.
 void set_diag_path(const std::string& path);
 
-/// Async-signal-safe: write the full diagnostic JSON to an open fd.
+/// Async-signal-safe: write the full diagnostic JSON to an open fd. The
+/// metrics snapshot is the calling thread's request registry
+/// (current_context().metrics), else the global registry.
 /// `cause` must be a NUL-terminated string with no characters needing
 /// JSON escaping. Returns false on a write error.
 bool dump(int fd, const char* cause) noexcept;

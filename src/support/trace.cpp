@@ -1,107 +1,96 @@
 #include "support/trace.h"
 
-#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
-#include <thread>
 
-#include "support/flightrec.h"
+#include "support/context.h"
 #include "support/metrics.h"
 
 namespace pf::support {
 
-std::atomic<bool> Tracer::spans_enabled_{false};
-std::atomic<bool> Tracer::remarks_enabled_{false};
-// 1M events/channel ~ a few hundred MB worst case; far above any one
-// compile, low enough that a leaky resident service degrades to dropped
-// spans (counted) instead of OOM.
-std::atomic<std::size_t> Tracer::max_events_{1u << 20};
-
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-Clock::time_point tracer_epoch() {
-  static const Clock::time_point epoch = Clock::now();
-  return epoch;
-}
-
-// Small sequential per-process thread index (0 = first thread to trace);
-// stable for the thread's lifetime, cheap to read after first use.
-int this_thread_index() {
-  static std::atomic<int> next{0};
-  thread_local const int tid = next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
 
 // Per-thread open-span nesting depth.
 thread_local int tls_depth = 0;
 
+Tracer* current_tracer() { return current_context().tracer; }
+
 }  // namespace
 
-Tracer& Tracer::instance() {
-  static Tracer t;
-  return t;
+bool Tracer::spans_on() {
+  const Tracer* t = current_tracer();
+  return t != nullptr && t->spans_;
 }
 
-double Tracer::now_us() const {
-  return std::chrono::duration<double, std::micro>(Clock::now() -
-                                                   tracer_epoch())
-      .count();
+bool Tracer::remarks_on() {
+  const Tracer* t = current_tracer();
+  return t != nullptr && t->remarks_;
 }
 
-void Tracer::remark(std::string category, std::string message,
-                    std::vector<TraceAttr> attrs) {
-  if (!remarks_on()) return;
-  flightrec::record(flightrec::EventKind::kRemark, category.c_str(),
-                    message.c_str());
-  Remark r;
-  r.category = std::move(category);
-  r.message = std::move(message);
-  r.attrs = std::move(attrs);
-  r.ts_us = now_us();
+void Tracer::append(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (remarks_.size() >= max_events()) {
+  if (events_.size() >= max_events_) {
     count(Counter::kTraceEventsDropped);
     return;
   }
-  r.seq = remarks_.size();
-  remarks_.push_back(std::move(r));
+  if (event.kind == flightrec::EventKind::kRemark) event.seq = num_remarks_++;
+  events_.push_back(std::move(event));
 }
 
-void Tracer::record_span(SpanInfo info) {
+std::vector<TraceEvent> Tracer::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() >= max_events()) {
-    count(Counter::kTraceEventsDropped);
-    return;
+  return events_;
+}
+
+TracerScope::TracerScope(Tracer* tracer)
+    : previous_(std::exchange(current_context().tracer, tracer)) {}
+
+TracerScope::~TracerScope() { current_context().tracer = previous_; }
+
+double record_event(flightrec::EventKind kind, const char* category,
+                    const char* name, i64 a, TraceEvent* traced) {
+  using flightrec::EventKind;
+  const double now_us = flightrec::now_us();
+  const int tid = flightrec::thread_index();
+  flightrec::append(kind, category, name, a, now_us, tid);
+  Tracer* tracer = current_tracer();
+  if (tracer == nullptr) return now_us;
+  TraceEvent instant;
+  switch (kind) {
+    case EventKind::kSpanOpen:
+      if (traced != nullptr) {
+        traced->tid = tid;
+        traced->ts_us = now_us;
+      }
+      return now_us;
+    case EventKind::kSpanClose:
+      if (traced == nullptr) return now_us;
+      traced->dur_us = now_us - traced->ts_us;
+      break;
+    case EventKind::kRemark:
+      if (traced == nullptr) return now_us;
+      traced->tid = tid;
+      traced->ts_us = now_us;
+      break;
+    case EventKind::kFault:
+    case EventKind::kMark:
+      if (!tracer->spans_enabled()) return now_us;
+      instant = TraceEvent{kind, category, name,
+                           {{"ordinal", std::to_string(a)}}, tid, 0, now_us};
+      traced = &instant;
+      break;
   }
-  spans_.push_back(std::move(info));
+  tracer->append(std::move(*traced));
+  return now_us;
 }
 
-std::vector<SpanInfo> Tracer::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-std::vector<Remark> Tracer::remarks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remarks_;
-}
-
-std::size_t Tracer::num_spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-std::size_t Tracer::num_remarks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return remarks_.size();
-}
-
-void Tracer::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear();
-  remarks_.clear();
+void remark(std::string category, std::string message,
+            std::vector<TraceAttr> attrs) {
+  if (!Tracer::remarks_on()) return;
+  TraceEvent e{flightrec::EventKind::kRemark, std::move(category),
+               std::move(message), std::move(attrs)};
+  record_event(e.kind, e.category.c_str(), e.name.c_str(), 0, &e);
 }
 
 std::string json_escape(const std::string& s) {
@@ -155,25 +144,20 @@ std::string Tracer::chrome_trace_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  for (const SpanInfo& s : spans_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"ph\": \"X\", \"pid\": 1, \"tid\": " << s.tid << ", \"name\": \""
-       << json_escape(s.name) << "\", \"cat\": \"" << json_escape(s.category)
-       << "\", \"ts\": " << s.start_us << ", \"dur\": " << s.dur_us
-       << ", \"args\": ";
-    emit_args(os, s.attrs);
-    os << "}";
-  }
-  for (const Remark& r : remarks_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": 0, \"name\": \""
-       << json_escape(r.category) << ": " << json_escape(r.message)
-       << "\", \"cat\": \"" << json_escape(r.category)
-       << "\", \"ts\": " << r.ts_us << ", \"args\": ";
-    emit_args(os, r.attrs);
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const TraceEvent& e = events_[i];
+    os << (i == 0 ? "\n" : ",\n");
+    if (e.kind == flightrec::EventKind::kSpanClose)
+      os << "{\"ph\": \"X\", \"pid\": 1, \"tid\": " << e.tid << ", \"name\": \""
+         << json_escape(e.name) << "\", \"cat\": \"" << json_escape(e.category)
+         << "\", \"ts\": " << e.ts_us << ", \"dur\": " << e.dur_us;
+    else
+      os << "{\"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": " << e.tid
+         << ", \"name\": \"" << json_escape(e.category) << ": "
+         << json_escape(e.name) << "\", \"cat\": \"" << json_escape(e.category)
+         << "\", \"ts\": " << e.ts_us;
+    os << ", \"args\": ";
+    emit_args(os, e.attrs);
     os << "}";
   }
   os << "\n]}\n";
@@ -183,8 +167,9 @@ std::string Tracer::chrome_trace_json() const {
 std::string Tracer::remarks_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
-  for (const Remark& r : remarks_) {
-    os << "[" << r.category << "] " << r.message;
+  for (const TraceEvent& r : events_) {
+    if (r.kind != flightrec::EventKind::kRemark) continue;
+    os << "[" << r.category << "] " << r.name;
     if (!r.attrs.empty()) {
       os << " (";
       for (std::size_t i = 0; i < r.attrs.size(); ++i) {
@@ -202,79 +187,57 @@ std::string Tracer::remarks_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   os << "{\"remarks\": [";
-  for (std::size_t i = 0; i < remarks_.size(); ++i) {
-    const Remark& r = remarks_[i];
-    if (i != 0) os << ",";
+  for (const TraceEvent& r : events_) {
+    if (r.kind != flightrec::EventKind::kRemark) continue;
+    if (r.seq != 0) os << ",";
     os << "\n{\"seq\": " << r.seq << ", \"category\": \""
        << json_escape(r.category) << "\", \"message\": \""
-       << json_escape(r.message) << "\", \"attrs\": ";
-    std::ostringstream tmp;
-    emit_args(tmp, r.attrs);
-    os << tmp.str() << "}";
+       << json_escape(r.name) << "\", \"attrs\": ";
+    emit_args(os, r.attrs);
+    os << "}";
   }
   os << "\n]}\n";
   return os.str();
 }
 
-TraceSpan::TraceSpan(const char* category, const char* name) {
-  // The flight recorder logs every span open, traced or not: a crash
-  // dump must say what the pipeline was doing without --trace on. Span
-  // bodies are bounded copies into a per-thread ring; when the span is
-  // inactive no strings are retained here, so only the open is logged.
-  flightrec::record(flightrec::EventKind::kSpan, category, name, tls_depth);
-  if (!Tracer::spans_on()) return;
-  active_ = true;
-  info_.category = category;
-  info_.name = name;
-  info_.tid = this_thread_index();
-  info_.depth = tls_depth++;
-  info_.start_us = Tracer::instance().now_us();
+TraceSpan::TraceSpan(const char* category, const char* name)
+    : category_(category), name_(name), depth_(tls_depth++) {
+  active_ = Tracer::spans_on();
+  if (active_) {
+    event_.kind = flightrec::EventKind::kSpanClose;
+    event_.category = category_;
+    event_.name = name_;
+    event_.depth = depth_;
+  }
+  start_us_ = record_event(flightrec::EventKind::kSpanOpen, category_, name_,
+                           depth_, active_ ? &event_ : nullptr);
 }
 
-TraceSpan::TraceSpan(const char* category, std::string name) {
-  flightrec::record(flightrec::EventKind::kSpan, category, name.c_str(),
-                    tls_depth);
-  if (!Tracer::spans_on()) return;
-  active_ = true;
-  info_.category = category;
-  info_.name = std::move(name);
-  info_.tid = this_thread_index();
-  info_.depth = tls_depth++;
-  info_.start_us = Tracer::instance().now_us();
+TraceSpan::TraceSpan(const char* category, std::string name)
+    : TraceSpan(category, name.c_str()) {
+  // The delegated constructor saw a pointer into the argument; keep the
+  // name alive for the close record.
+  owned_name_ = std::move(name);
+  name_ = owned_name_.c_str();
 }
 
 TraceSpan::~TraceSpan() {
-  if (!active_) return;
   --tls_depth;
-  Tracer& t = Tracer::instance();
-  info_.dur_us = t.now_us() - info_.start_us;
-  t.record_span(std::move(info_));
-}
-
-PhaseTimer::PhaseTimer(std::string phase)
-    : phase_(std::move(phase)), start_us_(Tracer::instance().now_us()) {
-  flightrec::record(flightrec::EventKind::kPhaseBegin, "phase",
-                    phase_.c_str());
-  // Phases double as top-level trace spans, so a --trace run shows the
-  // driver's parse/deps/schedule/codegen regions without extra plumbing.
-  if (Tracer::spans_on()) span_.emplace("phase", phase_);
-}
-
-PhaseTimer::~PhaseTimer() {
-  const double elapsed_us = Tracer::instance().now_us() - start_us_;
-  flightrec::record(flightrec::EventKind::kPhaseEnd, "phase", phase_.c_str(),
-                    static_cast<i64>(elapsed_us));
-  current_metrics().add_phase_seconds(phase_, elapsed_us / 1e6);
+  const double end_us =
+      record_event(flightrec::EventKind::kSpanClose, category_, name_, depth_,
+                   active_ ? &event_ : nullptr);
+  if (std::strcmp(category_, "phase") == 0)
+    current_metrics().add_phase_seconds(name_, (end_us - start_us_) / 1e6);
 }
 
 void TraceSpan::attr(const char* key, i64 value) {
   if (!active_) return;
-  info_.attrs.emplace_back(key, std::to_string(value));
+  event_.attrs.emplace_back(key, std::to_string(value));
 }
 
 void TraceSpan::attr(const char* key, std::string value) {
   if (!active_) return;
-  info_.attrs.emplace_back(key, std::move(value));
+  event_.attrs.emplace_back(key, std::move(value));
 }
 
 }  // namespace pf::support

@@ -253,6 +253,73 @@ TEST_F(BatchTest, IsolatedCrashIsContained) {
   EXPECT_EQ(outs, 2);
 }
 
+TEST_F(BatchTest, IsolatedCrashDumpCarriesRequestCounters) {
+  // A hard abort at the sixth LP solve of every request: each child's
+  // crash dump must snapshot the crashed request's own metrics registry.
+  const CmdResult r = run("--batch=" + in() + " --batch-out=" +
+                          path("out").string() + " --batch-report=" +
+                          path("r.json").string() +
+                          " --batch-isolate --inject=lp_solve:abort-after=5");
+  EXPECT_EQ(r.exit_code, 3) << r.err;
+  int dumps = 0;
+  for (const auto& e : fs::directory_iterator(path("out"))) {
+    if (e.path().string().find(".diag.json") == std::string::npos) continue;
+    ++dumps;
+    const std::string dump = slurp(e.path());
+    const std::string key = "\"simplex_pivots\": ";
+    const std::size_t at = dump.find(key);
+    ASSERT_NE(at, std::string::npos) << dump;
+    EXPECT_GT(std::stoll(dump.substr(at + key.size())), 0)
+        << e.path().string();
+  }
+  EXPECT_EQ(dumps, 3);
+}
+
+// --explain and --stats land in each request's <stem>.err, recorded by
+// the request's own tracer and registry: concurrent requests never mix,
+// and each file equals what a single run of that input prints.
+TEST_F(BatchTest, ConcurrentExplainMatchesSingleRequests) {
+  const std::string flags = " --analyze --explain --emit=sched";
+  for (const char* jobs : {"1", "4"}) {
+    const std::string out = std::string("out") + jobs;
+    const CmdResult r =
+        run("--batch=" + in() + " --batch-out=" + path(out).string() +
+            " --batch-report=" + path(out + ".json").string() +
+            " --jobs=" + jobs + flags);
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+  }
+  for (const char* stem : {"dotprod", "matmul", "pipeline"}) {
+    SCOPED_TRACE(stem);
+    const std::string err = slurp(path("out1") / (std::string(stem) + ".err"));
+    EXPECT_NE(err.find("[fusion]"), std::string::npos) << err;
+    EXPECT_EQ(slurp(path("out4") / (std::string(stem) + ".err")), err);
+    const CmdResult single =
+        run((fs::path(in()) / (std::string(stem) + ".pf")).string() + flags);
+    EXPECT_EQ(single.exit_code, 0) << single.err;
+    EXPECT_EQ(single.err, err);
+  }
+
+  // The deterministic part of --stats=json, likewise.
+  const CmdResult r = run("--batch=" + in() + " --batch-out=" +
+                          path("stats").string() + " --batch-report=" +
+                          path("stats.json").string() +
+                          " --jobs=4 --stats=json --emit=sched");
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  const auto deterministic = [](const std::string& json) {
+    return json.substr(0, json.find("\"runtime\""));
+  };
+  for (const char* stem : {"dotprod", "matmul", "pipeline"}) {
+    SCOPED_TRACE(stem);
+    const std::string err =
+        slurp(path("stats") / (std::string(stem) + ".err"));
+    EXPECT_NE(err.find("\"simplex_pivots\""), std::string::npos) << err;
+    const CmdResult single =
+        run((fs::path(in()) / (std::string(stem) + ".pf")).string() +
+            " --stats=json --emit=sched");
+    EXPECT_EQ(deterministic(single.err), deterministic(err));
+  }
+}
+
 TEST_F(BatchTest, BudgetExhaustionDegradesNotFails) {
   const CmdResult r = run("--batch=" + in() + " --batch-out=" +
                           path("out").string() + " --batch-report=" +
@@ -293,8 +360,14 @@ TEST_F(BatchTest, FlagValidation) {
   EXPECT_EQ(run("--batch-isolate " + (fs::path(in()) / "pipeline.pf").string())
                 .exit_code,
             2);
-  // Per-process outputs are rejected in batch mode.
-  EXPECT_EQ(run("--batch=" + in() + " --stats").exit_code, 2);
+  // One FILE argument cannot name a file per request.
+  EXPECT_EQ(run("--batch=" + in() + " --trace=" + path("t.json").string())
+                .exit_code,
+            2);
+  EXPECT_EQ(
+      run("--batch=" + in() + " --diagnose=" + path("d.json").string())
+          .exit_code,
+      2);
   // Missing batch source.
   EXPECT_EQ(run("--batch=" + path("nope").string()).exit_code, 2);
 }

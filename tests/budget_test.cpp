@@ -418,9 +418,9 @@ TEST(BudgetPipeline, UnbudgetedChainMatchesPlainScheduler) {
 
 // The outcomes of the orientation_certificate trace spans a run left,
 // in order; a certificate unwound by a budget fault reports "unwound".
-std::vector<std::string> certificate_outcomes() {
+std::vector<std::string> certificate_outcomes(const Tracer& tracer) {
   std::vector<std::string> out;
-  for (const SpanInfo& span : Tracer::instance().spans()) {
+  for (const TraceEvent& span : tracer.events()) {
     if (span.name != "orientation_certificate") continue;
     std::string outcome = "unwound";
     for (const auto& [key, value] : span.attrs)
@@ -483,17 +483,16 @@ TEST(BudgetPipeline, FuelSweepThroughOrientationCertificate) {
   }
   const i64 inside = hi - 1;
   {
-    Tracer& tracer = Tracer::instance();
-    const bool old_spans = Tracer::spans_on();
-    tracer.reset();
-    tracer.set_spans_enabled(true);
-    const Run dry = schedule_with(inside);
-    EXPECT_EQ(certificate_outcomes(), std::vector<std::string>{"unwound"});
-    tracer.reset();
-    schedule_with(hi);
-    EXPECT_EQ(certificate_outcomes(), std::vector<std::string>{"skip"});
-    tracer.set_spans_enabled(old_spans);
-    tracer.reset();
+    // The certificate outcomes of one run, traced into a tracer of its own.
+    const auto traced_run = [&](i64 fuel, Run* run) {
+      Tracer tracer(/*spans=*/true, /*remarks=*/false);
+      TracerScope scope(&tracer);
+      *run = schedule_with(fuel);
+      return certificate_outcomes(tracer);
+    };
+    Run dry, done;
+    EXPECT_EQ(traced_run(inside, &dry), std::vector<std::string>{"unwound"});
+    EXPECT_EQ(traced_run(hi, &done), std::vector<std::string>{"skip"});
     EXPECT_EQ(dry.skips, 0);
     EXPECT_GE(dry.downgrades, 1);
   }

@@ -8,12 +8,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
+#include "ddg/dependences.h"
 #include "json_check.h"
 #include "poly/memo.h"
 #include "poly/set.h"
@@ -23,6 +25,7 @@
 #include "support/metrics.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
+#include "suite/suite.h"
 
 namespace pf::support {
 namespace {
@@ -265,6 +268,62 @@ TEST(RequestContext, MemoTableComputesEachKeyOnce) {
   EXPECT_EQ(metrics.registry().get(Counter::kSolveCacheHits), 60);
 }
 
+// Two concurrent requests, each under its own TracerScope at jobs=4: every
+// remark and every dependence-pair span lands in the tracer of the request
+// that caused it, the spans pool threads record included.
+TEST(RequestContext, TracerScopeCoversDependenceWorkers) {
+  struct Request {
+    const char* program = nullptr;
+    std::size_t statements = 0;
+    int request_tid = -1;
+    std::vector<TraceEvent> events;
+  };
+  Request requests[2];
+  requests[0].program = "swim";
+  requests[1].program = "gemver";
+  std::latch start(2);
+  const auto run = [&start](Request* r) {
+    const ir::Scop scop = suite::parse(suite::benchmark(r->program));
+    r->statements = scop.num_statements();
+    Tracer tracer(/*spans=*/true, /*remarks=*/true);
+    TracerScope tracer_scope(&tracer);
+    MetricsScope metrics;
+    poly::SolveCacheScope cache_scope;
+    r->request_tid = flightrec::thread_index();
+    start.arrive_and_wait();
+    remark("request", r->program);
+    ddg::AnalysisOptions options;
+    options.jobs = 4;
+    ddg::DependenceGraph::analyze(scop, options);
+    r->events = tracer.events();
+  };
+  std::thread first(run, &requests[0]);
+  std::thread second(run, &requests[1]);
+  first.join();
+  second.join();
+  ASSERT_NE(requests[0].statements, requests[1].statements);
+  for (const Request& r : requests) {
+    SCOPED_TRACE(r.program);
+    std::size_t pair_spans = 0;
+    std::vector<std::string> remarks;
+    for (const TraceEvent& e : r.events) {
+      if (e.kind == flightrec::EventKind::kRemark) {
+        remarks.push_back(e.name);
+        if (e.name == "dependence analysis complete") {
+          EXPECT_EQ(e.attrs.at(0),
+                    TraceAttr("statements", std::to_string(r.statements)));
+        }
+      } else if (e.name == "analyze_pair") {
+        ++pair_spans;
+        EXPECT_NE(e.tid, r.request_tid);  // a pool thread recorded it
+      }
+    }
+    EXPECT_EQ(remarks, (std::vector<std::string>{
+                           r.program, "dependence analysis complete"}));
+    EXPECT_EQ(pair_spans, r.statements * r.statements);
+  }
+}
+
 TEST(MetricsJson, OutputIsValidJsonWithHostilePhaseNames) {
   MetricsRegistry reg;
   reg.add(Counter::kSimplexPivots, 7);
@@ -289,31 +348,21 @@ TEST(MetricsText, ReportsHistogramSummaries) {
 }
 
 TEST(TracerCap, DropsBeyondMaxEventsAndCounts) {
-  Tracer& tracer = Tracer::instance();
-  const std::size_t old_cap = Tracer::max_events();
-  const bool old_remarks = Tracer::remarks_on();
-  tracer.reset();
-  tracer.set_remarks_enabled(true);
-  Tracer::set_max_events(4);
-
+  Tracer tracer(/*spans=*/false, /*remarks=*/true, /*max_events=*/4);
+  TracerScope tracer_scope(&tracer);
   {
     MetricsScope scope;
     for (int i = 0; i < 10; ++i) remark("test", "remark " + std::to_string(i));
     EXPECT_EQ(scope.registry().get(Counter::kTraceEventsDropped), 6);
   }
-  EXPECT_EQ(tracer.num_remarks(), 4u);
-
-  Tracer::set_max_events(old_cap);
-  tracer.set_remarks_enabled(old_remarks);
-  tracer.reset();
+  EXPECT_EQ(tracer.events().size(), 4u);
 }
 
 TEST(FlightRec, RecordsAndSnapshotsInSequenceOrder) {
   flightrec::reset_for_test();
-  flightrec::record(flightrec::EventKind::kMark, "test", "first", 1, 2);
-  flightrec::record(flightrec::EventKind::kMark, "test", "second", 3);
-  flightrec::record(flightrec::EventKind::kFault, "lp_solve", "fuel-exhausted",
-                    -1);
+  record_event(flightrec::EventKind::kMark, "test", "first", 1);
+  record_event(flightrec::EventKind::kMark, "test", "second", 3);
+  record_event(flightrec::EventKind::kFault, "lp_solve", "fuel-exhausted", -1);
   const auto events = flightrec::snapshot();
   ASSERT_GE(events.size(), 3u);
   EXPECT_GE(flightrec::events_recorded(), 3u);
@@ -332,8 +381,8 @@ TEST(FlightRec, RingOverwritesKeepingLastEvents) {
   flightrec::reset_for_test();
   const std::size_t n = flightrec::kRingEvents + 50;
   for (std::size_t i = 0; i < n; ++i)
-    flightrec::record(flightrec::EventKind::kMark, "test", "overflow",
-                      static_cast<i64>(i));
+    record_event(flightrec::EventKind::kMark, "test", "overflow",
+                 static_cast<i64>(i));
   const auto events = flightrec::snapshot();
   EXPECT_EQ(events.size(), flightrec::kRingEvents);
   EXPECT_EQ(flightrec::events_recorded(), n);
@@ -346,8 +395,8 @@ TEST(FlightRec, TruncatesOverlongStringsSafely) {
   flightrec::reset_for_test();
   const std::string long_cat(100, 'c');
   const std::string long_name(300, 'n');
-  flightrec::record(flightrec::EventKind::kMark, long_cat.c_str(),
-                    long_name.c_str());
+  record_event(flightrec::EventKind::kMark, long_cat.c_str(),
+               long_name.c_str());
   const auto events = flightrec::snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(std::string(events[0].category),
@@ -371,14 +420,16 @@ std::string dump_to_string(const char* cause) {
 TEST(FlightRec, DumpIsValidSelfContainedJson) {
   flightrec::reset_for_test();
   // Hostile bytes in event strings must come out JSON-escaped.
-  flightrec::record(flightrec::EventKind::kRemark, "fu\"sion",
-                    "quote\" back\\slash \x01 tab\t", 5, 6);
-  MetricsRegistry reg;
-  reg.add(Counter::kSimplexPivots, 123);
-  reg.observe(Hist::kSimplexPivotsPerSolve, 9);
-  flightrec::set_metrics(&reg);
-  const std::string dump = dump_to_string("requested");
-  flightrec::set_metrics(nullptr);
+  record_event(flightrec::EventKind::kRemark, "fu\"sion",
+               "quote\" back\\slash \x01 tab\t", 5);
+  // The dump snapshots the dumping thread's request registry.
+  std::string dump;
+  {
+    MetricsScope scope;
+    scope.registry().add(Counter::kSimplexPivots, 123);
+    scope.registry().observe(Hist::kSimplexPivotsPerSolve, 9);
+    dump = dump_to_string("requested");
+  }
 
   EXPECT_TRUE(testjson::valid(dump)) << dump;
   EXPECT_NE(dump.find("\"cause\": \"requested\""), std::string::npos);
@@ -393,7 +444,7 @@ TEST(FlightRec, DumpIsValidSelfContainedJson) {
 TEST(FlightRec, DisabledRecorderStillDumpsMetrics) {
   flightrec::reset_for_test();
   flightrec::set_enabled(false);
-  flightrec::record(flightrec::EventKind::kMark, "test", "ignored");
+  record_event(flightrec::EventKind::kMark, "test", "ignored");
   EXPECT_EQ(flightrec::snapshot().size(), 0u);
   const std::string dump = dump_to_string("requested");
   flightrec::set_enabled(true);

@@ -445,21 +445,10 @@ TEST(Stats, ConcurrentPhaseTimersOnSamePhaseAccumulate) {
   stats.reset();
 }
 
-// The tracer is a process-wide singleton, so every test
-// starts from (and restores) the disabled, empty state.
-class TracerTest : public ::testing::Test {
- protected:
-  void SetUp() override { clear(); }
-  void TearDown() override { clear(); }
-  static void clear() {
-    auto& tracer = support::Tracer::instance();
-    tracer.set_spans_enabled(false);
-    tracer.set_remarks_enabled(false);
-    tracer.reset();
-  }
-};
-
-TEST_F(TracerTest, DisabledModeRecordsNothing) {
+// Every test records into its own request-scoped tracer.
+TEST(TracerTest, DisabledModeRecordsNothing) {
+  support::Tracer tracer(/*spans=*/false, /*remarks=*/false);
+  support::TracerScope scope(&tracer);
   {
     support::TraceSpan span("cat", "outer");
     EXPECT_FALSE(span.active());
@@ -467,13 +456,12 @@ TEST_F(TracerTest, DisabledModeRecordsNothing) {
     span.attr("n", i64{3});
     support::remark("cat", "dropped");
   }
-  EXPECT_EQ(support::Tracer::instance().num_spans(), 0u);
-  EXPECT_EQ(support::Tracer::instance().num_remarks(), 0u);
+  EXPECT_TRUE(tracer.events().empty());
 }
 
-TEST_F(TracerTest, SpansNestAndRecordDepth) {
-  auto& tracer = support::Tracer::instance();
-  tracer.set_spans_enabled(true);
+TEST(TracerTest, SpansNestAndRecordDepth) {
+  support::Tracer tracer(/*spans=*/true, /*remarks=*/false);
+  support::TracerScope scope(&tracer);
   {
     support::TraceSpan outer("cat", "outer");
     EXPECT_TRUE(outer.active());
@@ -483,41 +471,41 @@ TEST_F(TracerTest, SpansNestAndRecordDepth) {
     }
     { support::TraceSpan sibling("cat", "sibling"); }
   }
-  const std::vector<support::SpanInfo> spans = tracer.spans();
+  const std::vector<support::TraceEvent> spans = tracer.events();
   ASSERT_EQ(spans.size(), 3u);
-  auto find = [&](const std::string& name) -> const support::SpanInfo& {
-    for (const support::SpanInfo& s : spans)
+  auto find = [&](const std::string& name) -> const support::TraceEvent& {
+    for (const support::TraceEvent& s : spans)
       if (s.name == name) return s;
     ADD_FAILURE() << "span '" << name << "' not recorded";
     return spans.front();
   };
-  const support::SpanInfo& outer = find("outer");
-  const support::SpanInfo& inner = find("inner");
-  const support::SpanInfo& sibling = find("sibling");
+  const support::TraceEvent& outer = find("outer");
+  const support::TraceEvent& inner = find("inner");
+  const support::TraceEvent& sibling = find("sibling");
   EXPECT_EQ(outer.depth, 0);
   EXPECT_EQ(inner.depth, 1);
   EXPECT_EQ(sibling.depth, 1);
   EXPECT_EQ(outer.tid, inner.tid);
   EXPECT_GE(outer.dur_us, inner.dur_us);
-  EXPECT_LE(outer.start_us, inner.start_us);
+  EXPECT_LE(outer.ts_us, inner.ts_us);
   ASSERT_EQ(inner.attrs.size(), 1u);
   EXPECT_EQ(inner.attrs[0].first, "n");
   EXPECT_EQ(inner.attrs[0].second, "7");
 }
 
-TEST_F(TracerTest, RemarksKeepEmissionOrder) {
-  auto& tracer = support::Tracer::instance();
-  tracer.set_remarks_enabled(true);
+TEST(TracerTest, RemarksKeepEmissionOrder) {
+  support::Tracer tracer(/*spans=*/false, /*remarks=*/true);
+  support::TracerScope scope(&tracer);
   support::remark("a", "first");
   support::remark("b", "second", {{"k", "v"}});
   support::remark("a", "third");
-  const std::vector<support::Remark> remarks = tracer.remarks();
+  const std::vector<support::TraceEvent> remarks = tracer.events();
   ASSERT_EQ(remarks.size(), 3u);
   EXPECT_EQ(remarks[0].seq, 0u);
   EXPECT_EQ(remarks[1].seq, 1u);
   EXPECT_EQ(remarks[2].seq, 2u);
-  EXPECT_EQ(remarks[0].message, "first");
-  EXPECT_EQ(remarks[2].message, "third");
+  EXPECT_EQ(remarks[0].name, "first");
+  EXPECT_EQ(remarks[2].name, "third");
   const std::string text = tracer.remarks_text();
   const std::size_t p1 = text.find("first");
   const std::size_t p2 = text.find("second");
@@ -530,10 +518,9 @@ TEST_F(TracerTest, RemarksKeepEmissionOrder) {
   EXPECT_NE(text.find("k=v"), std::string::npos);
 }
 
-TEST_F(TracerTest, JsonOutputsAreWellFormed) {
-  auto& tracer = support::Tracer::instance();
-  tracer.set_spans_enabled(true);
-  tracer.set_remarks_enabled(true);
+TEST(TracerTest, JsonOutputsAreWellFormed) {
+  support::Tracer tracer(/*spans=*/true, /*remarks=*/true);
+  support::TracerScope scope(&tracer);
   {
     support::TraceSpan span("cat", "na\"me");
     span.attr("path", std::string("a\\b\nc"));

@@ -297,8 +297,8 @@ TEST(Verify, DetectsNeverSatisfiedDependence) {
 
 TEST(Verify, FeedsStatsCountersAndRemarks) {
   support::current_metrics().reset();
-  support::Tracer::instance().reset();
-  support::Tracer::instance().set_remarks_enabled(true);
+  support::Tracer tracer(/*spans=*/false, /*remarks=*/true);
+  support::TracerScope scope(&tracer);
 
   Pipeline p(kProducerConsumer);
   auto policy = fusion::make_policy(fusion::FusionModel::kWisefuse);
@@ -315,12 +315,10 @@ TEST(Verify, FeedsStatsCountersAndRemarks) {
   EXPECT_EQ(st.get(support::Counter::kVerifyViolations), 0);
 
   bool saw_summary = false;
-  for (const support::Remark& rem : support::Tracer::instance().remarks())
+  for (const support::TraceEvent& rem : tracer.events())
     saw_summary = saw_summary || (rem.category == "verify" &&
-                                  rem.message.find("checked") == 0);
+                                  rem.name.find("checked") == 0);
   EXPECT_TRUE(saw_summary);
-  support::Tracer::instance().set_remarks_enabled(false);
-  support::Tracer::instance().reset();
   support::current_metrics().reset();
 }
 

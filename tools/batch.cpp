@@ -19,6 +19,7 @@
 #include "support/diskcache.h"
 #include "support/flightrec.h"
 #include "support/threadpool.h"
+#include "support/trace.h"
 
 namespace pf::cli {
 namespace {
@@ -164,10 +165,10 @@ AttemptResult run_attempt(const Options& base, const Request& req, i64 index,
     if (inj.site != support::BudgetSite::kBatchRequest ||
         inj.fail_at != index)
       continue;
-    support::flightrec::record(support::flightrec::EventKind::kFault,
-                               "batch.request",
-                               inj.hard ? "abort-injected" : "fault-injected",
-                               index);
+    support::record_event(support::flightrec::EventKind::kFault,
+                          "batch.request",
+                          inj.hard ? "abort-injected" : "fault-injected",
+                          index);
     if (inj.hard) std::abort();
     if (attempt == 0)
       return AttemptResult{
@@ -369,28 +370,6 @@ void run_isolated(const Options& o, const std::vector<Request>& requests,
 // byte-identity at any --jobs (and across warm/cold cache runs) hold.
 // ---------------------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string render_report(const Options& o,
                           const std::vector<Request>& requests,
                           const std::vector<Outcome>& outcomes) {
@@ -404,22 +383,23 @@ std::string render_report(const Options& o,
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": \"polyfuse-batch-report-v1\",\n";
-  os << "  \"batch\": \"" << json_escape(o.batch) << "\",\n";
+  os << "  \"batch\": \"" << support::json_escape(o.batch) << "\",\n";
   os << "  \"mode\": \"" << (o.batch_isolate ? "isolate" : "in-process")
      << "\",\n";
   os << "  \"cache\": {\"enabled\": "
      << (support::diskcache::enabled() ? "true" : "false") << ", \"dir\": \""
-     << json_escape(o.cache_dir) << "\"},\n";
+     << support::json_escape(o.cache_dir) << "\"},\n";
   os << "  \"requests\": [\n";
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& req = requests[i];
     const Outcome& oc = outcomes[i];
-    os << "    {\"input\": \"" << json_escape(req.input) << "\", \"stem\": \""
-       << json_escape(req.stem) << "\", \"status\": \"" << oc.status
+    os << "    {\"input\": \"" << support::json_escape(req.input)
+       << "\", \"stem\": \"" << support::json_escape(req.stem)
+       << "\", \"status\": \"" << oc.status
        << "\", \"rc\": " << oc.rc << ", \"attempts\": " << oc.attempts;
     if (oc.wrote_output) os << ", \"output\": \"" << req.stem << ".out\"";
     if (!oc.error.empty())
-      os << ", \"error\": \"" << json_escape(oc.error) << "\"";
+      os << ", \"error\": \"" << support::json_escape(oc.error) << "\"";
     if (oc.crashed) os << ", \"diag\": \"" << req.stem << ".diag.json\"";
     os << "}" << (i + 1 < requests.size() ? "," : "") << "\n";
   }

@@ -32,7 +32,9 @@
 #      OpenMP reduction(...) kernels with -fsanitize=thread too, so the
 #      actual pragmas race across real threads under the tool
 #      (docs/reductions.md). The same stage runs the RequestContext
-#      tests, whose dependence workers share one request's memo table.
+#      tests, whose dependence workers share one request's memo table and
+#      tracer, and the concurrent batch --explain --analyze test, whose
+#      in-process requests each own a tracer and a profitability oracle.
 #
 # Any failing ctest stage sweeps crash diagnostics (polyfuse-diag.*.json,
 # written by the flight recorder when a test run dies) from the build
@@ -245,7 +247,10 @@ run_robustness "asan+ubsan" "$PREFIX-san"
 # build and adds -fsanitize=thread to the JIT compile, so the emitted
 # `#pragma omp parallel for reduction(...)` is exercised instrumented.
 # The RequestContext tests run here too: dependence workers share their
-# request's metrics registry and memo table.
+# request's metrics registry, memo table and tracer. So does
+# BatchTest.ConcurrentExplainMatchesSingleRequests: a --jobs=4 in-process
+# batch under --explain --analyze, each request with its own tracer and
+# profitability oracle.
 # ignore_noninstrumented_modules silences false positives from the
 # (uninstrumented) libgomp runtime itself.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:ignore_noninstrumented_modules=1}"
@@ -254,10 +259,10 @@ cmake -S . -B "$PREFIX-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DPOLYFUSE_SANITIZE=thread"
 echo "==== [tsan] build ===="
 cmake --build "$PREFIX-tsan" -j "$JOBS"
-echo "==== [tsan] ctest -R 'Reduction|RequestContext' ===="
+echo "==== [tsan] ctest -R 'Reduction|RequestContext|ConcurrentExplain' ===="
 # shellcheck disable=SC2086
 ctest --test-dir "$PREFIX-tsan" -j "$JOBS" --output-on-failure \
-  -R 'Reduction|RequestContext' $CTEST_ARGS ||
+  -R 'Reduction|RequestContext|ConcurrentExplain' $CTEST_ARGS ||
   { collect_diagnostics "tsan" "$PREFIX-tsan"; exit 1; }
 
 echo "==== ci.sh: all stages passed ===="

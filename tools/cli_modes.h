@@ -52,16 +52,22 @@ inline constexpr OptionDoc kOptionDocs[] = {
     {"--machine-report", "modeled cache/parallelism report"},
     {"--report", "fusion & parallelism summary"},
     {"--jobs=N", "worker threads for dependence analysis"},
-    {"--stats[=json]", "print pipeline perf counters + histograms to stderr"},
+    {"--stats[=json]",
+     "print pipeline perf counters + histograms to stderr\n"
+     "(with --batch: per request, to <stem>.err)"},
     {"--trace=FILE",
      "write Chrome trace-event JSON (or POLYFUSE_TRACE=FILE);\n"
-     "POLYFUSE_TRACE_MAX_EVENTS caps the in-memory buffer"},
+     "POLYFUSE_TRACE_MAX_EVENTS caps the in-memory buffer;\n"
+     "single request only"},
     {"--diagnose=FILE",
      "write the flight-recorder diagnostic JSON (recent\n"
      "spans/remarks/faults + metrics snapshot) on exit; the\n"
      "same report a crash or budget exhaustion dumps to\n"
-     "polyfuse-diag.<pid>.json -- see docs/observability.md"},
-    {"--explain[=json]", "print scheduler/fusion decision remarks to stderr"},
+     "polyfuse-diag.<pid>.json -- see docs/observability.md;\n"
+     "single request only"},
+    {"--explain[=json]",
+     "print scheduler/fusion decision remarks to stderr\n"
+     "(with --batch: per request, to <stem>.err)"},
     {"--no-solve-cache", "disable the polyhedral solve cache"},
     {"--no-fastlane",
      "disable the int64 fast-lane solver paths and run the\n"

@@ -25,6 +25,7 @@
 #include "sched/analysis.h"
 #include "sched/pluto.h"
 #include "support/budget.h"
+#include "support/context.h"
 #include "support/diskcache.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
@@ -213,10 +214,10 @@ Options parse_args(int argc, char** argv) {
     if (const char* env = std::getenv("POLYFUSE_TRACE"))
       if (*env != '\0') o.trace_file = env;
   }
-  // Cap on the tracer's in-memory span/remark buffers (per channel);
-  // events beyond it are dropped and counted in trace_events_dropped.
+  // Cap on the request tracer's in-memory event buffer; events beyond it
+  // are dropped and counted in trace_events_dropped.
   if (const auto v = parse_int_env("POLYFUSE_TRACE_MAX_EVENTS", 0))
-    support::Tracer::set_max_events(static_cast<std::size_t>(*v));
+    o.trace_max_events = static_cast<std::size_t>(*v);
   // Env equivalents of the budget flags, mirroring POLYFUSE_TRACE.
   // Explicit flags win; env values get the same checked parsing.
   if (o.fuel < 0) {
@@ -277,12 +278,11 @@ Options parse_args(int argc, char** argv) {
   } else {
     if (!o.input.empty())
       usage("--batch and an input file are mutually exclusive");
-    // These four are process-wide side outputs; in batch mode they would
-    // interleave every request into one stream/file.
-    if (o.stats || o.explain || !o.trace_file.empty() ||
-        !o.diagnose_file.empty())
-      usage("--stats/--explain/--trace/--diagnose are per-process outputs; "
-            "use them on a single request, not with --batch");
+    // --stats and --explain land in each request's <stem>.err; one FILE
+    // argument cannot name a file per request.
+    if (!o.trace_file.empty() || !o.diagnose_file.empty())
+      usage("--trace/--diagnose write one file; use them on a single "
+            "request, not with --batch");
   }
   if (o.verify && (o.emit == "source" || o.emit == "deps"))
     usage("--verify needs a schedule; use --emit=c, ast or sched");
@@ -312,17 +312,11 @@ void apply_process_config(const Options& o) {
     support::diskcache::set_injections(o.injections);
   }
 
-  if (!o.trace_file.empty()) {
-    support::Tracer::instance().set_spans_enabled(true);
-    support::Tracer::instance().set_remarks_enabled(true);
-  }
-  if (o.explain) support::Tracer::instance().set_remarks_enabled(true);
-
   support::gauge_set(
       support::Gauge::kJobsConfigured,
       static_cast<i64>(o.jobs != 0 ? o.jobs : support::default_jobs()));
   support::gauge_set(support::Gauge::kTraceEventCap,
-                     static_cast<i64>(support::Tracer::max_events()));
+                     static_cast<i64>(o.trace_max_events));
 }
 
 namespace {
@@ -362,9 +356,9 @@ void default_params(const ir::Scop& scop, IntVector* params) {
 // Every exit path -- successful or not -- funnels through here: stats
 // report, the --explain remark log, the --trace Chrome trace file and
 // the --diagnose flight-recorder dump all fire no matter which --emit
-// short-circuit returned or which error unwound the pipeline. (In batch
-// mode the four side-output flags are rejected at parse time, so for a
-// batch request this only refreshes gauges.)
+// short-circuit returned or which error unwound the pipeline. Stats and
+// remarks come from the request's own registry and tracer, so a batch
+// request reports only itself (--trace/--diagnose are single-request).
 void finish_outputs(const Options& o, std::ostream& err) {
   support::gauge_set(support::Gauge::kFlightrecThreads,
                      support::flightrec::recording_threads());
@@ -374,12 +368,12 @@ void finish_outputs(const Options& o, std::ostream& err) {
     else
       err << support::current_metrics().to_string();
   }
+  const support::Tracer* tracer = support::current_context().tracer;
   if (o.explain) {
-    const support::Tracer& tracer = support::Tracer::instance();
     if (o.explain_json)
-      err << tracer.remarks_json() << "\n";
+      err << tracer->remarks_json() << "\n";
     else
-      err << tracer.remarks_text();
+      err << tracer->remarks_text();
   }
   if (!o.trace_file.empty()) {
     std::ofstream out(o.trace_file);
@@ -387,7 +381,7 @@ void finish_outputs(const Options& o, std::ostream& err) {
       err << "polyfuse: cannot write trace file '" << o.trace_file << "'\n";
       std::exit(2);
     }
-    out << support::Tracer::instance().chrome_trace_json() << "\n";
+    out << tracer->chrome_trace_json() << "\n";
   }
   if (!o.diagnose_file.empty() &&
       !support::flightrec::write_diag_file(o.diagnose_file, "requested")) {
@@ -442,7 +436,8 @@ int run_lint_mode(const Options& o, const ir::Scop& scop,
 
 // Exact-count locality analysis of the input program (src/analysis):
 // prints the counted report to `err`. The report outlives this call so
-// the fusion remark channel and the machine report can consume it.
+// the fusion remarks (as their profitability oracle) and the machine
+// report can consume it.
 analysis::LocalityReport run_analyze_mode(const Options& o,
                                           const ir::Scop& scop,
                                           const ddg::DependenceGraph& dg,
@@ -458,26 +453,6 @@ analysis::LocalityReport run_analyze_mode(const Options& o,
     err << report.to_string(scop);
   return report;
 }
-
-// Adapts the --analyze report into the fusion profitability oracle and
-// installs it for the current scope, restoring the previous oracle (so
-// nested pipelines -- tests run several in one process -- stay isolated).
-class OracleScope final : public fusion::ProfitabilityOracle {
- public:
-  explicit OracleScope(const analysis::LocalityReport& report)
-      : report_(report), prev_(fusion::set_profitability_oracle(this)) {}
-  ~OracleScope() override { fusion::set_profitability_oracle(prev_); }
-  OracleScope(const OracleScope&) = delete;
-  OracleScope& operator=(const OracleScope&) = delete;
-
-  i64 shared_cells(std::size_t s, std::size_t t) const override {
-    return report_.shared_cells_or_negative(s, t);
-  }
-
- private:
-  const analysis::LocalityReport& report_;
-  const fusion::ProfitabilityOracle* prev_;
-};
 
 int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
   std::optional<ir::Scop> parsed;
@@ -506,14 +481,15 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
   const int lint_rc = o.lint ? run_lint_mode(o, scop, dg, err) : 0;
 
   // Counted locality analysis of the input program, any --emit mode.
-  // While the report is alive it also serves as the fusion profitability
-  // oracle, so the schedule phase's decision remarks carry exact
-  // shared-cell counts.
+  // The report is also the fusion profitability oracle, so the schedule
+  // phase's decision remarks carry exact shared-cell counts.
   std::optional<analysis::LocalityReport> locality;
-  std::optional<OracleScope> oracle;
+  fusion::ProfitabilityOracle oracle;
   if (o.analyze) {
     locality = run_analyze_mode(o, scop, dg, err);
-    oracle.emplace(*locality);
+    oracle = [&locality](std::size_t s, std::size_t t) {
+      return locality->shared_cells_or_negative(s, t);
+    };
   }
 
   // Reduction/privatization analysis of the input program (src/analysis,
@@ -571,7 +547,8 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
       sched::SchedulerOptions sopts;
       if (reductions && !o.no_reductions)
         sopts.relaxed_deps = reductions->relaxable;
-      sch = fusion::compute_schedule_degrading(scop, dg, model, sopts);
+      sch = fusion::compute_schedule_degrading(scop, dg, model, sopts,
+                                               nullptr, oracle);
     }
   }
 
@@ -688,23 +665,29 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
   return std::max(verify_rc, lint_rc);
 }
 
-// Budget installation shared by the single and per-request paths. With
-// no budget flags this installs nothing and every path is byte-identical
-// to an unbudgeted build. diskcache.* / batch.request injections are
-// filtered out: they are enforced by their own modules, and leaving them
-// in the spec would mark the budget "limited", which bypasses the solve
-// caches (support/budget.h).
-struct BudgetInstall {
-  explicit BudgetInstall(const Options& o) {
+// The budget and tracer a request owns, shared by the single and
+// per-request paths. With no budget flags no budget is installed and
+// every path is byte-identical to an unbudgeted build. diskcache.* /
+// batch.request injections are filtered out: they are enforced by their
+// own modules, and leaving them in the spec would mark the budget
+// "limited", which bypasses the solve caches (support/budget.h).
+// --trace turns both tracer channels on, --explain remarks only.
+struct RequestState {
+  explicit RequestState(const Options& o) {
     support::BudgetSpec bspec;
     bspec.fuel = o.fuel;
     bspec.deadline_ms = o.time_budget_ms;
     bspec.injections = budget_injections(o.injections);
     if (bspec.limited()) budget.emplace(bspec);
-    scope.emplace(budget ? &*budget : nullptr);
+    budget_scope.emplace(budget ? &*budget : nullptr);
+    if (!o.trace_file.empty() || o.explain)
+      tracer.emplace(!o.trace_file.empty(), true, o.trace_max_events);
+    tracer_scope.emplace(tracer ? &*tracer : nullptr);
   }
   std::optional<support::Budget> budget;
-  std::optional<support::BudgetScope> scope;
+  std::optional<support::BudgetScope> budget_scope;
+  std::optional<support::Tracer> tracer;
+  std::optional<support::TracerScope> tracer_scope;
 };
 
 }  // namespace
@@ -712,27 +695,21 @@ struct BudgetInstall {
 RequestResult run_request(const Options& o, std::ostream& out,
                           std::ostream& err) {
   RequestResult result;
-  // Request isolation: its own budget, its own metrics registry (absorbed
-  // into the parent when the scope closes -- absorption is atomic, so
-  // concurrent request teardowns are safe), and its own memo table so
-  // per-request cache behavior never depends on what a sibling request
-  // memoized first. Pool workers the request fans out to report into the
-  // same registry and share the same table (support/context.h).
-  BudgetInstall budget(o);
+  // Request isolation: its own budget and tracer, its own metrics
+  // registry (absorbed into the parent when the scope closes --
+  // absorption is atomic, so concurrent request teardowns are safe), and
+  // its own memo table so per-request cache behavior never depends on
+  // what a sibling request memoized first. Pool workers the request fans
+  // out to report into the same registry and tracer and share the same
+  // table (support/context.h).
+  RequestState state(o);
   support::MetricsScope metrics;
   poly::SolveCacheScope solve_scope;
   try {
     result.rc = run_pipeline(o, out, err);
-  } catch (const support::BudgetExceeded& e) {
-    err << "polyfuse: " << e.what() << "\n";
-    result.rc = 1;
-    result.error = e.what();
-  } catch (const pf::Error& e) {
-    err << "polyfuse: " << e.what() << "\n";
-    result.rc = 1;
-    result.error = e.what();
   } catch (const std::exception& e) {
     err << "polyfuse: " << e.what() << "\n";
+    finish_outputs(o, err);
     result.rc = 1;
     result.error = e.what();
   }
@@ -748,7 +725,7 @@ RequestResult run_request(const Options& o, std::ostream& out,
 }
 
 int run_single(const Options& o) {
-  BudgetInstall budget(o);
+  RequestState state(o);
   // Error paths still owe the user their requested outputs: a budget
   // that escaped every recovery boundary additionally leaves a crash-
   // style diagnostic, and any pipeline error prints stats/explain/trace

@@ -7,8 +7,9 @@
 // and never lets an exception escape; every failure (unreadable input,
 // parse error, budget exhaustion the degradation chain could not absorb)
 // comes back as a RequestResult. Process-wide knobs (worker pool size,
-// solve cache, fast lane, the persistent disk cache, tracing) are applied
-// once by apply_process_config(); everything else is per-request state.
+// solve cache, fast lane, the persistent disk cache) are applied once by
+// apply_process_config(); everything else -- budget, metrics registry,
+// memo table, tracer -- is per-request state.
 #pragma once
 
 #include <iosfwd>
@@ -17,6 +18,7 @@
 
 #include "support/budget.h"
 #include "support/linalg.h"
+#include "support/trace.h"
 
 namespace pf::cli {
 
@@ -44,6 +46,7 @@ struct Options {
   bool explain = false;
   bool explain_json = false;
   std::string trace_file;     // empty = tracing off
+  std::size_t trace_max_events = support::Tracer::kDefaultMaxEvents;
   std::string diagnose_file;  // empty = no on-exit diagnostic dump
   bool solve_cache = true;
   bool fastlane = true;
@@ -75,9 +78,9 @@ struct Options {
 Options parse_args(int argc, char** argv);
 
 /// Apply the process-wide knobs: worker-pool default, solve cache on/off,
-/// fast lane, tracer channels, metrics gauges, and the persistent disk
-/// cache (configured from --cache-dir, with the diskcache.* injection
-/// table installed). Call exactly once, before any request runs.
+/// fast lane, metrics gauges, and the persistent disk cache (configured
+/// from --cache-dir, with the diskcache.* injection table installed).
+/// Call exactly once, before any request runs.
 void apply_process_config(const Options& o);
 
 /// Outcome of one compile request.
@@ -88,10 +91,10 @@ struct RequestResult {
   std::string error;     // one-line failure message when rc != 0
 };
 
-/// Run one compile request: emitted output to `out`, reports and
-/// messages to `err`. Installs the request's own budget, metrics scope
-/// and private solve-cache scope; catches every pf::Error and
-/// BudgetExceeded. Never calls exit() and never throws.
+/// Run one compile request: emitted output to `out`, reports, --stats,
+/// --explain and messages to `err`. Installs the request's own budget,
+/// tracer, metrics scope and private solve-cache scope; catches every
+/// exception. Never calls exit() and never throws.
 RequestResult run_request(const Options& o, std::ostream& out,
                           std::ostream& err);
 
