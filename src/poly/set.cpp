@@ -11,6 +11,8 @@
 #include "poly/memo.h"
 #include "support/budget.h"
 #include "support/context.h"
+#include "support/metrics.h"
+#include "support/trace.h"
 
 namespace pf::poly {
 
@@ -504,37 +506,119 @@ IntegerSet IntegerSet::insert_dims(std::size_t pos, std::size_t count) const {
   return out;
 }
 
+namespace {
+
+// Value of `c`'s expression at the rational point x, given over `cols`.
+Rational value_at(const Constraint& c, const std::vector<std::size_t>& cols,
+                  const RatVector& x) {
+  Rational v(c.expr.const_term());
+  for (std::size_t k = 0; k < cols.size(); ++k)
+    if (c.expr.coeff(cols[k]) != 0 && !x[k].is_zero())
+      v += x[k] * c.expr.coeff(cols[k]);
+  return v;
+}
+
+}  // namespace
+
+// Decides each row exactly as the sequential rule "drop row i iff the LP
+// min of its expression over R_i (the kept rows before i, every row
+// after i) is finite and >= 0", but over a small working set S of R_i
+// (constraint generation; DESIGN.md "Redundancy removal"):
+//  * minimize expr_i over S plus the helper row expr_i + 1 >= 0. The
+//    helper bounds the LP; given a point of the whole set it does not
+//    change whether the minimum is >= 0;
+//  * min >= 0: S implies row i, so R_i does; drop it;
+//  * else the LP point x has expr_i(x) < 0. If x satisfies R_i, row i is
+//    needed; keep it. Otherwise add R_i's first row x violates to S and
+//    solve again.
+// S starts as the equalities and carries over from row to row, minus
+// dropped rows. A set with no rational point keeps every row under the
+// sequential rule (each LP is infeasible or needs its row for the
+// infeasibility), so it is returned unchanged.
 void IntegerSet::remove_redundant() {
   if (trivially_empty_) return;
-  for (std::size_t i = 0; i < constraints_.size();) {
-    if (constraints_[i].is_equality) {
-      ++i;
-      continue;
-    }
-    // Is expr >= 0 implied by the others (over the rationals)?
-    lp::SimplexSolver lp = lp::SimplexSolver::all_free(dims_);
-    for (std::size_t j = 0; j < constraints_.size(); ++j) {
-      if (j == i) continue;
-      const Constraint& c = constraints_[j];
-      RatVector coeffs(dims_);
-      for (std::size_t d = 0; d < dims_; ++d)
-        coeffs[d] = Rational(c.expr.coeff(d));
-      if (c.is_equality)
-        lp.add_equality(std::move(coeffs), Rational(c.expr.const_term()));
-      else
-        lp.add_inequality(std::move(coeffs), Rational(c.expr.const_term()));
-    }
-    RatVector obj(dims_);
-    for (std::size_t d = 0; d < dims_; ++d)
-      obj[d] = Rational(constraints_[i].expr.coeff(d));
-    const auto r = lp.minimize(obj);
-    const bool redundant =
-        r.status == lp::Status::kOptimal &&
-        r.objective + Rational(constraints_[i].expr.const_term()) >= 0;
-    if (redundant)
-      constraints_.erase(constraints_.begin() + static_cast<long>(i));
+  support::TraceSpan span("poly", "remove_redundant");
+  const std::size_t n = constraints_.size();
+  // The LPs run over the columns some row uses; the others change no
+  // answer (Farkas systems leave most statements' columns empty).
+  std::vector<std::size_t> cols;
+  for (std::size_t d = 0; d < dims_; ++d)
+    if (std::any_of(constraints_.begin(), constraints_.end(),
+                    [d](const Constraint& c) { return c.expr.coeff(d) != 0; }))
+      cols.push_back(d);
+  auto coeffs_of = [&cols](const Constraint& c) {
+    RatVector v(cols.size());
+    for (std::size_t k = 0; k < cols.size(); ++k)
+      v[k] = Rational(c.expr.coeff(cols[k]));
+    return v;
+  };
+  i64 lps = 0;
+  auto solve = [&](const lp::SimplexSolver& lp, const RatVector& objective) {
+    ++lps;
+    support::count(support::Counter::kRedundancyLps);
+    return lp.minimize(objective);
+  };
+  auto add_row = [&](lp::SimplexSolver& lp, const Constraint& c,
+                     i64 const_shift = 0) {
+    if (c.is_equality)
+      lp.add_equality(coeffs_of(c), Rational(c.expr.const_term()));
     else
-      ++i;
+      lp.add_inequality(coeffs_of(c),
+                        Rational(c.expr.const_term()) + const_shift);
+  };
+
+  // The helper row's argument needs one rational point of the whole set.
+  // x = 0 is one for every Farkas system; otherwise ask phase 1.
+  bool feasible = std::all_of(
+      constraints_.begin(), constraints_.end(), [](const Constraint& c) {
+        return c.is_equality ? c.expr.const_term() == 0
+                             : c.expr.const_term() >= 0;
+      });
+  if (!feasible) {
+    lp::SimplexSolver lp = lp::SimplexSolver::all_free(cols.size());
+    for (const Constraint& c : constraints_) add_row(lp, c);
+    feasible =
+        solve(lp, RatVector(cols.size())).status == lp::Status::kOptimal;
+  }
+
+  std::vector<bool> dropped(n, false);
+  std::vector<bool> in_s(n, false);
+  for (std::size_t j = 0; j < n; ++j) in_s[j] = constraints_[j].is_equality;
+  for (std::size_t i = 0; feasible && i < n; ++i) {
+    const Constraint& row = constraints_[i];
+    if (row.is_equality) continue;
+    const RatVector objective = coeffs_of(row);
+    for (;;) {
+      lp::SimplexSolver lp = lp::SimplexSolver::all_free(cols.size());
+      for (std::size_t j = 0; j < n; ++j)
+        if (in_s[j] && j != i) add_row(lp, constraints_[j]);
+      add_row(lp, row, /*const_shift=*/1);
+      const auto r = solve(lp, objective);
+      PF_CHECK_MSG(r.status == lp::Status::kOptimal,
+                   "redundancy LP must be feasible and bounded");
+      if (r.objective + Rational(row.expr.const_term()) >= 0) {
+        dropped[i] = true;
+        in_s[i] = false;
+        break;
+      }
+      std::size_t violated = n;
+      for (std::size_t j = 0; j < n && violated == n; ++j)
+        if (j != i && !dropped[j] && !in_s[j] &&
+            value_at(constraints_[j], cols, r.point) < 0)
+          violated = j;
+      if (violated == n) break;  // x witnesses that row i is needed
+      in_s[violated] = true;
+    }
+  }
+
+  std::vector<Constraint> kept;
+  for (std::size_t j = 0; j < n; ++j)
+    if (!dropped[j]) kept.push_back(std::move(constraints_[j]));
+  constraints_ = std::move(kept);
+  if (span.active()) {
+    span.attr("rows_in", static_cast<i64>(n));
+    span.attr("rows_kept", static_cast<i64>(constraints_.size()));
+    span.attr("lps", lps);
   }
 }
 

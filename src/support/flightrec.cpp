@@ -28,14 +28,17 @@ Clock::time_point recorder_epoch() {
   return epoch;
 }
 
-// One ring per recording thread. Rings are heap-allocated once, then
+// One ring per slot. A slot belongs to one live thread at a time: a
+// thread takes one with its thread_index(), and its exit returns it to a
+// lock-free free list, from which a later thread takes it over and
+// overwrites its ring. So a long-lived process that starts a thread pool
+// per compile keeps recording. Rings are heap-allocated once per slot,
 // registered in a fixed global table and never freed: a crashing thread
 // must be able to walk every ring without coordinating with their
 // owners. The owner is the only writer; head is published after the
 // event body so readers see mostly-complete entries (best effort -- see
 // the header caveat).
 struct Ring {
-  int tid = 0;
   std::atomic<std::uint64_t> head{0};  // events ever written to this ring
   Event events[kRingEvents];
 };
@@ -44,26 +47,81 @@ constexpr std::size_t kMaxRings = 256;
 
 // Ring slot i belongs to the thread with thread_index() i.
 std::atomic<Ring*> g_rings[kMaxRings];
-std::atomic<int> g_num_threads{0};
+std::atomic<int> g_num_threads{0};  // slots ever handed out
 std::atomic<std::uint64_t> g_seq{0};
 std::atomic<bool> g_dumping{false};
 std::atomic<bool> g_dump_done{false};
 std::atomic<long> g_dumper_tid{0};  // kernel tid of the thread dumping
 
+// The free slots, a Treiber stack over slot indices. g_free_head packs
+// the top slot + 1 (0 = empty) into its low 32 bits and a version into
+// its high 32 bits; every push and pop bumps the version, so a pop that
+// raced with a pop-then-push of the same top slot fails its CAS (no ABA).
+// g_free_next[i] is the slot + 1 below free slot i.
+std::atomic<std::uint64_t> g_free_head{0};
+std::atomic<std::uint64_t> g_free_next[kMaxRings];
+constexpr std::uint64_t kSlotMask = 0xffffffffu;
+
+std::uint64_t next_version(std::uint64_t head) {
+  return ((head >> 32) + 1) << 32;
+}
+
+int acquire_slot() {
+  std::uint64_t head = g_free_head.load(std::memory_order_acquire);
+  while ((head & kSlotMask) != 0) {
+    const std::uint64_t slot = (head & kSlotMask) - 1;
+    const std::uint64_t below =
+        g_free_next[slot].load(std::memory_order_relaxed);
+    if (g_free_head.compare_exchange_weak(head, next_version(head) | below,
+                                          std::memory_order_acquire,
+                                          std::memory_order_acquire))
+      return static_cast<int>(slot);
+  }
+  return g_num_threads.fetch_add(1, std::memory_order_relaxed);
+}
+
+void release_slot(int slot) {
+  // Slots past the table never had a ring; they are not recycled.
+  if (slot >= static_cast<int>(kMaxRings)) return;
+  std::uint64_t head = g_free_head.load(std::memory_order_relaxed);
+  do {
+    g_free_next[slot].store(head & kSlotMask, std::memory_order_relaxed);
+  } while (!g_free_head.compare_exchange_weak(
+      head, next_version(head) | (static_cast<std::uint64_t>(slot) + 1),
+      std::memory_order_release, std::memory_order_relaxed));
+}
+
+// The calling thread's slot (-1 until its first thread_index()), and
+// whether the thread has already handed it back at exit. Both are
+// trivially destructible, so they stay readable while other
+// thread-local destructors run after the slot's lease.
+thread_local int tl_slot = -1;
+thread_local bool tl_slot_returned = false;
+
+// Returns the thread's slot to the free list when the thread exits.
+struct SlotLease {
+  SlotLease() = default;
+  SlotLease(const SlotLease&) = delete;
+  SlotLease& operator=(const SlotLease&) = delete;
+  ~SlotLease() {
+    tl_slot_returned = true;
+    release_slot(tl_slot);
+  }
+};
+
 // Set once at install/startup time (before any crash can use them).
 char g_diag_path[512] = {};
 std::string g_invocation_escaped;  // pre-escaped; bytes written verbatim
 
-Ring* this_thread_ring(int tid) {
-  thread_local Ring* ring = [tid] {
-    if (tid >= static_cast<int>(kMaxRings)) return static_cast<Ring*>(nullptr);
-    Ring* r = new (std::nothrow) Ring;  // append() is noexcept
-    if (r == nullptr) return static_cast<Ring*>(nullptr);
-    r->tid = tid;
-    g_rings[tid].store(r, std::memory_order_release);
-    return r;
-  }();
-  return ring;
+// The ring of `slot`, allocated on its first event. Only the slot's
+// current owner calls this, so there is no allocation race.
+Ring* slot_ring(int slot) {
+  if (slot >= static_cast<int>(kMaxRings)) return nullptr;
+  Ring* r = g_rings[slot].load(std::memory_order_acquire);
+  if (r != nullptr) return r;
+  r = new (std::nothrow) Ring;  // append() is noexcept
+  if (r != nullptr) g_rings[slot].store(r, std::memory_order_release);
+  return r;
 }
 
 int num_ring_slots() {
@@ -338,16 +396,19 @@ double now_us() {
 }
 
 int thread_index() {
-  thread_local const int tid =
-      g_num_threads.fetch_add(1, std::memory_order_relaxed);
-  return tid;
+  if (tl_slot < 0) {
+    tl_slot = acquire_slot();
+    thread_local SlotLease lease;  // constructed once, destroyed at exit
+  }
+  return tl_slot;
 }
 
 void append(EventKind kind, const char* category, const char* name, i64 a,
             double t_us, int tid) noexcept {
-  if (!enabled()) return;
-  Ring* ring = this_thread_ring(tid);
-  if (ring == nullptr) return;  // beyond kMaxRings threads: stop recording
+  // After the thread returned its slot, the ring may be another's.
+  if (!enabled() || tl_slot_returned) return;
+  Ring* ring = slot_ring(tid);
+  if (ring == nullptr) return;  // beyond kMaxRings live threads
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
   Event& e = ring->events[head % kRingEvents];
   e.seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -2,14 +2,17 @@
 // pipeline was recently doing, dumped as a self-contained diagnostic
 // when a run dies.
 //
-// Every thread that records gets its own ring of the last kRingEvents
+// Every live thread that records owns a ring of the last kRingEvents
 // events: span opens and closes (a phase is a span of category "phase"),
-// decision remarks, budget faults and injected faults. Events arrive
-// through support::record_event (support/trace.h), the one event path,
-// which stamps them with this recorder's clock and thread index; the
-// request tracer uses the same two. Recording is wait-free -- a global
-// sequence fetch_add, a bounded byte copy into the thread's own slot, no
-// locks, no allocation after ring creation -- so it stays on in
+// decision remarks, budget faults and injected faults. An exiting thread
+// returns its ring to a lock-free free list and a later thread takes it
+// over, so the number of rings follows the peak number of threads
+// recording at once, not the number of threads a process ever started.
+// Events arrive through support::record_event (support/trace.h), the one
+// event path, which stamps them with this recorder's clock and thread
+// index; the request tracer uses the same two. Recording is wait-free --
+// a global sequence fetch_add, a bounded byte copy into the thread's own
+// slot, no locks, no allocation after ring creation -- so it stays on in
 // production builds. Its cost is measured, not gated:
 // docs/observability.md records a perfbench A/B with and without
 // POLYFUSE_NO_FLIGHTREC=1.
@@ -75,8 +78,9 @@ void set_enabled(bool on);
 /// The one clock: microseconds since the recorder's epoch.
 double now_us();
 
-/// The one thread index: small, sequential, per process (0 = first
-/// thread to record), stable for the thread's lifetime.
+/// The one thread index: small, per process (0 = first thread to
+/// record), stable for the thread's lifetime. It names the thread's ring
+/// slot, so a thread started after another exited may get its index.
 int thread_index();
 
 /// Append one stamped event to the calling thread's ring. Strings are
@@ -89,7 +93,8 @@ void append(EventKind kind, const char* category, const char* name, i64 a,
 /// kRingEvents).
 std::uint64_t events_recorded();
 
-/// Number of threads that have recorded at least one event.
+/// Number of ring slots handed out: the peak number of threads that held
+/// one at the same time.
 int recording_threads();
 
 /// All currently-retained events, oldest first by global sequence (for

@@ -124,6 +124,8 @@ const char* to_string(Counter c) {
       return "batch_requests_failed";
     case Counter::kSchedOrientationSkips:
       return "sched_orientation_skips";
+    case Counter::kRedundancyLps:
+      return "redundancy_lps";
     case Counter::kNumCounters:
       break;
   }

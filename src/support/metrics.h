@@ -104,6 +104,7 @@ enum class Counter : std::size_t {
   kBatchRequestsFailed,   // batch requests that failed every attempt
   kSchedOrientationSkips,  // independence-orientation enumerations skipped
                            // (LP certificate: every orientation infeasible)
+  kRedundancyLps,        // LPs solved by IntegerSet::remove_redundant
   kNumCounters,
 };
 
@@ -120,7 +121,7 @@ bool counter_is_runtime(Counter c);
 enum class Gauge : std::size_t {
   kJobsConfigured = 0,  // effective worker-thread count of the run
   kTraceEventCap,       // tracer in-memory buffer cap (events per channel)
-  kFlightrecThreads,    // threads that recorded flight-recorder events
+  kFlightrecThreads,    // flight-recorder ring slots: peak threads recording
   kNumGauges,
 };
 

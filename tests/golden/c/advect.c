@@ -1,0 +1,344 @@
+## --model=baseline
+/* generated by polyfuse */
+#include <math.h>
+
+static long long pf_ceild(long long n, long long d) {
+  return n >= 0 ? (n + d - 1) / d : -((-n) / d);
+}
+static long long pf_floord(long long n, long long d) {
+  return n >= 0 ? n / d : -((-n + d - 1) / d);
+}
+static long long pf_min(long long a, long long b) { return a < b ? a : b; }
+static long long pf_mod(long long a, long long d) {
+  long long m = a % d; return m < 0 ? m + d : m;
+}
+static long long pf_max(long long a, long long b) { return a > b ? a : b; }
+
+void pf_kernel(double** arrays, const long long* params) {
+  const long long N = params[0];
+  double* const a0 = arrays[0];
+  double* const a1 = arrays[1];
+  double* const a2 = arrays[2];
+  double* const a3 = arrays[3];
+  double* const a4 = arrays[4];
+  double* const a5 = arrays[5];
+
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S1 */
+        const long long i = t0;
+        const long long j = t1;
+        a0[((i)) * (N + 2) + (j)] = (a3[((i)) * (N + 2) + (j)] + a3[((i)) * (N + 2) + (j + 1)]);
+      }
+    }
+  }
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S2 */
+        const long long i = t0;
+        const long long j = t1;
+        a1[((i)) * (N + 2) + (j)] = (a4[((i)) * (N + 2) + (j)] + a4[((i + 1)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S3 */
+        const long long i = t0;
+        const long long j = t1;
+        a2[((i)) * (N + 2) + (j)] = (a0[((i)) * (N + 2) + (j)] + a1[((i)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S4 */
+        const long long i = t0;
+        const long long j = t1;
+        a3[((i)) * (N + 2) + (j)] = ((a2[((i)) * (N + 2) + (j)] - a2[((i)) * (N + 2) + (j + 1)]) + a2[((i + 1)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S5 */
+        const long long i = t0;
+        const long long j = t1;
+        a5[(0)] = (a5[(0)] + a3[((i)) * (N + 2) + (j)]);
+      }
+    }
+  }
+}
+## --model=wisefuse
+/* generated by polyfuse */
+#include <math.h>
+
+static long long pf_ceild(long long n, long long d) {
+  return n >= 0 ? (n + d - 1) / d : -((-n) / d);
+}
+static long long pf_floord(long long n, long long d) {
+  return n >= 0 ? n / d : -((-n + d - 1) / d);
+}
+static long long pf_min(long long a, long long b) { return a < b ? a : b; }
+static long long pf_mod(long long a, long long d) {
+  long long m = a % d; return m < 0 ? m + d : m;
+}
+static long long pf_max(long long a, long long b) { return a > b ? a : b; }
+
+void pf_kernel(double** arrays, const long long* params) {
+  const long long N = params[0];
+  double* const a0 = arrays[0];
+  double* const a1 = arrays[1];
+  double* const a2 = arrays[2];
+  double* const a3 = arrays[3];
+  double* const a4 = arrays[4];
+  double* const a5 = arrays[5];
+
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S1 */
+        const long long i = t0;
+        const long long j = t1;
+        a0[((i)) * (N + 2) + (j)] = (a3[((i)) * (N + 2) + (j)] + a3[((i)) * (N + 2) + (j + 1)]);
+      }
+      { /* S2 */
+        const long long i = t0;
+        const long long j = t1;
+        a1[((i)) * (N + 2) + (j)] = (a4[((i)) * (N + 2) + (j)] + a4[((i + 1)) * (N + 2) + (j)]);
+      }
+      { /* S3 */
+        const long long i = t0;
+        const long long j = t1;
+        a2[((i)) * (N + 2) + (j)] = (a0[((i)) * (N + 2) + (j)] + a1[((i)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  #pragma omp parallel for reduction(+:a5[0:(1)])
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S4 */
+        const long long i = t0;
+        const long long j = t1;
+        a3[((i)) * (N + 2) + (j)] = ((a2[((i)) * (N + 2) + (j)] - a2[((i)) * (N + 2) + (j + 1)]) + a2[((i + 1)) * (N + 2) + (j)]);
+      }
+      { /* S5 */
+        const long long i = t0;
+        const long long j = t1;
+        a5[(0)] = (a5[(0)] + a3[((i)) * (N + 2) + (j)]);
+      }
+    }
+  }
+}
+## --model=smartfuse
+/* generated by polyfuse */
+#include <math.h>
+
+static long long pf_ceild(long long n, long long d) {
+  return n >= 0 ? (n + d - 1) / d : -((-n) / d);
+}
+static long long pf_floord(long long n, long long d) {
+  return n >= 0 ? n / d : -((-n + d - 1) / d);
+}
+static long long pf_min(long long a, long long b) { return a < b ? a : b; }
+static long long pf_mod(long long a, long long d) {
+  long long m = a % d; return m < 0 ? m + d : m;
+}
+static long long pf_max(long long a, long long b) { return a > b ? a : b; }
+
+void pf_kernel(double** arrays, const long long* params) {
+  const long long N = params[0];
+  double* const a0 = arrays[0];
+  double* const a1 = arrays[1];
+  double* const a2 = arrays[2];
+  double* const a3 = arrays[3];
+  double* const a4 = arrays[4];
+  double* const a5 = arrays[5];
+
+  for (long long t0 = pf_min((1), (2)); t0 <= pf_max((N), (N + 1)); t0++) {
+    #pragma omp parallel for reduction(+:a5[0:(1)])
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S2 */
+        if ((t0 - 1) >= 0 && (-t0 + N) >= 0) {
+          const long long i = t0;
+          const long long j = t1;
+          a1[((i)) * (N + 2) + (j)] = (a4[((i)) * (N + 2) + (j)] + a4[((i + 1)) * (N + 2) + (j)]);
+        }
+      }
+      { /* S1 */
+        if ((t0 - 1) >= 0 && (-t0 + N) >= 0) {
+          const long long i = t0;
+          const long long j = t1;
+          a0[((i)) * (N + 2) + (j)] = (a3[((i)) * (N + 2) + (j)] + a3[((i)) * (N + 2) + (j + 1)]);
+        }
+      }
+      { /* S3 */
+        if ((t0 - 1) >= 0 && (-t0 + N) >= 0) {
+          const long long i = t0;
+          const long long j = t1;
+          a2[((i)) * (N + 2) + (j)] = (a0[((i)) * (N + 2) + (j)] + a1[((i)) * (N + 2) + (j)]);
+        }
+      }
+      { /* S4 */
+        if ((t0 - 2) >= 0 && (-t0 + N + 1) >= 0) {
+          const long long i = t0 - 1;
+          const long long j = t1;
+          a3[((i)) * (N + 2) + (j)] = ((a2[((i)) * (N + 2) + (j)] - a2[((i)) * (N + 2) + (j + 1)]) + a2[((i + 1)) * (N + 2) + (j)]);
+        }
+      }
+      { /* S5 */
+        if ((t0 - 2) >= 0 && (-t0 + N + 1) >= 0) {
+          const long long i = t0 - 1;
+          const long long j = t1;
+          a5[(0)] = (a5[(0)] + a3[((i)) * (N + 2) + (j)]);
+        }
+      }
+    }
+  }
+}
+## --model=nofuse
+/* generated by polyfuse */
+#include <math.h>
+
+static long long pf_ceild(long long n, long long d) {
+  return n >= 0 ? (n + d - 1) / d : -((-n) / d);
+}
+static long long pf_floord(long long n, long long d) {
+  return n >= 0 ? n / d : -((-n + d - 1) / d);
+}
+static long long pf_min(long long a, long long b) { return a < b ? a : b; }
+static long long pf_mod(long long a, long long d) {
+  long long m = a % d; return m < 0 ? m + d : m;
+}
+static long long pf_max(long long a, long long b) { return a > b ? a : b; }
+
+void pf_kernel(double** arrays, const long long* params) {
+  const long long N = params[0];
+  double* const a0 = arrays[0];
+  double* const a1 = arrays[1];
+  double* const a2 = arrays[2];
+  double* const a3 = arrays[3];
+  double* const a4 = arrays[4];
+  double* const a5 = arrays[5];
+
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S1 */
+        const long long i = t0;
+        const long long j = t1;
+        a0[((i)) * (N + 2) + (j)] = (a3[((i)) * (N + 2) + (j)] + a3[((i)) * (N + 2) + (j + 1)]);
+      }
+    }
+  }
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S2 */
+        const long long i = t0;
+        const long long j = t1;
+        a1[((i)) * (N + 2) + (j)] = (a4[((i)) * (N + 2) + (j)] + a4[((i + 1)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S3 */
+        const long long i = t0;
+        const long long j = t1;
+        a2[((i)) * (N + 2) + (j)] = (a0[((i)) * (N + 2) + (j)] + a1[((i)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  #pragma omp parallel for
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S4 */
+        const long long i = t0;
+        const long long j = t1;
+        a3[((i)) * (N + 2) + (j)] = ((a2[((i)) * (N + 2) + (j)] - a2[((i)) * (N + 2) + (j + 1)]) + a2[((i + 1)) * (N + 2) + (j)]);
+      }
+    }
+  }
+  #pragma omp parallel for reduction(+:a5[0:(1)])
+  for (long long t0 = (1); t0 <= (N); t0++) {
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S5 */
+        const long long i = t0;
+        const long long j = t1;
+        a5[(0)] = (a5[(0)] + a3[((i)) * (N + 2) + (j)]);
+      }
+    }
+  }
+}
+## --model=maxfuse
+/* generated by polyfuse */
+#include <math.h>
+
+static long long pf_ceild(long long n, long long d) {
+  return n >= 0 ? (n + d - 1) / d : -((-n) / d);
+}
+static long long pf_floord(long long n, long long d) {
+  return n >= 0 ? n / d : -((-n + d - 1) / d);
+}
+static long long pf_min(long long a, long long b) { return a < b ? a : b; }
+static long long pf_mod(long long a, long long d) {
+  long long m = a % d; return m < 0 ? m + d : m;
+}
+static long long pf_max(long long a, long long b) { return a > b ? a : b; }
+
+void pf_kernel(double** arrays, const long long* params) {
+  const long long N = params[0];
+  double* const a0 = arrays[0];
+  double* const a1 = arrays[1];
+  double* const a2 = arrays[2];
+  double* const a3 = arrays[3];
+  double* const a4 = arrays[4];
+  double* const a5 = arrays[5];
+
+  for (long long t0 = pf_min((1), (2)); t0 <= pf_max((N), (N + 1)); t0++) {
+    #pragma omp parallel for reduction(+:a5[0:(1)])
+    for (long long t1 = (1); t1 <= (N); t1++) {
+      { /* S2 */
+        if ((t0 - 1) >= 0 && (-t0 + N) >= 0) {
+          const long long i = t0;
+          const long long j = t1;
+          a1[((i)) * (N + 2) + (j)] = (a4[((i)) * (N + 2) + (j)] + a4[((i + 1)) * (N + 2) + (j)]);
+        }
+      }
+      { /* S1 */
+        if ((t0 - 1) >= 0 && (-t0 + N) >= 0) {
+          const long long i = t0;
+          const long long j = t1;
+          a0[((i)) * (N + 2) + (j)] = (a3[((i)) * (N + 2) + (j)] + a3[((i)) * (N + 2) + (j + 1)]);
+        }
+      }
+      { /* S3 */
+        if ((t0 - 1) >= 0 && (-t0 + N) >= 0) {
+          const long long i = t0;
+          const long long j = t1;
+          a2[((i)) * (N + 2) + (j)] = (a0[((i)) * (N + 2) + (j)] + a1[((i)) * (N + 2) + (j)]);
+        }
+      }
+      { /* S4 */
+        if ((t0 - 2) >= 0 && (-t0 + N + 1) >= 0) {
+          const long long i = t0 - 1;
+          const long long j = t1;
+          a3[((i)) * (N + 2) + (j)] = ((a2[((i)) * (N + 2) + (j)] - a2[((i)) * (N + 2) + (j + 1)]) + a2[((i + 1)) * (N + 2) + (j)]);
+        }
+      }
+      { /* S5 */
+        if ((t0 - 2) >= 0 && (-t0 + N + 1) >= 0) {
+          const long long i = t0 - 1;
+          const long long j = t1;
+          a5[(0)] = (a5[(0)] + a3[((i)) * (N + 2) + (j)]);
+        }
+      }
+    }
+  }
+}

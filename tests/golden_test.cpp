@@ -1,0 +1,109 @@
+// Golden outputs for the paper suite, driven through the real binary:
+//  * GoldenSchedule: the --emit=sched text of each of the ten Table 2
+//    programs under all five models, with reduction relaxation on (the
+//    default) and off (--no-reductions), against
+//    tests/golden/sched/<program>.sched;
+//  * GoldenC: the --emit=c program under all five models, against
+//    tests/golden/c/<program>.c. Codegen prunes loop bounds with
+//    IntegerSet::remove_redundant, so this pins that use of it too.
+// Scheduler and solver speedups must leave these files untouched; a
+// deliberate output change re-records them in the same commit.
+//
+// The POLYFUSE_JOBS and POLYFUSE_NO_FASTLANE environment of the ctest run
+// reaches the pipeline (tools/ci.sh runs these at one and four workers
+// and with the fast lane off).
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "suite/suite.h"
+
+namespace {
+
+#ifndef POLYFUSE_CLI_PATH
+#error "POLYFUSE_CLI_PATH must be defined by the build"
+#endif
+
+// ctest -j runs one process per case, so temp names carry the pid.
+std::string temp_path(const std::string& name) {
+  return std::string(::testing::TempDir()) + "golden_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::vector<std::string> suite_names() {
+  std::vector<std::string> names;
+  for (const pf::suite::Benchmark& b : pf::suite::all_benchmarks())
+    names.push_back(b.name);
+  return names;
+}
+
+constexpr const char* kModels[] = {"baseline", "wisefuse", "smartfuse",
+                                   "nofuse", "maxfuse"};
+
+// The CLI's output per argument list, each preceded by "## <args>".
+std::string run_cli(const pf::suite::Benchmark& b, const std::string& emit,
+                    const std::vector<std::string>& arg_lists) {
+  const std::string input = temp_path(b.name + ".pf");
+  std::ofstream(input) << b.source;
+  const std::string out = temp_path("out");
+  const std::string err = temp_path("err");
+  std::string got;
+  for (const std::string& args : arg_lists) {
+    const std::string cmd = std::string(POLYFUSE_CLI_PATH) + " " + args +
+                            " --emit=" + emit + " " + input + " > " + out +
+                            " 2> " + err;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << args << "\n" << slurp(err);
+    got += "## " + args + "\n" + slurp(out);
+  }
+  return got;
+}
+
+std::string golden(const std::string& file) {
+  return slurp(std::string(POLYFUSE_GOLDEN_DIR) + "/" + file);
+}
+
+class GoldenSchedule : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenSchedule, MatchesRecorded) {
+  const pf::suite::Benchmark& b = pf::suite::benchmark(GetParam());
+  std::vector<std::string> arg_lists;
+  for (const char* model : kModels)
+    for (const char* extra : {"", " --no-reductions"})
+      arg_lists.push_back(std::string("--model=") + model + extra);
+  const std::string want = golden("sched/" + b.name + ".sched");
+  ASSERT_FALSE(want.empty()) << "no golden file for " << b.name;
+  EXPECT_EQ(run_cli(b, "sched", arg_lists), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, GoldenSchedule,
+                         ::testing::ValuesIn(suite_names()));
+
+class GoldenC : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenC, MatchesRecorded) {
+  const pf::suite::Benchmark& b = pf::suite::benchmark(GetParam());
+  std::vector<std::string> arg_lists;
+  for (const char* model : kModels)
+    arg_lists.push_back(std::string("--model=") + model);
+  const std::string want = golden("c/" + b.name + ".c");
+  ASSERT_FALSE(want.empty()) << "no golden file for " << b.name;
+  EXPECT_EQ(run_cli(b, "c", arg_lists), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, GoldenC, ::testing::ValuesIn(suite_names()));
+
+}  // namespace

@@ -4,6 +4,7 @@
 // flight recorder (ring recording, snapshots, async-signal-safe dumps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -403,6 +404,40 @@ TEST(FlightRec, TruncatesOverlongStringsSafely) {
             std::string(flightrec::kEventCategoryBytes - 1, 'c'));
   EXPECT_EQ(std::string(events[0].name),
             std::string(flightrec::kEventNameBytes - 1, 'n'));
+}
+
+// A long-lived process that starts a thread pool per compile must keep
+// recording: an exited thread's ring is taken over by the next thread,
+// so the ring count follows peak concurrency and the newest event is
+// retained.
+TEST(FlightRec, ExitedThreadsRingsAreReused) {
+  flightrec::reset_for_test();
+  record_event(flightrec::EventKind::kMark, "test", "main");
+  const int before = flightrec::recording_threads();
+  const int kThreads = 300;  // more than the recorder's ring table holds
+  for (int i = 0; i < kThreads; ++i)
+    std::thread([i] {
+      record_event(flightrec::EventKind::kMark, "test", "short-lived", i);
+    }).join();
+  EXPECT_LE(flightrec::recording_threads(), before + 1);
+  const auto events = flightrec::snapshot();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                          [](const flightrec::Event& e) {
+                            return std::string(e.name) == "short-lived" &&
+                                   e.a == kThreads - 1;
+                          }));
+
+  // Four threads at a time take and return rings concurrently (the free
+  // list is shared; tools/ci.sh runs this under ThreadSanitizer).
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread> batch;
+    for (int k = 0; k < 4; ++k)
+      batch.emplace_back([] {
+        record_event(flightrec::EventKind::kMark, "test", "concurrent");
+      });
+    for (std::thread& t : batch) t.join();
+  }
+  EXPECT_LE(flightrec::recording_threads(), before + 4);
 }
 
 std::string dump_to_string(const char* cause) {

@@ -13,6 +13,7 @@
 #include "suite/suite.h"
 #include "support/budget.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 
 namespace pf::poly {
 namespace {
@@ -234,6 +235,31 @@ TEST(IntegerSet, RemoveRedundantKeepsSemantics) {
   EXPECT_TRUE(s.contains({10, 10}));
   EXPECT_FALSE(s.contains({11, 0}));
   EXPECT_FALSE(s.contains({0, 11}));
+}
+
+// Each call opens one poly/remove_redundant span saying what it did, and
+// its LPs land in the request's redundancy_lps counter.
+TEST(IntegerSet, RemoveRedundantReportsSpanAndCounter) {
+  auto s = box2(0, 10, 0, 10);
+  const auto x = AffineExpr::var(2, 0);
+  const auto y = AffineExpr::var(2, 1);
+  s.add_constraint(Constraint::le(x, AffineExpr::constant(2, 50)));
+  s.add_constraint(Constraint::le(x + y, AffineExpr::constant(2, 100)));
+  support::Tracer tracer(/*spans=*/true, /*remarks=*/false);
+  support::TracerScope tracer_scope(&tracer);
+  support::MetricsScope metrics;
+  s.remove_redundant();
+  std::vector<support::TraceEvent> spans;
+  for (const support::TraceEvent& e : tracer.events())
+    if (e.name == "remove_redundant") spans.push_back(e);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].category, "poly");
+  const i64 lps = metrics.registry().get(support::Counter::kRedundancyLps);
+  EXPECT_GE(lps, 6);  // at least one LP per inequality
+  EXPECT_EQ(spans[0].attrs,
+            (std::vector<support::TraceAttr>{{"rows_in", "6"},
+                                             {"rows_kept", "4"},
+                                             {"lps", std::to_string(lps)}}));
 }
 
 TEST(IntegerSet, DuplicateConstraintsDropped) {

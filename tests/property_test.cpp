@@ -3,7 +3,8 @@
 //    unknowns accepts exactly those coefficient vectors for which the
 //    affine form is non-negative over the polyhedron (checked by
 //    enumeration on boxed instances).
-//  * remove_redundant() preserves set membership.
+//  * remove_redundant() preserves set membership and keeps exactly the
+//    rows of the sequential one-LP-per-row rule, in order.
 //  * lexmin() agrees with brute-force lexicographic search.
 //  * permutable_bands() never groups a level that breaks a satisfied
 //    dependence's non-negativity.
@@ -12,6 +13,8 @@
 //    differential oracle over random programs and schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 
 #include "ddg/dependences.h"
@@ -138,6 +141,160 @@ TEST_P(RedundancyRemoval, MembershipUnchanged) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RedundancyRemoval, ::testing::Range(0u, 20u));
+
+// An LP over `cs` without row `skip`, all variables free.
+lp::SimplexSolver lp_over(std::size_t dims,
+                          const std::vector<poly::Constraint>& cs,
+                          std::size_t skip = SIZE_MAX) {
+  lp::SimplexSolver lp = lp::SimplexSolver::all_free(dims);
+  for (std::size_t j = 0; j < cs.size(); ++j) {
+    if (j == skip) continue;
+    RatVector coeffs(dims);
+    for (std::size_t d = 0; d < dims; ++d)
+      coeffs[d] = Rational(cs[j].expr.coeff(d));
+    if (cs[j].is_equality)
+      lp.add_equality(std::move(coeffs), Rational(cs[j].expr.const_term()));
+    else
+      lp.add_inequality(std::move(coeffs), Rational(cs[j].expr.const_term()));
+  }
+  return lp;
+}
+
+// The sequential rule remove_redundant() must reproduce: one LP per
+// inequality against every row still present (the kept rows before it,
+// every row after it); the row is dropped iff the LP minimum of its
+// expression is finite and >= 0.
+std::vector<poly::Constraint> sequential_remove_redundant(
+    std::size_t dims, std::vector<poly::Constraint> cs) {
+  for (std::size_t i = 0; i < cs.size();) {
+    if (cs[i].is_equality) {
+      ++i;
+      continue;
+    }
+    RatVector objective(dims);
+    for (std::size_t d = 0; d < dims; ++d)
+      objective[d] = Rational(cs[i].expr.coeff(d));
+    const auto r = lp_over(dims, cs, i).minimize(objective);
+    if (r.status == lp::Status::kOptimal &&
+        r.objective + Rational(cs[i].expr.const_term()) >= 0)
+      cs.erase(cs.begin() + static_cast<long>(i));
+    else
+      ++i;
+  }
+  return cs;
+}
+
+// Seeded random systems over 2-6 dims, mixing implicit equalities (e >= 0
+// and -e >= 0), explicit equality rows, rows implied only by a sum of
+// later rows, unbounded sets (no box) and rationally infeasible sets.
+// remove_redundant() must keep exactly the reference's rows, in order.
+TEST(RedundancyRemoval, MatchesSequentialReference) {
+  int infeasible = 0, unboxed = 0, implicit_eq = 0, explicit_eq = 0,
+      combos_dropped = 0, drops = 0;
+  for (unsigned seed = 0; seed < 400; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](i64 lo, i64 hi) {
+      return std::uniform_int_distribution<i64>(lo, hi)(rng);
+    };
+    const std::size_t dims = static_cast<std::size_t>(pick(2, 6));
+    auto plus = [](poly::AffineExpr e, i64 c) {
+      e.set_const_term(e.const_term() + c);
+      return e;
+    };
+    auto random_expr = [&] {
+      poly::AffineExpr e(dims, pick(-2, 6));
+      for (std::size_t d = 0; d < dims; ++d) e.set_coeff(d, pick(-3, 3));
+      return e;
+    };
+    std::vector<poly::Constraint> rows;
+    auto insert_at_random = [&](poly::Constraint c) {
+      rows.insert(rows.begin() + pick(0, static_cast<i64>(rows.size())),
+                  std::move(c));
+    };
+    const bool boxed = pick(0, 3) != 0;
+    bool has_implicit_eq = false, has_explicit_eq = false;
+    if (boxed) {
+      for (std::size_t d = 0; d < dims; ++d) {
+        const poly::AffineExpr x = poly::AffineExpr::var(dims, d);
+        rows.push_back(poly::Constraint::ge0(plus(x, pick(3, 6))));
+        rows.push_back(poly::Constraint::ge0(plus(-x, pick(3, 6))));
+      }
+    }
+    for (i64 k = pick(3, 8); k > 0; --k)
+      insert_at_random(poly::Constraint::ge0(random_expr()));
+    if (pick(0, 2) == 0) {  // an implicit equality
+      const poly::AffineExpr e = random_expr();
+      insert_at_random(poly::Constraint::ge0(e));
+      insert_at_random(poly::Constraint::ge0(-e));
+      has_implicit_eq = true;
+    }
+    if (pick(0, 3) == 0) {  // an explicit equality through the origin
+      poly::AffineExpr e = random_expr();
+      e.set_const_term(0);
+      insert_at_random(poly::Constraint::eq0(e));
+      has_explicit_eq = true;
+    }
+    // Rows implied by a sum of two or three later inequalities, placed
+    // before every row of the sum.
+    std::vector<poly::Constraint> combos;
+    for (i64 k = pick(1, 3); k > 0; --k) {
+      std::vector<std::size_t> ineqs;
+      for (std::size_t j = 0; j < rows.size(); ++j)
+        if (!rows[j].is_equality) ineqs.push_back(j);
+      std::shuffle(ineqs.begin(), ineqs.end(), rng);
+      ineqs.resize(std::min<std::size_t>(ineqs.size(),
+                                         static_cast<std::size_t>(pick(2, 3))));
+      poly::AffineExpr sum(dims, pick(0, 2));
+      std::size_t before = rows.size();
+      for (std::size_t j : ineqs) {
+        sum = sum + rows[j].expr;
+        before = std::min(before, j);
+      }
+      rows.insert(rows.begin() + pick(0, static_cast<i64>(before)),
+                  poly::Constraint::ge0(sum));
+      poly::IntegerSet normalized(dims);
+      normalized.add_constraint(poly::Constraint::ge0(sum));
+      if (normalized.num_constraints() == 1)
+        combos.push_back(normalized.constraints()[0]);
+    }
+    if (pick(0, 4) == 0) {  // contradict a sum of two rows: no rational point
+      const i64 last = static_cast<i64>(rows.size()) - 1;
+      const poly::AffineExpr a = rows[pick(0, last)].expr;
+      const poly::AffineExpr b = rows[pick(0, last)].expr;
+      insert_at_random(poly::Constraint::ge0(plus(-(a + b), -1)));
+    }
+
+    poly::IntegerSet set(dims);
+    for (const poly::Constraint& c : rows) set.add_constraint(c);
+    if (set.trivially_empty()) continue;
+    const std::vector<poly::Constraint> in = set.constraints();
+    const std::vector<poly::Constraint> want =
+        sequential_remove_redundant(dims, in);
+    set.remove_redundant();
+    ASSERT_EQ(set.constraints(), want)
+        << "seed " << seed << ": " << set.to_string();
+
+    if (lp_over(dims, in).feasible_point().status != lp::Status::kOptimal)
+      ++infeasible;
+    if (want.size() < in.size()) ++drops;
+    unboxed += boxed ? 0 : 1;
+    implicit_eq += has_implicit_eq ? 1 : 0;
+    explicit_eq += has_explicit_eq ? 1 : 0;
+    auto holds = [](const std::vector<poly::Constraint>& cs,
+                    const poly::Constraint& c) {
+      return std::find(cs.begin(), cs.end(), c) != cs.end();
+    };
+    for (const poly::Constraint& c : combos)
+      if (holds(in, c) && !holds(want, c)) ++combos_dropped;
+  }
+  // Every shape of system the generator aims at actually occurred.
+  EXPECT_GT(infeasible, 20);
+  EXPECT_GT(unboxed, 50);
+  EXPECT_GT(implicit_eq, 50);
+  EXPECT_GT(explicit_eq, 50);
+  EXPECT_GT(drops, 100);
+  EXPECT_GT(combos_dropped, 50);
+}
 
 // ---------------------------------------------------------------------------
 // Lexicographic minimization vs brute force.

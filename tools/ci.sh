@@ -4,9 +4,10 @@
 #   1. Plain release-ish build + full ctest, then the full ctest again
 #      at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every tier-1 test
 #      runs serial and multi-threaded whatever the host's core count;
-#      then the golden-schedule test (tests/golden/sched/) once more with
-#      POLYFUSE_NO_FASTLANE=1, so the exact Rational path schedules the
-#      paper suite byte-identically too.
+#      then the golden-output tests (tests/golden/sched/ schedules and
+#      tests/golden/c/ emitted programs) once more with
+#      POLYFUSE_NO_FASTLANE=1, so the exact Rational path schedules and
+#      emits the paper suite byte-identically too.
 #   2. clang-tidy over src/ and tools/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
@@ -33,8 +34,10 @@
 #      actual pragmas race across real threads under the tool
 #      (docs/reductions.md). The same stage runs the RequestContext
 #      tests, whose dependence workers share one request's memo table and
-#      tracer, and the concurrent batch --explain --analyze test, whose
-#      in-process requests each own a tracer and a profitability oracle.
+#      tracer, the concurrent batch --explain --analyze test, whose
+#      in-process requests each own a tracer and a profitability oracle,
+#      and the flight-recorder tests, whose threads take and return ring
+#      slots through a lock-free free list.
 #
 # Any failing ctest stage sweeps crash diagnostics (polyfuse-diag.*.json,
 # written by the flight recorder when a test run dies) from the build
@@ -91,13 +94,13 @@ run_jobs_legs() {
   done
 }
 
-# The paper suite's golden schedules with the int64 fast lane and the
-# scheduler's warm start off.
+# The paper suite's golden schedules and emitted C with the int64 fast
+# lane and the scheduler's warm start off.
 run_golden_fastlane_off() {
   local name="$1" dir="$2"
-  echo "==== [$name] golden schedules at POLYFUSE_NO_FASTLANE=1 ===="
+  echo "==== [$name] golden schedules and C at POLYFUSE_NO_FASTLANE=1 ===="
   POLYFUSE_NO_FASTLANE=1 ctest --test-dir "$dir" -j "$JOBS" \
-    --output-on-failure -R '^Suite/GoldenSchedule\.' ||
+    --output-on-failure -R '^Suite/Golden(Schedule|C)\.' ||
     { collect_diagnostics "$name-nofastlane" "$dir"; exit 1; }
 }
 
@@ -250,7 +253,8 @@ run_robustness "asan+ubsan" "$PREFIX-san"
 # request's metrics registry, memo table and tracer. So does
 # BatchTest.ConcurrentExplainMatchesSingleRequests: a --jobs=4 in-process
 # batch under --explain --analyze, each request with its own tracer and
-# profitability oracle.
+# profitability oracle. The FlightRec tests start and end threads that
+# share the recorder's lock-free ring free list.
 # ignore_noninstrumented_modules silences false positives from the
 # (uninstrumented) libgomp runtime itself.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:ignore_noninstrumented_modules=1}"
@@ -259,10 +263,10 @@ cmake -S . -B "$PREFIX-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DPOLYFUSE_SANITIZE=thread"
 echo "==== [tsan] build ===="
 cmake --build "$PREFIX-tsan" -j "$JOBS"
-echo "==== [tsan] ctest -R 'Reduction|RequestContext|ConcurrentExplain' ===="
+echo "==== [tsan] ctest -R 'Reduction|RequestContext|ConcurrentExplain|FlightRec' ===="
 # shellcheck disable=SC2086
 ctest --test-dir "$PREFIX-tsan" -j "$JOBS" --output-on-failure \
-  -R 'Reduction|RequestContext|ConcurrentExplain' $CTEST_ARGS ||
+  -R 'Reduction|RequestContext|ConcurrentExplain|FlightRec' $CTEST_ARGS ||
   { collect_diagnostics "tsan" "$PREFIX-tsan"; exit 1; }
 
 echo "==== ci.sh: all stages passed ===="
