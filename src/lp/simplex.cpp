@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "lp/fastlane.h"
 #include "support/arena.h"
@@ -71,17 +72,26 @@ void SimplexSolver::add_equality(RatVector coeffs, Rational constant) {
 
 namespace {
 
-// Shared column layout of both tableau lanes: for each variable j,
+// Shared variable layout of both tableau lanes: for each variable j,
 // col_pos[j]; for free vars also col_neg[j] (x_j = pos - neg). Then one
 // slack per inequality, then one artificial per row that needs one
 // (equalities, and inequalities infeasible at x = 0).
+//
+// Both tableaux are compact: a row stores only the columns of the
+// k = nv - m nonbasic variables, plus the right-hand side. A basic
+// variable's column is the unit vector of its row, so it is never stored.
+// Row r starts with its slack basic (when the row holds at x = 0) or its
+// artificial; every other variable starts nonbasic, in index order.
 struct Layout {
   std::vector<std::size_t> col_pos, col_neg;
   std::size_t first_slack = 0;
   std::size_t num_slacks = 0;
   std::size_t first_artificial = 0;
   std::size_t num_artificials = 0;
-  std::size_t nc = 0;  // variable columns (excl. rhs)
+  std::size_t nv = 0;               // variables: structural, slack, artificial
+  std::vector<std::size_t> basis;   // row r's starting basic variable
+  std::vector<std::size_t> colvar;  // the starting nonbasic variables
+  std::vector<std::size_t> slot;    // slot[v]: v's column, SIZE_MAX if basic
 };
 
 template <typename RowVec>
@@ -90,72 +100,109 @@ Layout make_layout(std::size_t num_vars, const std::vector<bool>& nonneg,
   Layout lay;
   lay.col_pos.resize(num_vars);
   lay.col_neg.assign(num_vars, SIZE_MAX);
-  std::size_t nc = 0;
+  std::size_t nv = 0;
   for (std::size_t j = 0; j < num_vars; ++j) {
-    lay.col_pos[j] = nc++;
-    if (!nonneg[j]) lay.col_neg[j] = nc++;
+    lay.col_pos[j] = nv++;
+    if (!nonneg[j]) lay.col_neg[j] = nv++;
   }
-  lay.first_slack = nc;
+  lay.first_slack = nv;
   for (const auto& r : rows)
     if (!r.is_equality) ++lay.num_slacks;
-  nc += lay.num_slacks;
-  lay.first_artificial = nc;
+  nv += lay.num_slacks;
+  lay.first_artificial = nv;
   for (const auto& r : rows)
     if (r.is_equality || r.constant < 0) ++lay.num_artificials;
-  nc += lay.num_artificials;
-  lay.nc = nc;
+  nv += lay.num_artificials;
+  lay.nv = nv;
+  lay.slot.assign(nv, 0);
+  std::size_t slack = lay.first_slack, artificial = lay.first_artificial;
+  for (const auto& r : rows) {
+    const bool slack_basic = !r.is_equality && r.constant >= 0;
+    lay.basis.push_back(slack_basic ? slack : artificial++);
+    lay.slot[lay.basis.back()] = SIZE_MAX;
+    if (!r.is_equality) ++slack;
+  }
+  for (std::size_t v = 0; v < nv; ++v) {
+    if (lay.slot[v] == SIZE_MAX) continue;
+    lay.slot[v] = lay.colvar.size();
+    lay.colvar.push_back(v);
+  }
   return lay;
 }
 
-// Dense simplex tableau. Columns 0..ncols-1 are structural/slack/artificial
-// variables; column ncols is the right-hand side. Row `m` (the last) is the
-// reduced-cost row; its RHS cell holds the negated objective value.
+// Bland's rule reads variable indices, not column slots: the column
+// whose variable is smallest among those below `limit` that satisfy
+// `pred`; k when there is none. It picks the entering column (pred:
+// negative reduced cost) and phase 1's artificial drive-out (pred:
+// nonzero entry in the artificial's row).
+template <typename Pred>
+std::size_t smallest_var_column(const std::size_t* colvar, std::size_t k,
+                                std::size_t limit, Pred pred) {
+  std::size_t best = k;
+  for (std::size_t j = 0; j < k; ++j)
+    if (colvar[j] < limit && (best == k || colvar[j] < colvar[best]) &&
+        pred(j))
+      best = j;
+  return best;
+}
+
+// Bookkeeping of one pivot of an (m + 1) x (k + 1) tableau, either lane.
+void account_pivot(std::size_t m, std::size_t k) {
+  support::count(support::Counter::kSimplexPivots);
+  support::count(support::Counter::kSimplexCells,
+                 static_cast<i64>((m + 1) * (k + 1)));
+  ++tl_pivots;
+  // A pivot's real cost is the row sweep, so it charges one LP fuel unit
+  // per tableau row (cf. ISL counting low-level operations, not pivots);
+  // exhaustion unwinds out of the whole solve to the caller's recovery
+  // boundary.
+  support::budget_charge(support::BudgetSite::kLpSolve,
+                         static_cast<i64>(m) + 1);
+}
+
+// Compact simplex tableau over Rationals. Column j < k holds nonbasic
+// variable colvar[j]; column k is the right-hand side. Row `m` (the last)
+// is the reduced-cost row; its RHS cell holds the negated objective value.
 struct Tableau {
-  std::size_t m = 0;      // constraint rows
-  std::size_t ncols = 0;  // variable columns (excl. rhs)
+  std::size_t m = 0;  // constraint rows
+  std::size_t k = 0;  // stored (nonbasic) columns, excl. rhs
   std::vector<RatVector> t;
-  std::vector<std::size_t> basis;  // basis[i] = column basic in row i
+  std::vector<std::size_t> basis;   // basis[r] = variable basic in row r
+  std::vector<std::size_t> colvar;  // colvar[j] = variable of column j
 
   Rational& at(std::size_t r, std::size_t c) { return t[r][c]; }
   const Rational& at(std::size_t r, std::size_t c) const { return t[r][c]; }
-  Rational& rhs(std::size_t r) { return t[r][ncols]; }
-  const Rational& rhs(std::size_t r) const { return t[r][ncols]; }
+  Rational& rhs(std::size_t r) { return t[r][k]; }
+  const Rational& rhs(std::size_t r) const { return t[r][k]; }
 
+  // colvar[pc] enters the basis in row pr; the leaving variable takes
+  // over column pc. Its column was the unit vector e_pr, so the ordinary
+  // row operations run on that column in place of the entering one.
   void pivot(std::size_t pr, std::size_t pc) {
-    support::count(support::Counter::kSimplexPivots);
-    ++tl_pivots;
-    // A pivot's real cost is the row sweep, so it charges one LP fuel
-    // unit per tableau row (cf. ISL counting low-level operations, not
-    // pivots); exhaustion unwinds out of the whole solve to the
-    // caller's recovery boundary.
-    support::budget_charge(support::BudgetSite::kLpSolve,
-                           static_cast<i64>(m) + 1);
+    account_pivot(m, k);
     const Rational inv = at(pr, pc).reciprocal();
+    at(pr, pc) = Rational(1);
     for (auto& v : t[pr]) v *= inv;
     for (std::size_t r = 0; r <= m; ++r) {
       if (r == pr || at(r, pc).is_zero()) continue;
       const Rational factor = at(r, pc);
-      for (std::size_t c = 0; c <= ncols; ++c) t[r][c] -= factor * t[pr][c];
+      at(r, pc) = Rational(0);
+      for (std::size_t c = 0; c <= k; ++c) t[r][c] -= factor * t[pr][c];
     }
-    basis[pr] = pc;
+    std::swap(basis[pr], colvar[pc]);
   }
 
-  // One phase of Bland-rule simplex on the current cost row. Columns
+  // One phase of Bland-rule simplex on the current cost row. Variables
   // < limit are eligible to enter the basis (phase 2 bars artificials,
   // which always form a suffix). Returns false if unbounded.
   bool optimize(std::size_t limit) {
     for (;;) {
-      // Entering: smallest-index allowed column with negative reduced cost.
-      std::size_t enter = ncols;
-      for (std::size_t c = 0; c < limit; ++c) {
-        if (at(m, c).sign() < 0) {
-          enter = c;
-          break;
-        }
-      }
-      if (enter == ncols) return true;  // optimal
+      const std::size_t enter = smallest_var_column(
+          colvar.data(), k, limit,
+          [&](std::size_t j) { return at(m, j).sign() < 0; });
+      if (enter == k) return true;  // optimal
       // Leaving: min ratio rhs/entry over positive entries, Bland tie-break
-      // on smallest basis column.
+      // on smallest basic variable.
       std::size_t leave = m;
       Rational best_ratio(0);
       for (std::size_t r = 0; r < m; ++r) {
@@ -172,15 +219,15 @@ struct Tableau {
     }
   }
 
-  // Installs cost vector c (size ncols) into the cost row, pricing out the
-  // current basis.
+  // Installs per-variable cost vector `costs` into the cost row, pricing
+  // out the current basis.
   void set_costs(const RatVector& costs) {
-    for (std::size_t c = 0; c < ncols; ++c) at(m, c) = costs[c];
+    for (std::size_t j = 0; j < k; ++j) at(m, j) = costs[colvar[j]];
     rhs(m) = Rational(0);
     for (std::size_t r = 0; r < m; ++r) {
       const Rational cb = costs[basis[r]];
       if (cb.is_zero()) continue;
-      for (std::size_t c = 0; c <= ncols; ++c) t[m][c] -= cb * t[r][c];
+      for (std::size_t c = 0; c <= k; ++c) t[m][c] -= cb * t[r][c];
     }
   }
 };
@@ -192,7 +239,7 @@ struct Tableau {
 // int64 numerators over one per-row denominator instead of a vector of
 // canonicalized Rationals, so a pivot is a fused integer row operation
 // (two 128-bit multiplies and a subtract per cell, one gcd per row)
-// instead of ncols Rational multiply-subtracts with a gcd each.
+// instead of k Rational multiply-subtracts with a gcd each.
 //
 // Every entry is kept below 2^62 (kFastLimit), which makes all the 128-bit
 // intermediates provably exact: products of two in-range values stay below
@@ -244,16 +291,18 @@ inline i64 fl_scaled(const Rational& v, i64 den) {
 }
 
 // Integer tableau: value(r, c) = nums[r * stride + c] / dens[r], with
-// dens[r] > 0 and every stored integer in (-2^62, 2^62). Storage comes
-// from the thread's arena (released wholesale by the caller's ArenaScope).
+// dens[r] > 0 and every stored integer in (-2^62, 2^62); row r's basic
+// variable has the implicit numerator dens[r]. Storage comes from the
+// thread's arena (released wholesale by the caller's ArenaScope).
 struct IntTableau {
   std::size_t m = 0;
-  std::size_t ncols = 0;
-  std::size_t stride = 0;  // ncols + 1 (rhs in the last cell)
+  std::size_t k = 0;       // stored (nonbasic) columns, excl. rhs
+  std::size_t stride = 0;  // k + 1 (rhs in the last cell)
   i64* nums = nullptr;     // (m + 1) * stride
   i64* dens = nullptr;     // m + 1
   i128* scratch = nullptr;  // stride; the in-flight combined row
-  std::size_t* basis = nullptr;  // m
+  std::size_t* basis = nullptr;   // m
+  std::size_t* colvar = nullptr;  // k
 
   i64* row(std::size_t r) { return nums + r * stride; }
   const i64* row(std::size_t r) const { return nums + r * stride; }
@@ -264,9 +313,9 @@ struct IntTableau {
   void reduce_row(std::size_t r) {
     i64* q = row(r);
     i64 g = dens[r];
-    for (std::size_t c = 0; c <= ncols && g != 1; ++c) g = gcd(g, q[c]);
+    for (std::size_t c = 0; c <= k && g != 1; ++c) g = gcd(g, q[c]);
     if (g <= 1) return;
-    for (std::size_t c = 0; c <= ncols; ++c) q[c] /= g;
+    for (std::size_t c = 0; c <= k; ++c) q[c] /= g;
     dens[r] /= g;
   }
 
@@ -274,26 +323,26 @@ struct IntTableau {
   // FastlaneOverflow when the reduced row leaves the safe range.
   void store_reduced(std::size_t r, i128 den128) {
     i128 g = den128;
-    for (std::size_t c = 0; c <= ncols && g != 1; ++c)
+    for (std::size_t c = 0; c <= k && g != 1; ++c)
       if (scratch[c] != 0) g = gcd128(g, scratch[c]);
     i64* q = row(r);
-    for (std::size_t c = 0; c <= ncols; ++c) q[c] = fl_narrow(scratch[c] / g);
+    for (std::size_t c = 0; c <= k; ++c) q[c] = fl_narrow(scratch[c] / g);
     dens[r] = fl_narrow(den128 / g);
   }
 
   void pivot(std::size_t pr, std::size_t pc) {
-    support::count(support::Counter::kSimplexPivots);
-    ++tl_pivots;
-    support::budget_charge(support::BudgetSite::kLpSolve,
-                           static_cast<i64>(m) + 1);
+    account_pivot(m, k);
     // Scale the pivot row so its pivot cell becomes 1: dividing every
-    // value p[c]/dp by the pivot value p[pc]/dp leaves p[c]/p[pc], so the
-    // numerators stay put and the pivot numerator becomes the denominator
-    // (row negated first when it is negative, keeping dens > 0).
+    // value p[c]/dp by the pivot value a/dp leaves p[c]/a, so the
+    // numerators stay put and a becomes the denominator (row negated
+    // first when a is negative, keeping dens > 0). The leaving variable's
+    // unit cell, numerator dens[pr], moves into the pivot cell's slot.
     i64* p = row(pr);
-    if (p[pc] < 0)
-      for (std::size_t c = 0; c <= ncols; ++c) p[c] = -p[c];
-    dens[pr] = p[pc];
+    const i64 a = p[pc];
+    p[pc] = dens[pr];
+    if (a < 0)
+      for (std::size_t c = 0; c <= k; ++c) p[c] = -p[c];
+    dens[pr] = a < 0 ? -a : a;
     reduce_row(pr);
     const i64 dp = dens[pr];
     for (std::size_t r = 0; r <= m; ++r) {
@@ -302,26 +351,22 @@ struct IntTableau {
       const i64 f = q[pc];
       if (f == 0) continue;
       const i64 dr = dens[r];
+      q[pc] = 0;  // the leaving variable was basic in row pr only
       // value'(c) = q[c]/dr - (f/dr) * (p[c]/dp)
       //          = (q[c]*dp - f*p[c]) / (dr*dp)
-      for (std::size_t c = 0; c <= ncols; ++c)
+      for (std::size_t c = 0; c <= k; ++c)
         scratch[c] = static_cast<i128>(q[c]) * dp - static_cast<i128>(f) * p[c];
       store_reduced(r, static_cast<i128>(dr) * dp);
     }
-    basis[pr] = pc;
+    std::swap(basis[pr], colvar[pc]);
   }
 
   bool optimize(std::size_t limit) {
     for (;;) {
       const i64* cost = row(m);
-      std::size_t enter = ncols;
-      for (std::size_t c = 0; c < limit; ++c) {
-        if (cost[c] < 0) {
-          enter = c;
-          break;
-        }
-      }
-      if (enter == ncols) return true;  // optimal
+      const std::size_t enter = smallest_var_column(
+          colvar, k, limit, [&](std::size_t j) { return cost[j] < 0; });
+      if (enter == k) return true;  // optimal
       // Leaving: min rhs(r)/a(r, enter) over positive entries. The row
       // denominator cancels inside the ratio, so it is rhs_num/a_num;
       // cross-rows compare by 128-bit cross-multiplication (both
@@ -331,7 +376,7 @@ struct IntTableau {
       for (std::size_t r = 0; r < m; ++r) {
         const i64 a = num_at(r, enter);
         if (a <= 0) continue;
-        const i64 rh = num_at(r, ncols);
+        const i64 rh = num_at(r, k);
         if (leave != m) {
           const i128 lhs = static_cast<i128>(rh) * best_a;
           const i128 rhs = static_cast<i128>(best_rhs) * a;
@@ -347,12 +392,13 @@ struct IntTableau {
     }
   }
 
-  // Integer cost vector (the caller pre-scales rational objectives by a
-  // positive constant, which preserves every reduced-cost sign).
+  // Integer per-variable cost vector (the caller pre-scales rational
+  // objectives by a positive constant, which preserves every reduced-cost
+  // sign).
   void set_costs(const i64* costs) {
     i64* cost = row(m);
-    for (std::size_t c = 0; c < ncols; ++c) cost[c] = costs[c];
-    cost[ncols] = 0;
+    for (std::size_t j = 0; j < k; ++j) cost[j] = costs[colvar[j]];
+    cost[k] = 0;
     dens[m] = 1;
     for (std::size_t r = 0; r < m; ++r) {
       const i64 cb = costs[basis[r]];
@@ -364,13 +410,27 @@ struct IntTableau {
       //          = (cost[c]*dr - (cb*dm)*q[c]) / (dm*dr)
       // cb*dm is narrowed first so the per-cell product stays two-term.
       const i64 cbdm = fl_narrow(static_cast<i128>(cb) * dm);
-      for (std::size_t c = 0; c <= ncols; ++c)
+      for (std::size_t c = 0; c <= k; ++c)
         scratch[c] = static_cast<i128>(cost[c]) * dr -
                      static_cast<i128>(cbdm) * q[c];
       store_reduced(m, static_cast<i128>(dm) * dr);
     }
   }
 };
+
+// The optimal point from the per-variable values (basic variables at
+// their row's rhs, nonbasic ones at 0).
+SimplexSolver::Result optimal_at(const Layout& lay, std::size_t num_vars,
+                                 const RatVector& values) {
+  SimplexSolver::Result res;
+  res.status = Status::kOptimal;
+  res.point.resize(num_vars);
+  for (std::size_t j = 0; j < num_vars; ++j) {
+    res.point[j] = values[lay.col_pos[j]];
+    if (lay.col_neg[j] != SIZE_MAX) res.point[j] -= values[lay.col_neg[j]];
+  }
+  return res;
+}
 
 }  // namespace
 
@@ -407,25 +467,27 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
   support::ArenaScope scope(arena);
 
   const Layout lay = make_layout(num_vars_, nonneg_, rows_);
-  const std::size_t nc = lay.nc;
+  const std::size_t nv = lay.nv;
 
   IntTableau tab;
   tab.m = rows_.size();
-  tab.ncols = nc;
-  tab.stride = nc + 1;
+  tab.k = lay.colvar.size();
+  tab.stride = tab.k + 1;
   tab.nums = arena.alloc_array<i64>((tab.m + 1) * tab.stride);
   tab.dens = arena.alloc_array<i64>(tab.m + 1);
   tab.scratch = arena.alloc_array<i128>(tab.stride);
   tab.basis = arena.alloc_array<std::size_t>(std::max<std::size_t>(tab.m, 1));
+  tab.colvar = arena.alloc_array<std::size_t>(std::max<std::size_t>(tab.k, 1));
   std::fill_n(tab.nums, (tab.m + 1) * tab.stride, i64{0});
   std::fill_n(tab.dens, tab.m + 1, i64{1});
-  std::fill_n(tab.basis, tab.m, std::size_t{0});
+  std::copy(lay.basis.begin(), lay.basis.end(), tab.basis);
+  std::copy(lay.colvar.begin(), lay.colvar.end(), tab.colvar);
 
   // Build the constraint rows. Each row is brought to one common
   // denominator (the lcm of its cells' denominators); scaling a row by a
   // positive constant changes no represented value.
-  std::size_t slack_idx = 0;
-  std::size_t artificial_idx = 0;
+  const std::size_t k = tab.k;
+  std::size_t slack = lay.first_slack;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
     i64 den = 1;
@@ -435,65 +497,60 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
     // coeffs . x + constant >= 0  becomes  coeffs . x - s = -constant.
     for (std::size_t j = 0; j < num_vars_; ++j) {
       const i64 n = fl_scaled(r.coeffs[j], den);
-      row[lay.col_pos[j]] = n;
-      if (lay.col_neg[j] != SIZE_MAX) row[lay.col_neg[j]] = -n;
+      row[lay.slot[lay.col_pos[j]]] = n;
+      if (lay.col_neg[j] != SIZE_MAX) row[lay.slot[lay.col_neg[j]]] = -n;
     }
-    if (!r.is_equality) {
-      row[lay.first_slack + slack_idx] = -den;
-      ++slack_idx;
-    }
-    row[nc] = -fl_scaled(r.constant, den);
+    row[k] = -fl_scaled(r.constant, den);
     tab.dens[i] = den;
-    if (!r.is_equality && r.constant >= 0) {
+    if (!r.is_equality && lay.slot[slack++] == SIZE_MAX) {
       // Slack value at x = 0 is `constant` >= 0: negate the row so the
-      // slack column is positive with a non-negative RHS, and make it
-      // basic.
-      for (std::size_t c = 0; c <= nc; ++c) row[c] = -row[c];
-      tab.basis[i] = lay.first_slack + slack_idx - 1;
+      // basic slack's implicit cell is +den with a non-negative RHS.
+      for (std::size_t c = 0; c <= k; ++c) row[c] = -row[c];
       tab.reduce_row(i);
       continue;
     }
-    // Normalize RHS >= 0, then attach an artificial (coefficient 1, i.e.
-    // the row's denominator).
-    if (row[nc] < 0)
-      for (std::size_t c = 0; c <= nc; ++c) row[c] = -row[c];
-    row[lay.first_artificial + artificial_idx] = den;
-    tab.basis[i] = lay.first_artificial + artificial_idx;
-    ++artificial_idx;
+    if (!r.is_equality) row[lay.slot[slack - 1]] = -den;
+    // Normalize RHS >= 0; the row's basic artificial has coefficient 1,
+    // the implicit cell +den.
+    if (row[k] < 0)
+      for (std::size_t c = 0; c <= k; ++c) row[c] = -row[c];
     tab.reduce_row(i);
   }
 
   // Phase 1: minimize the sum of artificials (skipped when none exist).
   if (lay.num_artificials > 0) {
-    i64* costs = arena.alloc_array<i64>(nc);
-    std::fill_n(costs, nc, i64{0});
+    i64* costs = arena.alloc_array<i64>(nv);
+    std::fill_n(costs, nv, i64{0});
     for (std::size_t a = 0; a < lay.num_artificials; ++a)
       costs[lay.first_artificial + a] = 1;
     tab.set_costs(costs);
-    const bool bounded = tab.optimize(nc);
+    const bool bounded = tab.optimize(nv);
     PF_CHECK_MSG(bounded, "phase-1 objective cannot be unbounded");
     // Objective value is -rhs of the cost row; infeasible when positive.
-    if (tab.num_at(tab.m, nc) < 0)
+    if (tab.num_at(tab.m, k) < 0)
       return Result{Status::kInfeasible, {}, Rational(0)};
     // Pivot remaining artificials (at value 0) out of the basis where
     // possible; rows with no non-artificial entry are redundant and stay
     // (they are all-zero, harmless).
     for (std::size_t r = 0; r < tab.m; ++r) {
       if (tab.basis[r] < lay.first_artificial) continue;
-      std::size_t c = 0;
-      while (c < lay.first_artificial && tab.num_at(r, c) == 0) ++c;
-      if (c < lay.first_artificial) tab.pivot(r, c);
+      const std::size_t c = smallest_var_column(
+          tab.colvar, k, lay.first_artificial,
+          [&](std::size_t j) { return tab.num_at(r, j) != 0; });
+      if (c < k) tab.pivot(r, c);
     }
   }
 
   // Phase 2: the original objective, scaled integral by the positive lcm
   // of its denominators (undone when the objective value is read back);
-  // artificial columns are barred.
+  // artificial variables are barred from entering. Their nonbasic
+  // columns stay stored, so every row keeps the representation (and the
+  // gcds) it would have with every column stored.
   i64 obj_scale = 1;
   {
     for (const Rational& v : objective) obj_scale = fl_lcm(obj_scale, v.den());
-    i64* costs = arena.alloc_array<i64>(nc);
-    std::fill_n(costs, nc, i64{0});
+    i64* costs = arena.alloc_array<i64>(nv);
+    std::fill_n(costs, nv, i64{0});
     for (std::size_t j = 0; j < num_vars_; ++j) {
       const i64 n = fl_scaled(objective[j], obj_scale);
       costs[lay.col_pos[j]] = n;
@@ -505,19 +562,13 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
   }
 
   // Extract solution.
-  RatVector values(nc, Rational(0));
+  RatVector values(nv, Rational(0));
   for (std::size_t r = 0; r < tab.m; ++r)
-    values[tab.basis[r]] = Rational(tab.num_at(r, nc), tab.dens[r]);
-  Result res;
-  res.status = Status::kOptimal;
-  res.point.resize(num_vars_);
-  for (std::size_t j = 0; j < num_vars_; ++j) {
-    res.point[j] = values[lay.col_pos[j]];
-    if (lay.col_neg[j] != SIZE_MAX) res.point[j] -= values[lay.col_neg[j]];
-  }
+    values[tab.basis[r]] = Rational(tab.num_at(r, k), tab.dens[r]);
+  Result res = optimal_at(lay, num_vars_, values);
   // objective = -rhs(m) / obj_scale.
   {
-    const i128 onum = -static_cast<i128>(tab.num_at(tab.m, nc));
+    const i128 onum = -static_cast<i128>(tab.num_at(tab.m, k));
     const i128 oden = static_cast<i128>(tab.dens[tab.m]) * obj_scale;
     const i128 g = onum == 0 ? oden : gcd128(onum, oden);
     res.objective = Rational(fl_narrow(onum / g), fl_narrow(oden / g));
@@ -528,51 +579,46 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
 SimplexSolver::Result SimplexSolver::minimize_exact(
     const RatVector& objective) const {
   const Layout lay = make_layout(num_vars_, nonneg_, rows_);
-  const std::size_t nc = lay.nc;
+  const std::size_t nv = lay.nv;
 
   Tableau tab;
   tab.m = rows_.size();
-  tab.ncols = nc;
-  tab.t.assign(tab.m + 1, RatVector(nc + 1, Rational(0)));
-  tab.basis.assign(tab.m, 0);
+  tab.k = lay.colvar.size();
+  tab.t.assign(tab.m + 1, RatVector(tab.k + 1, Rational(0)));
+  tab.basis = lay.basis;
+  tab.colvar = lay.colvar;
 
-  std::size_t slack_idx = 0;
-  std::size_t artificial_idx = 0;
+  const std::size_t k = tab.k;
+  std::size_t slack = lay.first_slack;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
     // coeffs . x + constant >= 0  becomes  coeffs . x - s = -constant.
     for (std::size_t j = 0; j < num_vars_; ++j) {
-      tab.at(i, lay.col_pos[j]) = r.coeffs[j];
-      if (lay.col_neg[j] != SIZE_MAX) tab.at(i, lay.col_neg[j]) = -r.coeffs[j];
-    }
-    if (!r.is_equality) {
-      tab.at(i, lay.first_slack + slack_idx) = Rational(-1);
-      ++slack_idx;
+      tab.at(i, lay.slot[lay.col_pos[j]]) = r.coeffs[j];
+      if (lay.col_neg[j] != SIZE_MAX)
+        tab.at(i, lay.slot[lay.col_neg[j]]) = -r.coeffs[j];
     }
     tab.rhs(i) = -r.constant;
-    if (!r.is_equality && r.constant >= 0) {
+    if (!r.is_equality && lay.slot[slack++] == SIZE_MAX) {
       // Slack value at x = 0 is `constant` >= 0: negate the row so the
-      // slack column has +1 and a non-negative RHS, and make it basic.
-      for (std::size_t c = 0; c <= nc; ++c) tab.t[i][c] = -tab.t[i][c];
-      tab.basis[i] = lay.first_slack + slack_idx - 1;
+      // basic slack has +1 and a non-negative RHS.
+      for (std::size_t c = 0; c <= k; ++c) tab.t[i][c] = -tab.t[i][c];
       continue;
     }
-    // Normalize RHS >= 0, then attach an artificial.
+    if (!r.is_equality) tab.at(i, lay.slot[slack - 1]) = Rational(-1);
+    // Normalize RHS >= 0; the row's basic artificial has coefficient 1.
     if (tab.rhs(i).sign() < 0) {
-      for (std::size_t c = 0; c <= nc; ++c) tab.t[i][c] = -tab.t[i][c];
+      for (std::size_t c = 0; c <= k; ++c) tab.t[i][c] = -tab.t[i][c];
     }
-    tab.at(i, lay.first_artificial + artificial_idx) = Rational(1);
-    tab.basis[i] = lay.first_artificial + artificial_idx;
-    ++artificial_idx;
   }
 
   // Phase 1: minimize the sum of artificials (skipped when none exist).
   if (lay.num_artificials > 0) {
-    RatVector costs(nc, Rational(0));
+    RatVector costs(nv, Rational(0));
     for (std::size_t a = 0; a < lay.num_artificials; ++a)
       costs[lay.first_artificial + a] = Rational(1);
     tab.set_costs(costs);
-    const bool bounded = tab.optimize(nc);
+    const bool bounded = tab.optimize(nv);
     PF_CHECK_MSG(bounded, "phase-1 objective cannot be unbounded");
     // Objective value is -rhs of the cost row.
     if ((-tab.rhs(tab.m)).sign() > 0)
@@ -582,15 +628,16 @@ SimplexSolver::Result SimplexSolver::minimize_exact(
     // (they are all-zero, harmless).
     for (std::size_t r = 0; r < tab.m; ++r) {
       if (tab.basis[r] < lay.first_artificial) continue;
-      std::size_t c = 0;
-      while (c < lay.first_artificial && tab.at(r, c).is_zero()) ++c;
-      if (c < lay.first_artificial) tab.pivot(r, c);
+      const std::size_t c = smallest_var_column(
+          tab.colvar.data(), k, lay.first_artificial,
+          [&](std::size_t j) { return !tab.at(r, j).is_zero(); });
+      if (c < k) tab.pivot(r, c);
     }
   }
 
-  // Phase 2: original objective; artificial columns are barred.
+  // Phase 2: original objective; artificial variables are barred.
   {
-    RatVector costs(nc, Rational(0));
+    RatVector costs(nv, Rational(0));
     for (std::size_t j = 0; j < num_vars_; ++j) {
       costs[lay.col_pos[j]] = objective[j];
       if (lay.col_neg[j] != SIZE_MAX) costs[lay.col_neg[j]] = -objective[j];
@@ -601,15 +648,9 @@ SimplexSolver::Result SimplexSolver::minimize_exact(
   }
 
   // Extract solution.
-  RatVector values(nc, Rational(0));
+  RatVector values(nv, Rational(0));
   for (std::size_t r = 0; r < tab.m; ++r) values[tab.basis[r]] = tab.rhs(r);
-  Result res;
-  res.status = Status::kOptimal;
-  res.point.resize(num_vars_);
-  for (std::size_t j = 0; j < num_vars_; ++j) {
-    res.point[j] = values[lay.col_pos[j]];
-    if (lay.col_neg[j] != SIZE_MAX) res.point[j] -= values[lay.col_neg[j]];
-  }
+  Result res = optimal_at(lay, num_vars_, values);
   res.objective = -tab.rhs(tab.m);
   return res;
 }

@@ -126,6 +126,8 @@ const char* to_string(Counter c) {
       return "sched_orientation_skips";
     case Counter::kRedundancyLps:
       return "redundancy_lps";
+    case Counter::kSimplexCells:
+      return "simplex_cells";
     case Counter::kNumCounters:
       break;
   }

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
+#include "dense_simplex.h"
+#include "lp/fastlane.h"
 #include "lp/ilp.h"
 #include "lp/simplex.h"
+#include "support/metrics.h"
 
 namespace pf::lp {
 namespace {
@@ -99,6 +103,193 @@ TEST(Simplex, FeasiblePointSatisfiesConstraints) {
   ASSERT_EQ(r.status, Status::kOptimal);
   EXPECT_GE(r.point[0] + r.point[1], Rational(3));
   EXPECT_GE(r.point[1] * Rational(2), r.point[0]);
+}
+
+// One pivot sweeps (m + 1) rows by (k + 1) stored columns: the k nonbasic
+// variables plus the rhs, never the m basic ones.
+TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
+  // min x0 + 2*x1 s.t. x0 + x1 >= 1, x0 <= 4, x1 <= 4 (nonneg). Variables:
+  // 2 structurals, 3 slacks, 1 artificial (the first row fails at x = 0),
+  // so m = 3 rows and k = 6 - 3 = 3 nonbasic columns.
+  auto s = SimplexSolver::all_nonneg(2);
+  s.add_inequality(rv({1, 1}), Rational(-1));
+  s.add_inequality(rv({-1, 0}), Rational(4));
+  s.add_inequality(rv({0, -1}), Rational(4));
+  for (const bool lane : {true, false}) {
+    set_fastlane_enabled(lane);
+    support::MetricsScope metrics;
+    const auto r = s.minimize(rv({1, 2}));
+    ASSERT_EQ(r.status, Status::kOptimal);
+    EXPECT_EQ(r.objective, Rational(1));
+    const i64 pivots = metrics.registry().get(support::Counter::kSimplexPivots);
+    EXPECT_GT(pivots, 0);
+    EXPECT_EQ(metrics.registry().get(support::Counter::kSimplexCells),
+              pivots * (3 + 1) * (3 + 1))
+        << "lane " << lane;
+  }
+  set_fastlane_enabled(true);
+}
+
+// The compact tableau against the dense reference (tests/dense_simplex.h):
+// seeded LPs of 1-12 variables and up to 60 rows, mixing free and
+// non-negative variables, equalities, negative constants, duplicate,
+// degenerate and empty rows, rational coefficients, and rows whose common
+// denominator pushes the int64 lane past 2^62. With the lane on and off,
+// the status, point, objective and the solve's pivot count must be the
+// reference's. The compact int64 lane may overflow only where the dense
+// one did (its cost row stores a subset of the dense row's cells).
+TEST(Simplex, CompactTableauMatchesDenseReference) {
+  int optimal = 0, infeasible = 0, unbounded = 0, overflowed = 0;
+  for (unsigned seed = 0; seed < 500; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](i64 lo, i64 hi) {
+      return std::uniform_int_distribution<i64>(lo, hi)(rng);
+    };
+    // Every 25th LP carries one row over x0..x3 whose cells have four
+    // distinct five-digit prime denominators: their lcm passes 2^62, so
+    // the int64 lane overflows. Its other rows leave x0..x3 alone, which
+    // keeps the Rational lane's values in range.
+    const bool huge = seed % 25 == 0;
+    const std::size_t n = static_cast<std::size_t>(huge ? pick(5, 7)
+                                                        : pick(1, 12));
+    std::vector<bool> nonneg(n);
+    const i64 free_share = pick(0, 4);  // 0: all nonneg .. 4: all free
+    for (std::size_t j = 0; j < n; ++j) nonneg[j] = pick(1, 4) > free_share;
+    // Sparse rows of small values, as in the scheduler's systems; dense
+    // ones with 12 variables overflow the Rational lane's int64 cells.
+    auto value = [&](i64 lo, i64 hi) {
+      return Rational(pick(lo, hi), pick(0, 5) == 0 ? 2 : 1);
+    };
+    // Most rows hold at a hidden point x0, often tightly (a degenerate
+    // vertex); their constants take either sign. A quarter of the LPs
+    // also get rows with free constants and one row contradicting an
+    // earlier one, which make most of them infeasible.
+    RatVector x0(n);
+    for (std::size_t j = 0; j < n; ++j)
+      x0[j] = Rational(nonneg[j] ? pick(0, 3) : pick(-3, 3));
+    const bool contradict = pick(0, 3) == 0;
+    std::vector<test::DenseRow> rows;
+    const std::size_t num_rows = static_cast<std::size_t>(pick(0, 60));
+    while (rows.size() < num_rows) {
+      const i64 kind = pick(0, 19);
+      if (kind <= 1 && !rows.empty()) {  // duplicate an earlier row
+        rows.push_back(rows[static_cast<std::size_t>(
+            pick(0, static_cast<i64>(rows.size()) - 1))]);
+        continue;
+      }
+      test::DenseRow row;
+      row.coeffs.assign(n, Rational(0));
+      Rational at_x0(0);
+      const std::size_t lo = huge ? 4 : 0;
+      if (kind != 2 && lo < n) {  // kind 2: an all-zero row
+        const auto must = static_cast<std::size_t>(
+            pick(static_cast<i64>(lo), static_cast<i64>(n) - 1));
+        for (std::size_t j = lo; j < n; ++j)
+          if (j == must || pick(0, 2) == 0) {
+            row.coeffs[j] = value(-3, 3);
+            at_x0 += row.coeffs[j] * x0[j];
+          }
+      }
+      row.is_equality = kind == 3 || kind == 4;
+      row.constant = -at_x0;
+      if (!row.is_equality && pick(0, 2) != 0)
+        row.constant += Rational(pick(0, 6));
+      if (contradict && kind == 5) row.constant = value(-6, 6);
+      rows.push_back(std::move(row));
+    }
+    if (contradict && !rows.empty()) {
+      test::DenseRow row = rows[static_cast<std::size_t>(
+          pick(0, static_cast<i64>(rows.size()) - 1))];
+      for (Rational& v : row.coeffs) v = -v;
+      row.constant = -row.constant - Rational(1);
+      row.is_equality = false;
+      rows.insert(rows.begin() + pick(0, static_cast<i64>(rows.size())),
+                  std::move(row));
+    }
+    if (pick(0, 2) == 0) {  // box every variable: bounded
+      for (std::size_t j = huge ? 4 : 0; j < n; ++j) {
+        for (const i64 sign : {1, -1}) {
+          test::DenseRow row;
+          row.coeffs.assign(n, Rational(0));
+          row.coeffs[j] = Rational(sign);
+          row.constant = Rational(pick(3, 6));
+          rows.insert(rows.begin() + pick(0, static_cast<i64>(rows.size())),
+                      std::move(row));
+        }
+      }
+    }
+    if (huge) {
+      const i64 primes[4] = {99991, 99989, 99971, 99961};
+      test::DenseRow row;
+      row.coeffs.assign(n, Rational(0));
+      for (std::size_t j = 0; j < 4; ++j)
+        row.coeffs[j] = Rational(1, primes[j]);
+      row.constant = Rational(pick(-2, 1));
+      rows.insert(rows.begin() + pick(0, static_cast<i64>(rows.size())),
+                  std::move(row));
+    }
+    RatVector objective(n, Rational(0));
+    if (pick(0, 5) != 0)  // else a pure feasibility solve
+      for (std::size_t j = 0; j < n; ++j) objective[j] = value(-4, 4);
+
+    SimplexSolver solver(n, nonneg);
+    for (const test::DenseRow& row : rows) {
+      if (row.is_equality)
+        solver.add_equality(row.coeffs, row.constant);
+      else
+        solver.add_inequality(row.coeffs, row.constant);
+    }
+    const test::DenseOutcome exact =
+        test::dense_minimize_exact(nonneg, rows, objective);
+    const test::DenseOutcome fast =
+        test::dense_minimize_int(nonneg, rows, objective);
+    const std::string where = "seed " + std::to_string(seed);
+    for (const bool lane : {true, false}) {
+      set_fastlane_enabled(lane);
+      support::MetricsScope metrics;
+      const SimplexSolver::Result got = solver.minimize(objective);
+      const i64 pivots =
+          metrics.registry().get(support::Counter::kSimplexPivots);
+      const bool fell_back =
+          metrics.registry().get(support::Counter::kFastlaneFallbacks) > 0;
+      ASSERT_EQ(got.status, exact.result.status) << where << " lane " << lane;
+      if (got.status == Status::kOptimal) {
+        EXPECT_EQ(got.objective, exact.result.objective) << where;
+        EXPECT_EQ(got.point, exact.result.point) << where;
+      }
+      if (!lane) {
+        EXPECT_EQ(pivots, exact.pivots) << where;
+      } else if (fell_back) {
+        EXPECT_TRUE(fast.overflow) << where;
+      } else {
+        EXPECT_EQ(pivots, exact.pivots) << where;
+        if (!fast.overflow) {
+          EXPECT_EQ(pivots, fast.pivots) << where;
+        }
+      }
+    }
+    set_fastlane_enabled(true);
+    if (!fast.overflow) {
+      EXPECT_EQ(fast.pivots, exact.pivots) << where;
+    }
+    overflowed += fast.overflow ? 1 : 0;
+    switch (exact.result.status) {
+      case Status::kOptimal:
+        ++optimal;
+        break;
+      case Status::kInfeasible:
+        ++infeasible;
+        break;
+      case Status::kUnbounded:
+        ++unbounded;
+        break;
+    }
+  }
+  // Every outcome the generator aims at occurred.
+  EXPECT_GT(optimal, 250);
+  EXPECT_GT(infeasible, 80);
+  EXPECT_GT(unbounded, 30);
+  EXPECT_EQ(overflowed, 20);
 }
 
 TEST(Ilp, IntegerMinimumDiffersFromRelaxation) {

@@ -2,7 +2,9 @@
 """tools/perf_gate.py's own test: a pin passes against an identical copy,
 and the gate fails, naming the key, on a counter off by one, on a key
 dropped from either side, on an empty run file, on an incorrect run and
-on a run over its CPU bound.
+on a run over its CPU bound. Timing figures (unit "s") are ignored on
+both sides; --record writes a pin without them, and no committed pin
+holds one.
 
     python3 tests/perf_gate_test.py
 """
@@ -15,7 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GATE = ROOT / "tools" / "perf_gate.py"
-PIN = ROOT / "tests" / "golden" / "perfbench" / "paper-suite.json"
+PINS = ROOT / "tests" / "golden" / "perfbench"
+PIN = PINS / "paper-suite.json"
 BASELINE = ROOT / "perfbench" / "baseline.json"
 
 
@@ -25,7 +28,9 @@ class PerfGateTest(unittest.TestCase):
         self.addCleanup(tmp.cleanup)
         self.tmp = Path(tmp.name)
         self.pin = json.loads(PIN.read_text())
-        self.run_figures = json.loads(PIN.read_text())
+        # A run's --counters-out file carries timing figures too.
+        self.run_figures = dict(json.loads(PIN.read_text()),
+                                **{"lp.simplex_s": {"value": 6.6, "unit": "s"}})
         self.result = {"correct": True, "attempted": 50, "failed": 0,
                        "metrics": {"pipeline_cpu_s": {"value": 1.0, "unit": "s"}}}
 
@@ -54,6 +59,32 @@ class PerfGateTest(unittest.TestCase):
         self.run_figures["lp.simplex_s"]["value"] *= 3
         status, out = self.gate()
         self.assertEqual(status, 0, out)
+
+    def test_timing_figures_ignored_on_both_sides(self):
+        self.pin["lp.simplex_s"] = {"value": 1.0, "unit": "s"}
+        del self.run_figures["lp.simplex_s"]
+        status, out = self.gate()
+        self.assertEqual(status, 0, out)
+        self.run_figures["sched.schedule_s"] = {"value": 2.0, "unit": "s"}
+        status, out = self.gate()
+        self.assertEqual(status, 0, out)
+
+    def test_record_writes_the_exact_figures_only(self):
+        counters = self.tmp / "run.json"
+        counters.write_text(json.dumps(self.run_figures) + "\n")
+        pin = self.tmp / "paper-suite.json"
+        proc = subprocess.run([sys.executable, str(GATE), "--record", str(pin),
+                               str(counters)], capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        recorded = json.loads(pin.read_text())
+        self.assertEqual(recorded, self.pin)
+        self.assertEqual(list(recorded), sorted(recorded))
+
+    def test_committed_pins_hold_no_timing_figures(self):
+        for path in sorted(PINS.glob("*.json")):
+            pin = json.loads(path.read_text())
+            self.assertTrue(pin, path)
+            self.assertEqual([k for k, v in pin.items() if v["unit"] == "s"], [], path)
 
     def test_counter_off_by_one_fails(self):
         self.run_figures["lp.ilp_nodes"]["value"] += 1

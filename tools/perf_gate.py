@@ -2,16 +2,22 @@
 """perf_gate: check one perfbench run against its committed pin.
 
     tools/perf_gate.py PIN COUNTERS RESULT BASELINE
+    tools/perf_gate.py --record PIN COUNTERS
 
-PIN is tests/golden/perfbench/<workload>.json, the --counters-out file of
-a pipeline_bench --jobs 1 run; the workload is its file name. COUNTERS is
-the run's own --counters-out file, RESULT its stdout (the last line is the
-result object) and BASELINE is perfbench/baseline.json.
+PIN is tests/golden/perfbench/<workload>.json: the figures of a
+pipeline_bench --jobs 1 run's --counters-out file whose unit is not "s";
+the workload is its file name. COUNTERS is the run's own --counters-out
+file, RESULT its stdout (the last line is the result object) and BASELINE
+is perfbench/baseline.json.
 
-Every figure whose unit is not "s" must equal the pin's exactly; a key
+Figures whose unit is "s" are wall-clock readings; the gate ignores them
+on both sides. Every other figure must equal the pin's exactly; a key
 missing on either side fails. The run must be correct, and its
 pipeline_cpu_s at most 2x the workload's median in BASELINE. Each failure
 is named on stdout; the exit status is 1 on any failure.
+
+--record writes COUNTERS' figures whose unit is not "s" to PIN, so a
+re-recorded pin changes only where a counter moved.
 """
 import json
 import sys
@@ -30,15 +36,27 @@ def load(path):
     return data
 
 
+def exact_figures(data):
+    """The figures a pin holds and the gate compares: unit other than "s"."""
+    return {k: v for k, v in data.items() if v["unit"] != "s"}
+
+
+def record(pin_path, counters_path):
+    figures = exact_figures(load(counters_path))
+    Path(pin_path).write_text(json.dumps(dict(sorted(figures.items()))) + "\n")
+    print(f"perf_gate: recorded {len(figures)} figures to {pin_path}")
+    return 0
+
+
 def main(pin_path, counters_path, result_path, baseline_path):
-    pin, run = load(pin_path), load(counters_path)
+    pin, run = exact_figures(load(pin_path)), exact_figures(load(counters_path))
     result = load(result_path)
     workload = Path(pin_path).stem
     failures = []
     for key in sorted(pin.keys() | run.keys()):
         if key not in run or key not in pin:
             failures.append(f"{key}: missing from {'run' if key in pin else 'pin'}")
-        elif pin[key]["unit"] != "s" and run[key] != pin[key]:
+        elif run[key] != pin[key]:
             failures.append(f"{key}: pin {pin[key]['value']}, run {run[key]['value']}")
     if result.get("correct") is not True:
         failures.append(f"correct: {result.get('correct')} ({result.get('failed')} failed)")
@@ -54,6 +72,8 @@ def main(pin_path, counters_path, result_path, baseline_path):
 
 
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--record":
+        sys.exit(record(*sys.argv[2:]))
     if len(sys.argv) != 5:
         sys.exit(__doc__)
     sys.exit(main(*sys.argv[1:]))
