@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "lp/fastlane.h"
@@ -169,6 +171,7 @@ struct Tableau {
   std::vector<RatVector> t;
   std::vector<std::size_t> basis;   // basis[r] = variable basic in row r
   std::vector<std::size_t> colvar;  // colvar[j] = variable of column j
+  std::vector<std::size_t> nz;      // the pivot row's nonzero columns
 
   Rational& at(std::size_t r, std::size_t c) { return t[r][c]; }
   const Rational& at(std::size_t r, std::size_t c) const { return t[r][c]; }
@@ -182,12 +185,19 @@ struct Tableau {
     account_pivot(m, k);
     const Rational inv = at(pr, pc).reciprocal();
     at(pr, pc) = Rational(1);
-    for (auto& v : t[pr]) v *= inv;
+    // Only the pivot row's nonzero columns take part in the row
+    // operations: a zero cell changes no other row.
+    nz.clear();
+    for (std::size_t c = 0; c <= k; ++c) {
+      if (t[pr][c].is_zero()) continue;
+      t[pr][c] *= inv;
+      nz.push_back(c);
+    }
     for (std::size_t r = 0; r <= m; ++r) {
       if (r == pr || at(r, pc).is_zero()) continue;
       const Rational factor = at(r, pc);
       at(r, pc) = Rational(0);
-      for (std::size_t c = 0; c <= k; ++c) t[r][c] -= factor * t[pr][c];
+      for (const std::size_t c : nz) t[r][c] -= factor * t[pr][c];
     }
     std::swap(basis[pr], colvar[pc]);
   }
@@ -227,7 +237,8 @@ struct Tableau {
     for (std::size_t r = 0; r < m; ++r) {
       const Rational cb = costs[basis[r]];
       if (cb.is_zero()) continue;
-      for (std::size_t c = 0; c <= k; ++c) t[m][c] -= cb * t[r][c];
+      for (std::size_t c = 0; c <= k; ++c)
+        if (!t[r][c].is_zero()) t[m][c] -= cb * t[r][c];
     }
   }
 };
@@ -238,7 +249,6 @@ struct Tableau {
 // Same tableau, same pivot rule, same answers -- but each row is stored as
 // int64 numerators over one per-row denominator instead of a vector of
 // canonicalized Rationals, so a pivot is a fused integer row operation
-// (two 128-bit multiplies and a subtract per cell, one gcd per row)
 // instead of k Rational multiply-subtracts with a gcd each.
 //
 // Every entry is kept below 2^62 (kFastLimit), which makes all the 128-bit
@@ -279,6 +289,30 @@ i128 gcd128(i128 a, i128 b) {
   return a;
 }
 
+inline bool fits64(i128 v) { return v == static_cast<i64>(v); }
+
+using u64 = std::uint64_t;
+
+inline u64 abs64(i64 v) {
+  return v < 0 ? u64{0} - static_cast<u64>(v) : static_cast<u64>(v);
+}
+
+// gcd(g, x) for g > 0: one 64-bit gcd when g fits in 64 bits (x is first
+// reduced mod g when it does not), the 128-bit one otherwise.
+inline i128 gcd_step(i128 g, i128 x) {
+  if (!fits64(g)) return gcd128(g, x);
+  if (!fits64(x)) x %= g;
+  return static_cast<i128>(
+      std::gcd(static_cast<u64>(g), abs64(static_cast<i64>(x))));
+}
+
+// x / g for g > 0 dividing x, in 64 bits when both fit.
+inline i128 div_exact(i128 x, i128 g) {
+  if (fits64(x) && fits64(g))
+    return static_cast<i64>(x) / static_cast<i64>(g);
+  return x / g;
+}
+
 // lcm of positive denominators; overflow exits to the Rational lane (the
 // exact tableau never scales, so this must not surface as a pf::Error).
 inline i64 fl_lcm(i64 a, i64 b) {
@@ -291,16 +325,19 @@ inline i64 fl_scaled(const Rational& v, i64 den) {
 }
 
 // Integer tableau: value(r, c) = nums[r * stride + c] / dens[r], with
-// dens[r] > 0 and every stored integer in (-2^62, 2^62); row r's basic
-// variable has the implicit numerator dens[r]. Storage comes from the
-// thread's arena (released wholesale by the caller's ArenaScope).
+// dens[r] > 0, every stored integer in (-2^62, 2^62) and every row in
+// lowest terms (the gcd of its denominator and numerators is 1); row r's
+// basic variable has the implicit numerator dens[r]. Storage comes from
+// the thread's arena (released wholesale by the caller's ArenaScope).
 struct IntTableau {
   std::size_t m = 0;
   std::size_t k = 0;       // stored (nonbasic) columns, excl. rhs
   std::size_t stride = 0;  // k + 1 (rhs in the last cell)
   i64* nums = nullptr;     // (m + 1) * stride
   i64* dens = nullptr;     // m + 1
-  i128* scratch = nullptr;  // stride; the in-flight combined row
+  i128* scratch = nullptr;  // stride; the in-flight combined row (in
+                            // update_unit, its cells listed in nz)
+  std::size_t* nz = nullptr;  // stride; the pivot row's nonzero columns
   std::size_t* basis = nullptr;   // m
   std::size_t* colvar = nullptr;  // k
 
@@ -320,14 +357,62 @@ struct IntTableau {
   }
 
   // Store scratch / den128 into row r in lowest terms; throws
-  // FastlaneOverflow when the reduced row leaves the safe range.
+  // FastlaneOverflow when the reduced row leaves the safe range. A row
+  // whose gcd is 1 is stored without dividing.
   void store_reduced(std::size_t r, i128 den128) {
     i128 g = den128;
     for (std::size_t c = 0; c <= k && g != 1; ++c)
-      if (scratch[c] != 0) g = gcd128(g, scratch[c]);
+      if (scratch[c] != 0) g = gcd_step(g, scratch[c]);
     i64* q = row(r);
-    for (std::size_t c = 0; c <= k; ++c) q[c] = fl_narrow(scratch[c] / g);
+    if (g == 1) {
+      for (std::size_t c = 0; c <= k; ++c) q[c] = fl_narrow(scratch[c]);
+      dens[r] = fl_narrow(den128);
+      return;
+    }
+    for (std::size_t c = 0; c <= k; ++c)
+      q[c] = fl_narrow(div_exact(scratch[c], g));
     dens[r] = fl_narrow(den128 / g);
+  }
+
+  // Row r's update under a pivot row p of denominator 1, f being row r's
+  // entry in the pivot column: value'(c) = q[c]/dr - (f/dr) * p[c] =
+  // (q[c] - f*p[c]) / dr, so only the pivot row's nnz nonzero columns
+  // change. With dr == 1 the row stays in lowest terms; otherwise it is
+  // divided by the gcd of dr and its new numerators when that exceeds 1,
+  // exactly as store_reduced would.
+  void update_unit(std::size_t r, i64 f, const i64* p, std::size_t nnz) {
+    i64* q = row(r);
+    const i64 dr = dens[r];
+    if (dr == 1) {
+      for (std::size_t i = 0; i < nnz; ++i) {
+        const std::size_t c = nz[i];
+        q[c] = fl_narrow(static_cast<i128>(q[c]) -
+                         static_cast<i128>(f) * p[c]);
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < nnz; ++i) {
+      const std::size_t c = nz[i];
+      scratch[i] = static_cast<i128>(q[c]) - static_cast<i128>(f) * p[c];
+    }
+    // The gcd walks the whole new row: unchanged cells from q, changed
+    // ones (the ascending nz list) from scratch.
+    i128 g = dr;
+    for (std::size_t c = 0, i = 0; c <= k && g != 1; ++c) {
+      if (i < nnz && nz[i] == c)
+        g = gcd_step(g, scratch[i++]);
+      else if (q[c] != 0)
+        g = gcd_step(g, q[c]);
+    }
+    if (g == 1) {
+      for (std::size_t i = 0; i < nnz; ++i) q[nz[i]] = fl_narrow(scratch[i]);
+      return;
+    }
+    const i64 g64 = static_cast<i64>(g);  // divides dr
+    for (std::size_t c = 0; c <= k; ++c) q[c] /= g64;
+    for (std::size_t i = 0; i < nnz; ++i)
+      q[nz[i]] = fl_narrow(div_exact(scratch[i], g));
+    dens[r] = dr / g64;
   }
 
   void pivot(std::size_t pr, std::size_t pc) {
@@ -340,23 +425,39 @@ struct IntTableau {
     i64* p = row(pr);
     const i64 a = p[pc];
     p[pc] = dens[pr];
-    if (a < 0)
-      for (std::size_t c = 0; c <= k; ++c) p[c] = -p[c];
     dens[pr] = a < 0 ? -a : a;
-    reduce_row(pr);
+    // Only the pivot row's nonzero columns take part in the row
+    // operations: a zero cell adds nothing to any other row.
+    std::size_t nnz = 0;
+    for (std::size_t c = 0; c <= k; ++c)
+      if (p[c] != 0) nz[nnz++] = c;
+    i64 g = dens[pr];
+    for (std::size_t i = 0; i < nnz; ++i) {
+      if (a < 0) p[nz[i]] = -p[nz[i]];
+      if (g != 1) g = gcd(g, p[nz[i]]);
+    }
+    if (g > 1) {
+      for (std::size_t i = 0; i < nnz; ++i) p[nz[i]] /= g;
+      dens[pr] /= g;
+    }
     const i64 dp = dens[pr];
     for (std::size_t r = 0; r <= m; ++r) {
       if (r == pr) continue;
       i64* q = row(r);
       const i64 f = q[pc];
       if (f == 0) continue;
-      const i64 dr = dens[r];
       q[pc] = 0;  // the leaving variable was basic in row pr only
+      if (dp == 1) {
+        update_unit(r, f, p, nnz);
+        continue;
+      }
       // value'(c) = q[c]/dr - (f/dr) * (p[c]/dp)
       //          = (q[c]*dp - f*p[c]) / (dr*dp)
       for (std::size_t c = 0; c <= k; ++c)
-        scratch[c] = static_cast<i128>(q[c]) * dp - static_cast<i128>(f) * p[c];
-      store_reduced(r, static_cast<i128>(dr) * dp);
+        scratch[c] = static_cast<i128>(q[c]) * dp;
+      for (std::size_t i = 0; i < nnz; ++i)
+        scratch[nz[i]] -= static_cast<i128>(f) * p[nz[i]];
+      store_reduced(r, static_cast<i128>(dens[r]) * dp);
     }
     std::swap(basis[pr], colvar[pc]);
   }
@@ -476,6 +577,7 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
   tab.nums = arena.alloc_array<i64>((tab.m + 1) * tab.stride);
   tab.dens = arena.alloc_array<i64>(tab.m + 1);
   tab.scratch = arena.alloc_array<i128>(tab.stride);
+  tab.nz = arena.alloc_array<std::size_t>(tab.stride);
   tab.basis = arena.alloc_array<std::size_t>(std::max<std::size_t>(tab.m, 1));
   tab.colvar = arena.alloc_array<std::size_t>(std::max<std::size_t>(tab.k, 1));
   std::fill_n(tab.nums, (tab.m + 1) * tab.stride, i64{0});

@@ -105,8 +105,9 @@ enum class Counter : std::size_t {
   kSchedOrientationSkips,  // independence-orientation enumerations skipped
                            // (LP certificate: every orientation infeasible)
   kRedundancyLps,        // LPs solved by IntegerSet::remove_redundant
-  kSimplexCells,         // tableau cells swept by pivots: (rows + 1) x
-                         // (stored columns + 1) per pivot
+  kSimplexCells,         // tableau cells stored at pivots: (rows + 1) x
+                         // (stored columns + 1) per pivot, not the cells
+                         // a sparse pivot writes
   kNumCounters,
 };
 

@@ -38,6 +38,10 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+// The environment of a run that needs the int64 fast lane on whatever
+// the caller exported (lp/fastlane.h reads "0" as on).
+constexpr const char* kLaneOn = "POLYFUSE_NO_FASTLANE=0";
+
 // `env` is prepended verbatim, e.g. "POLYFUSE_TRACE=/tmp/t.json".
 CmdResult run_cli(const std::string& args, const std::string& env = "") {
   const std::string out_file = temp_path("out");
@@ -179,11 +183,13 @@ TEST(Cli, FastlaneProducesByteIdenticalOutput) {
   // The int64 fast lane is a pure performance path: --emit output must
   // be byte-identical with the lane disabled (flag or env) at any job
   // count. This is the acceptance bar for the lane's fallback contract.
+  // The lane-on runs set kLaneOn, so both lanes are compared even when
+  // the caller exports POLYFUSE_NO_FASTLANE=1.
   const std::string path = write_program("p.pf", kPipeline);
   for (const char* emit : {"--emit=c", "--emit=deps", "--emit=sched"}) {
     for (const char* jobs : {"--jobs=1", "--jobs=8"}) {
       const std::string base = std::string(jobs) + " " + emit + " " + path;
-      const CmdResult lane_on = run_cli(base);
+      const CmdResult lane_on = run_cli(base, kLaneOn);
       const CmdResult lane_off = run_cli("--no-fastlane " + base);
       const CmdResult env_off = run_cli(base, "POLYFUSE_NO_FASTLANE=1");
       EXPECT_EQ(lane_on.exit_code, 0) << lane_on.output;
@@ -196,7 +202,7 @@ TEST(Cli, FastlaneProducesByteIdenticalOutput) {
 
 TEST(Cli, FastlaneCountersAppearInStats) {
   const std::string path = write_program("p.pf", kPipeline);
-  const CmdResult r = run_cli("--stats --emit=sched " + path);
+  const CmdResult r = run_cli("--stats --emit=sched " + path, kLaneOn);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("fastlane_solves"), std::string::npos);
   EXPECT_NE(r.output.find("fastlane_rate"), std::string::npos);
@@ -209,7 +215,8 @@ TEST(Cli, FastlaneCountersAppearInStats) {
   // fail-after=0 fires once per per-pair sub-budget (docs/robustness.md
   // "Determinism across --jobs"), so assert nonzero rather than a count.
   const CmdResult inj = run_cli(
-      "--stats --inject=lp.fastlane:fail-after=0 --emit=sched " + path);
+      "--stats --inject=lp.fastlane:fail-after=0 --emit=sched " + path,
+      kLaneOn);
   EXPECT_EQ(inj.exit_code, 0) << inj.output;
   EXPECT_EQ(inj.output.find("fastlane_fallbacks = 0"), std::string::npos)
       << inj.output;

@@ -9,7 +9,8 @@
 // any value past 2^62 reported as overflow) and the exact Rational lane.
 // The compact tableau must take the same pivots and return the same
 // Result as this reference (Simplex.CompactTableauMatchesDenseReference).
-// It charges no fuel and bumps no counter; it counts its own pivots.
+// It charges no fuel and bumps no counter; it counts its own pivots, and
+// the int64 lane tallies how its pivots updated rows (RowUpdates).
 #pragma once
 
 #include <cstdint>
@@ -28,10 +29,23 @@ struct DenseRow {
   bool is_equality = false;
 };
 
+// The int64 lane's row updates by case: dp is the pivot row's
+// denominator (after its reduction), dr the updated row's. The compact
+// lane holds the same rows in the same lowest terms, so it meets the same
+// cases at the same pivots.
+struct RowUpdates {
+  i64 unit_pivot_unit_row = 0;  // dp == 1, dr == 1
+  i64 unit_pivot_den_row = 0;   // dp == 1, dr > 1
+  i64 unit_pivot_reduced = 0;   // of those, rows whose gcd exceeded 1
+  i64 den_pivot = 0;            // dp > 1
+  i64 reduced_stores = 0;       // stored rows whose gcd exceeded 1
+};
+
 struct DenseOutcome {
   lp::SimplexSolver::Result result;
   i64 pivots = 0;
   bool overflow = false;  // int64 lane only: an intermediate left 2^62
+  RowUpdates updates{};   // int64 lane only
 };
 
 namespace dense_detail {
@@ -159,6 +173,7 @@ struct IntTableau {
   std::vector<i128> scratch;
   std::vector<std::size_t> basis;
   i64* pivots = nullptr;
+  RowUpdates* updates = nullptr;
 
   i64* row(std::size_t r) { return nums.data() + r * stride; }
   i64 num_at(std::size_t r, std::size_t c) { return row(r)[c]; }
@@ -176,6 +191,7 @@ struct IntTableau {
     i128 g = den128;
     for (std::size_t c = 0; c <= ncols && g != 1; ++c)
       if (scratch[c] != 0) g = gcd128(g, scratch[c]);
+    if (g > 1) ++updates->reduced_stores;
     i64* q = row(r);
     for (std::size_t c = 0; c <= ncols; ++c) q[c] = narrow(scratch[c] / g);
     dens[r] = narrow(den128 / g);
@@ -195,9 +211,18 @@ struct IntTableau {
       const i64 f = q[pc];
       if (f == 0) continue;
       const i64 dr = dens[r];
+      if (dp > 1)
+        ++updates->den_pivot;
+      else if (dr > 1)
+        ++updates->unit_pivot_den_row;
+      else
+        ++updates->unit_pivot_unit_row;
       for (std::size_t c = 0; c <= ncols; ++c)
         scratch[c] = static_cast<i128>(q[c]) * dp - static_cast<i128>(f) * p[c];
+      const i64 reduced = updates->reduced_stores;
       store_reduced(r, static_cast<i128>(dr) * dp);
+      if (dp == 1 && dr > 1 && updates->reduced_stores > reduced)
+        ++updates->unit_pivot_reduced;
     }
     basis[pr] = pc;
   }
@@ -276,6 +301,7 @@ inline DenseOutcome dense_minimize_int(const std::vector<bool>& nonneg,
                                        const RatVector& objective) {
   using namespace dense_detail;
   i64 pivots = 0;
+  RowUpdates updates;
   try {
     const Layout lay = make_layout(nonneg, rows);
     const std::size_t nc = lay.nc, n = nonneg.size();
@@ -288,6 +314,7 @@ inline DenseOutcome dense_minimize_int(const std::vector<bool>& nonneg,
     tab.scratch.assign(tab.stride, 0);
     tab.basis.assign(tab.m, 0);
     tab.pivots = &pivots;
+    tab.updates = &updates;
     std::size_t slack_idx = 0, artificial_idx = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const DenseRow& r = rows[i];
@@ -322,7 +349,8 @@ inline DenseOutcome dense_minimize_int(const std::vector<bool>& nonneg,
       tab.set_costs(costs);
       tab.optimize(nc);
       if (tab.num_at(tab.m, nc) < 0)
-        return DenseOutcome{{lp::Status::kInfeasible, {}, Rational(0)}, pivots};
+        return DenseOutcome{
+            {lp::Status::kInfeasible, {}, Rational(0)}, pivots, false, updates};
       for (std::size_t r = 0; r < tab.m; ++r) {
         if (tab.basis[r] < lay.first_artificial) continue;
         std::size_t c = 0;
@@ -340,18 +368,19 @@ inline DenseOutcome dense_minimize_int(const std::vector<bool>& nonneg,
     }
     tab.set_costs(costs);
     if (!tab.optimize(lay.first_artificial))
-      return DenseOutcome{{lp::Status::kUnbounded, {}, Rational(0)}, pivots};
+      return DenseOutcome{
+          {lp::Status::kUnbounded, {}, Rational(0)}, pivots, false, updates};
     RatVector values(nc, Rational(0));
     for (std::size_t r = 0; r < tab.m; ++r)
       values[tab.basis[r]] = Rational(tab.num_at(r, nc), tab.dens[r]);
-    DenseOutcome out{point_of(lay, n, values), pivots};
+    DenseOutcome out{point_of(lay, n, values), pivots, false, updates};
     const i128 onum = -static_cast<i128>(tab.num_at(tab.m, nc));
     const i128 oden = static_cast<i128>(tab.dens[tab.m]) * obj_scale;
     const i128 g = onum == 0 ? oden : gcd128(onum, oden);
     out.result.objective = Rational(narrow(onum / g), narrow(oden / g));
     return out;
   } catch (const Overflow&) {
-    return DenseOutcome{{}, pivots, /*overflow=*/true};
+    return DenseOutcome{{}, pivots, /*overflow=*/true, updates};
   }
 }
 

@@ -130,16 +130,76 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
   set_fastlane_enabled(true);
 }
 
+// Solves the LP with the int64 lane on and off and checks both runs
+// against the dense reference (tests/dense_simplex.h): the status, point
+// and objective must be the reference's. The compact int64 lane falls
+// back to Rationals exactly when the dense int64 lane overflows, and at
+// the same pivot: a fallen-back solve counts the dense int64 lane's
+// pivots up to the overflow plus the exact lane's.
+struct ReferenceOutcomes {
+  test::DenseOutcome exact, fast;
+};
+
+ReferenceOutcomes expect_matches_reference(
+    const std::vector<bool>& nonneg, const std::vector<test::DenseRow>& rows,
+    const RatVector& objective, const std::string& where) {
+  SimplexSolver solver(nonneg.size(), nonneg);
+  for (const test::DenseRow& row : rows) {
+    if (row.is_equality)
+      solver.add_equality(row.coeffs, row.constant);
+    else
+      solver.add_inequality(row.coeffs, row.constant);
+  }
+  ReferenceOutcomes ref{test::dense_minimize_exact(nonneg, rows, objective),
+                        test::dense_minimize_int(nonneg, rows, objective)};
+  const test::DenseOutcome& exact = ref.exact;
+  const test::DenseOutcome& fast = ref.fast;
+  for (const bool lane : {true, false}) {
+    set_fastlane_enabled(lane);
+    support::MetricsScope metrics;
+    const SimplexSolver::Result got = solver.minimize(objective);
+    const i64 pivots = metrics.registry().get(support::Counter::kSimplexPivots);
+    const bool fell_back =
+        metrics.registry().get(support::Counter::kFastlaneFallbacks) > 0;
+    EXPECT_EQ(got.status, exact.result.status) << where << " lane " << lane;
+    if (got.status == Status::kOptimal &&
+        exact.result.status == Status::kOptimal) {
+      EXPECT_EQ(got.objective, exact.result.objective) << where;
+      EXPECT_EQ(got.point, exact.result.point) << where;
+    }
+    if (lane) {
+      EXPECT_EQ(fell_back, fast.overflow) << where;
+    }
+    EXPECT_EQ(pivots, lane && fast.overflow ? fast.pivots + exact.pivots
+                                            : exact.pivots)
+        << where << " lane " << lane;
+  }
+  set_fastlane_enabled(true);
+  if (!fast.overflow) {
+    EXPECT_EQ(fast.pivots, exact.pivots) << where;
+  }
+  return ref;
+}
+
+void add_updates(test::RowUpdates& total, const test::RowUpdates& u) {
+  total.unit_pivot_unit_row += u.unit_pivot_unit_row;
+  total.unit_pivot_den_row += u.unit_pivot_den_row;
+  total.unit_pivot_reduced += u.unit_pivot_reduced;
+  total.den_pivot += u.den_pivot;
+  total.reduced_stores += u.reduced_stores;
+}
+
 // The compact tableau against the dense reference (tests/dense_simplex.h):
 // seeded LPs of 1-12 variables and up to 60 rows, mixing free and
 // non-negative variables, equalities, negative constants, duplicate,
 // degenerate and empty rows, rational coefficients, and rows whose common
 // denominator pushes the int64 lane past 2^62. With the lane on and off,
 // the status, point, objective and the solve's pivot count must be the
-// reference's. The compact int64 lane may overflow only where the dense
-// one did (its cost row stores a subset of the dense row's cells).
+// reference's (expect_matches_reference). Between them the LPs meet every
+// case of the int64 lane's row update.
 TEST(Simplex, CompactTableauMatchesDenseReference) {
   int optimal = 0, infeasible = 0, unbounded = 0, overflowed = 0;
+  test::RowUpdates updates;
   for (unsigned seed = 0; seed < 500; ++seed) {
     std::mt19937 rng(seed);
     auto pick = [&rng](i64 lo, i64 hi) {
@@ -232,46 +292,9 @@ TEST(Simplex, CompactTableauMatchesDenseReference) {
     if (pick(0, 5) != 0)  // else a pure feasibility solve
       for (std::size_t j = 0; j < n; ++j) objective[j] = value(-4, 4);
 
-    SimplexSolver solver(n, nonneg);
-    for (const test::DenseRow& row : rows) {
-      if (row.is_equality)
-        solver.add_equality(row.coeffs, row.constant);
-      else
-        solver.add_inequality(row.coeffs, row.constant);
-    }
-    const test::DenseOutcome exact =
-        test::dense_minimize_exact(nonneg, rows, objective);
-    const test::DenseOutcome fast =
-        test::dense_minimize_int(nonneg, rows, objective);
-    const std::string where = "seed " + std::to_string(seed);
-    for (const bool lane : {true, false}) {
-      set_fastlane_enabled(lane);
-      support::MetricsScope metrics;
-      const SimplexSolver::Result got = solver.minimize(objective);
-      const i64 pivots =
-          metrics.registry().get(support::Counter::kSimplexPivots);
-      const bool fell_back =
-          metrics.registry().get(support::Counter::kFastlaneFallbacks) > 0;
-      ASSERT_EQ(got.status, exact.result.status) << where << " lane " << lane;
-      if (got.status == Status::kOptimal) {
-        EXPECT_EQ(got.objective, exact.result.objective) << where;
-        EXPECT_EQ(got.point, exact.result.point) << where;
-      }
-      if (!lane) {
-        EXPECT_EQ(pivots, exact.pivots) << where;
-      } else if (fell_back) {
-        EXPECT_TRUE(fast.overflow) << where;
-      } else {
-        EXPECT_EQ(pivots, exact.pivots) << where;
-        if (!fast.overflow) {
-          EXPECT_EQ(pivots, fast.pivots) << where;
-        }
-      }
-    }
-    set_fastlane_enabled(true);
-    if (!fast.overflow) {
-      EXPECT_EQ(fast.pivots, exact.pivots) << where;
-    }
+    const auto [exact, fast] = expect_matches_reference(
+        nonneg, rows, objective, "seed " + std::to_string(seed));
+    add_updates(updates, fast.updates);
     overflowed += fast.overflow ? 1 : 0;
     switch (exact.result.status) {
       case Status::kOptimal:
@@ -290,6 +313,86 @@ TEST(Simplex, CompactTableauMatchesDenseReference) {
   EXPECT_GT(infeasible, 80);
   EXPECT_GT(unbounded, 30);
   EXPECT_EQ(overflowed, 20);
+  EXPECT_GT(updates.unit_pivot_unit_row, 0);
+  EXPECT_GT(updates.unit_pivot_den_row, 0);
+  EXPECT_GT(updates.unit_pivot_reduced, 0);
+  EXPECT_GT(updates.den_pivot, 0);
+  EXPECT_GT(updates.reduced_stores, 0);
+}
+
+// Seeded LPs whose int64 rows cross 2^62 mid-pivot, for the lane's
+// fallback points (expect_matches_reference: the compact lane falls back
+// if and only if the dense int64 lane overflows, at the same pivot).
+// Each bound x_j <= u_j is written p_j x_j <= p_j u_j, with p_j drawn
+// from 2 and five-digit primes (repeats allowed); a heavily weighted
+// variable y trades against the last bounded x_t through y + x_t <= u_t,
+// and at most one small row couples the rest. Maximizing, each bound
+// pivot puts a slack cell over p_j into the cost row, whose common
+// denominator becomes the lcm of the primes met so far: past three
+// distinct primes it nears 2^62, while every Rational cell keeps small
+// denominators. Trading x_t for y is a pivot with dp = 1 on a cost row
+// with dr > 1 that removes p_t from its denominator as the objective
+// value jumps, so its numerators can pass 2^62 (and 2^63) before the
+// reduction and fall back in range after it; repeated primes do the same
+// for products dr * dp.
+TEST(Simplex, CompactLaneFallsBackExactlyWhereDenseReferenceOverflows) {
+  const i64 scales[] = {2, 99991, 99989, 99971, 99961, 65521};
+  int overflowed = 0, mid_pivot = 0;
+  test::RowUpdates updates;
+  for (unsigned seed = 0; seed < 400; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](i64 lo, i64 hi) {
+      return std::uniform_int_distribution<i64>(lo, hi)(rng);
+    };
+    const std::size_t n = static_cast<std::size_t>(pick(3, 5));
+    const std::size_t y = n;  // the trading variable
+    const std::vector<bool> nonneg(n + 1, true);
+    std::vector<test::DenseRow> rows;
+    i64 u = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const i64 p = scales[pick(0, 5)];
+      u = pick(1, j + 1 < n ? 4 : 1024);
+      test::DenseRow row;
+      row.coeffs.assign(n + 1, Rational(0));
+      row.coeffs[j] = Rational(-p);
+      row.constant = Rational(p * u);
+      rows.push_back(std::move(row));
+    }
+    test::DenseRow trade;
+    trade.coeffs.assign(n + 1, Rational(0));
+    trade.coeffs[n - 1] = trade.coeffs[y] = Rational(-1);
+    trade.constant = Rational(u);
+    rows.push_back(std::move(trade));
+    for (i64 couplings = pick(0, 1); couplings > 0; --couplings) {
+      test::DenseRow row;
+      row.coeffs.assign(n + 1, Rational(0));
+      for (std::size_t j = 0; j < n; ++j)
+        if (pick(0, 1) == 0) row.coeffs[j] = Rational(-pick(1, 2));
+      row.constant = Rational(pick(2, 9));
+      rows.push_back(std::move(row));
+    }
+    RatVector objective(n + 1);
+    for (std::size_t j = 0; j < n; ++j) objective[j] = Rational(-pick(1, 5));
+    objective[y] = Rational(-pick(1, i64{1} << pick(2, 12)));
+    const auto [exact, fast] = expect_matches_reference(
+        nonneg, rows, objective, "seed " + std::to_string(seed));
+    EXPECT_EQ(exact.result.status, Status::kOptimal);
+    add_updates(updates, fast.updates);
+    if (fast.overflow) {
+      ++overflowed;
+      mid_pivot += fast.pivots > 0 ? 1 : 0;
+    }
+  }
+  // Both sides of the fallback equivalence occur, every overflow comes
+  // after a pivot, and every row-update case is met.
+  EXPECT_GT(overflowed, 40);
+  EXPECT_LT(overflowed, 360);
+  EXPECT_EQ(mid_pivot, overflowed);
+  EXPECT_GT(updates.unit_pivot_unit_row, 0);
+  EXPECT_GT(updates.unit_pivot_den_row, 0);
+  EXPECT_GT(updates.unit_pivot_reduced, 0);
+  EXPECT_GT(updates.den_pivot, 0);
+  EXPECT_GT(updates.reduced_stores, 0);
 }
 
 TEST(Ilp, IntegerMinimumDiffersFromRelaxation) {
