@@ -18,13 +18,20 @@ namespace {
 // Per-thread running pivot total (both lanes bump it); minimize()
 // snapshots it around a solve to feed the pivots-per-solve histogram.
 thread_local i64 tl_pivots = 0;
+// Per-thread running total of the cells completed pivots wrote, counted
+// into simplex_cells_written once per solve: a shared counter bumped per
+// pivot would bounce its cache line between dependence workers.
+thread_local i64 tl_cells_written = 0;
 
 // Distribution probe for one top-level SimplexSolver::minimize: pivot
 // delta + wall time, observed on every return path via RAII.
 struct SolveProbe {
   i64 pivots0 = tl_pivots;
+  i64 written0 = tl_cells_written;
   std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
   ~SolveProbe() {
+    support::count(support::Counter::kSimplexCellsWritten,
+                   tl_cells_written - written0);
     support::observe(support::Hist::kSimplexPivotsPerSolve,
                      tl_pivots - pivots0);
     support::observe(
@@ -149,6 +156,8 @@ std::size_t smallest_var_column(const std::size_t* colvar, std::size_t k,
 }
 
 // Bookkeeping of one pivot of an (m + 1) x (k + 1) tableau, either lane.
+// The cells it writes are counted when it completes, so a pivot the
+// int64 lane abandons on overflow counts none.
 void account_pivot(std::size_t m, std::size_t k) {
   support::count(support::Counter::kSimplexPivots);
   support::count(support::Counter::kSimplexCells,
@@ -193,12 +202,17 @@ struct Tableau {
       t[pr][c] *= inv;
       nz.push_back(c);
     }
+    // The pivot column is in nz (its cell is 1), so each updated row
+    // writes exactly the nz cells, as does the pivot row.
+    std::size_t written = nz.size();
     for (std::size_t r = 0; r <= m; ++r) {
       if (r == pr || at(r, pc).is_zero()) continue;
       const Rational factor = at(r, pc);
       at(r, pc) = Rational(0);
       for (const std::size_t c : nz) t[r][c] -= factor * t[pr][c];
+      written += nz.size();
     }
+    tl_cells_written += static_cast<i64>(written);
     std::swap(basis[pr], colvar[pc]);
   }
 
@@ -379,8 +393,10 @@ struct IntTableau {
   // (q[c] - f*p[c]) / dr, so only the pivot row's nnz nonzero columns
   // change. With dr == 1 the row stays in lowest terms; otherwise it is
   // divided by the gcd of dr and its new numerators when that exceeds 1,
-  // exactly as store_reduced would.
-  void update_unit(std::size_t r, i64 f, const i64* p, std::size_t nnz) {
+  // exactly as store_reduced would. Returns the cells written: the nnz
+  // listed ones, or the whole row when it is divided.
+  std::size_t update_unit(std::size_t r, i64 f, const i64* p,
+                          std::size_t nnz) {
     i64* q = row(r);
     const i64 dr = dens[r];
     if (dr == 1) {
@@ -389,7 +405,7 @@ struct IntTableau {
         q[c] = fl_narrow(static_cast<i128>(q[c]) -
                          static_cast<i128>(f) * p[c]);
       }
-      return;
+      return nnz;
     }
     for (std::size_t i = 0; i < nnz; ++i) {
       const std::size_t c = nz[i];
@@ -406,13 +422,14 @@ struct IntTableau {
     }
     if (g == 1) {
       for (std::size_t i = 0; i < nnz; ++i) q[nz[i]] = fl_narrow(scratch[i]);
-      return;
+      return nnz;
     }
     const i64 g64 = static_cast<i64>(g);  // divides dr
     for (std::size_t c = 0; c <= k; ++c) q[c] /= g64;
     for (std::size_t i = 0; i < nnz; ++i)
       q[nz[i]] = fl_narrow(div_exact(scratch[i], g));
     dens[r] = dr / g64;
+    return k + 1;
   }
 
   void pivot(std::size_t pr, std::size_t pc) {
@@ -440,6 +457,10 @@ struct IntTableau {
       for (std::size_t i = 0; i < nnz; ++i) p[nz[i]] /= g;
       dens[pr] /= g;
     }
+    // The pivot row rewrites its nonzero cells when it is negated or
+    // divided, else only the pivot cell. The pivot column is in nz, so a
+    // sparse row update writes no cell outside the list.
+    std::size_t written = a < 0 || g > 1 ? nnz : 1;
     const i64 dp = dens[pr];
     for (std::size_t r = 0; r <= m; ++r) {
       if (r == pr) continue;
@@ -448,7 +469,7 @@ struct IntTableau {
       if (f == 0) continue;
       q[pc] = 0;  // the leaving variable was basic in row pr only
       if (dp == 1) {
-        update_unit(r, f, p, nnz);
+        written += update_unit(r, f, p, nnz);
         continue;
       }
       // value'(c) = q[c]/dr - (f/dr) * (p[c]/dp)
@@ -458,7 +479,9 @@ struct IntTableau {
       for (std::size_t i = 0; i < nnz; ++i)
         scratch[nz[i]] -= static_cast<i128>(f) * p[nz[i]];
       store_reduced(r, static_cast<i128>(dens[r]) * dp);
+      written += k + 1;
     }
+    tl_cells_written += static_cast<i64>(written);
     std::swap(basis[pr], colvar[pc]);
   }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <iostream>
@@ -323,45 +324,119 @@ class Scheduler {
   }
 
   // Farkas-linearized legality + bounding constraints of one dependence,
-  // over the unknown vector; computed once and cached.
+  // over the unknown vector; computed once per dependence. The system is
+  // built over a dependence-local unknown space [u, w, block of
+  // min(src, dst), block of max(src, dst)] and each kept row is mapped to
+  // the global layout. Dependences of one shape (same dimensions, same
+  // block order, same polyhedron rows) share one build (DESIGN.md
+  // "Farkas systems by dependence shape").
   const std::vector<poly::Constraint>& constraints_for(std::size_t dep_idx) {
     auto& cached = dep_constraints_[dep_idx];
     if (cached) return *cached;
     const ddg::Dependence& d = dg_.deps()[dep_idx];
+    support::TraceSpan span("sched", "farkas_system");
+
+    // Local layout: the global u and w prefix, then the statement blocks
+    // in global statement order (one for a self-dependence), so mapping
+    // local columns to global ones keeps their order.
+    std::vector<std::size_t> to_global(w_index_ + 1);
+    std::iota(to_global.begin(), to_global.end(), 0);
+    auto add_block = [&](std::size_t stmt, std::size_t dim) {
+      const std::size_t base = to_global.size();
+      for (std::size_t k = 0; k <= dim; ++k)
+        to_global.push_back(c_base_[stmt] + k);
+      return base;
+    };
+    std::size_t src_base = 0, dst_base = 0;
+    if (d.dst < d.src) {
+      dst_base = add_block(d.dst, d.dst_dim);
+      src_base = add_block(d.src, d.src_dim);
+    } else {
+      src_base = add_block(d.src, d.src_dim);
+      dst_base = d.dst == d.src ? src_base : add_block(d.dst, d.dst_dim);
+    }
+
+    // Budgeted runs and --no-solve-cache bypass the memo, as they bypass
+    // every other cache: fuel and --inject ordinals stay per build.
+    const bool memo = !support::budget_limited() && poly::solve_cache_enabled();
+    std::vector<i64> key;
+    const std::vector<poly::Constraint>* local = nullptr;
+    if (memo) {
+      // The rows in stored order: FM's output order follows input order.
+      key = {static_cast<i64>(d.src_dim),    static_cast<i64>(d.dst_dim),
+             static_cast<i64>(d.num_params), static_cast<i64>(src_base),
+             static_cast<i64>(dst_base),     static_cast<i64>(d.poly.dims())};
+      for (const poly::Constraint& c : d.poly.constraints()) {
+        key.push_back(c.is_equality ? 1 : 0);
+        key.push_back(c.expr.const_term());
+        key.insert(key.end(), c.expr.coeffs().begin(), c.expr.coeffs().end());
+      }
+      if (const auto it = farkas_memo_.find(key); it != farkas_memo_.end())
+        local = &it->second;
+    }
+    const bool hit = local != nullptr;
+    std::vector<poly::Constraint> built;
+    if (hit) {
+      support::count(support::Counter::kFarkasMemoHits);
+    } else {
+      support::count(support::Counter::kFarkasBuilds);
+      built = build_farkas_system(d, to_global.size(), src_base, dst_base);
+      local = &built;
+    }
+
+    std::vector<poly::Constraint> rows;
+    rows.reserve(local->size());
+    for (const poly::Constraint& c : *local) {
+      poly::AffineExpr e(num_unknowns_, c.expr.const_term());
+      for (std::size_t j = 0; j < to_global.size(); ++j)
+        e.set_coeff(to_global[j], c.expr.coeff(j));
+      rows.push_back(poly::Constraint{std::move(e), c.is_equality});
+    }
+    if (memo && !hit) farkas_memo_.emplace(std::move(key), std::move(built));
+    if (span.active()) {
+      span.attr("hit", hit ? 1 : 0);
+      span.attr("rows_kept", static_cast<i64>(rows.size()));
+    }
+    cached = std::move(rows);
+    return *cached;
+  }
+
+  // The reduced legality + bounding system of dependence d over a
+  // `num_local`-unknown space with u_q at q, w at w_index_, and the
+  // source (target) block at src_base (dst_base).
+  std::vector<poly::Constraint> build_farkas_system(const ddg::Dependence& d,
+                                                    std::size_t num_local,
+                                                    std::size_t src_base,
+                                                    std::size_t dst_base) {
     const std::size_t ms = d.src_dim, mt = d.dst_dim, p = d.num_params;
 
     // Legality E1 = phi_dst(t) - phi_src(s).
-    std::vector<ParamAffine> e1(ms + mt + p, ParamAffine(num_unknowns_));
-    for (std::size_t k = 0; k < ms; ++k)
-      e1[k].coeffs[c_base_[d.src] + k] = -1;
-    for (std::size_t k = 0; k < mt; ++k)
-      e1[ms + k].coeffs[c_base_[d.dst] + k] = 1;
-    ParamAffine e1c(num_unknowns_);
-    e1c.coeffs[c_base_[d.dst] + mt] += 1;   // c0_dst
-    e1c.coeffs[c_base_[d.src] + ms] += -1;  // c0_src
-    auto legality = farkas_constraints(d.poly, e1, e1c, num_unknowns_);
+    std::vector<ParamAffine> e1(ms + mt + p, ParamAffine(num_local));
+    for (std::size_t k = 0; k < ms; ++k) e1[k].coeffs[src_base + k] = -1;
+    for (std::size_t k = 0; k < mt; ++k) e1[ms + k].coeffs[dst_base + k] = 1;
+    ParamAffine e1c(num_local);
+    e1c.coeffs[dst_base + mt] += 1;   // c0_dst
+    e1c.coeffs[src_base + ms] += -1;  // c0_src
+    auto legality = farkas_constraints(d.poly, e1, e1c, num_local);
 
     // Bounding E2 = u.n + w - E1.
-    std::vector<ParamAffine> e2(ms + mt + p, ParamAffine(num_unknowns_));
-    for (std::size_t k = 0; k < ms; ++k)
-      e2[k].coeffs[c_base_[d.src] + k] = 1;
-    for (std::size_t k = 0; k < mt; ++k)
-      e2[ms + k].coeffs[c_base_[d.dst] + k] = -1;
+    std::vector<ParamAffine> e2(ms + mt + p, ParamAffine(num_local));
+    for (std::size_t k = 0; k < ms; ++k) e2[k].coeffs[src_base + k] = 1;
+    for (std::size_t k = 0; k < mt; ++k) e2[ms + k].coeffs[dst_base + k] = -1;
     for (std::size_t q = 0; q < p; ++q) e2[ms + mt + q].coeffs[q] = 1;
-    ParamAffine e2c(num_unknowns_);
+    ParamAffine e2c(num_local);
     e2c.coeffs[w_index_] = 1;
-    e2c.coeffs[c_base_[d.dst] + mt] += -1;
-    e2c.coeffs[c_base_[d.src] + ms] += 1;
-    auto bounding = farkas_constraints(d.poly, e2, e2c, num_unknowns_);
+    e2c.coeffs[dst_base + mt] += -1;
+    e2c.coeffs[src_base + ms] += 1;
+    auto bounding = farkas_constraints(d.poly, e2, e2c, num_local);
 
     // Drop redundancy within this dependence's system to keep the ILP
     // small.
-    poly::IntegerSet sys(num_unknowns_);
+    poly::IntegerSet sys(num_local);
     for (auto& c : legality) sys.add_constraint(std::move(c));
     for (auto& c : bounding) sys.add_constraint(std::move(c));
     sys.remove_redundant();
-    cached = sys.constraints();
-    return *cached;
+    return sys.constraints();
   }
 
   // The sign-independent part of one level's ILP, built once per
@@ -827,6 +902,8 @@ class Scheduler {
   std::vector<bool> satisfied_;
   std::vector<std::size_t> satisfied_at_;
   std::vector<std::optional<std::vector<poly::Constraint>>> dep_constraints_;
+  // Dependence-local Farkas rows by dependence shape (constraints_for).
+  std::map<std::vector<i64>, std::vector<poly::Constraint>> farkas_memo_;
   std::vector<std::size_t> active_cache_;
   bool seen_linear_level_ = false;
 

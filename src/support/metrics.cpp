@@ -128,6 +128,12 @@ const char* to_string(Counter c) {
       return "redundancy_lps";
     case Counter::kSimplexCells:
       return "simplex_cells";
+    case Counter::kSimplexCellsWritten:
+      return "simplex_cells_written";
+    case Counter::kFarkasBuilds:
+      return "farkas_builds";
+    case Counter::kFarkasMemoHits:
+      return "farkas_memo_hits";
     case Counter::kNumCounters:
       break;
   }

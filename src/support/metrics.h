@@ -108,6 +108,9 @@ enum class Counter : std::size_t {
   kSimplexCells,         // tableau cells stored at pivots: (rows + 1) x
                          // (stored columns + 1) per pivot, not the cells
                          // a sparse pivot writes
+  kSimplexCellsWritten,  // tableau cells a pivot stores a new value into
+  kFarkasBuilds,         // dependence Farkas systems built (scheduler)
+  kFarkasMemoHits,       // dependence Farkas systems served by shape memo
   kNumCounters,
 };
 

@@ -150,7 +150,9 @@ TEST_F(DiskCacheTest, BitFlipFuzzNeverReturnsWrongValue) {
     std::vector<i64> got;
     // Either a verified miss (checksum/magic/key mismatch -> quarantine)
     // or -- never -- a value different from what was stored.
-    if (dc::lookup("solve", key, &got)) EXPECT_EQ(got, value);
+    if (dc::lookup("solve", key, &got)) {
+      EXPECT_EQ(got, value);
+    }
     fs::remove_all(fs::path(dir_) / "quarantine");
     for (const auto& f : entries()) fs::remove(f);
   }

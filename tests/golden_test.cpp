@@ -5,7 +5,10 @@
 //    tests/golden/sched/<program>.sched;
 //  * GoldenC: the --emit=c program under all five models, against
 //    tests/golden/c/<program>.c. Codegen prunes loop bounds with
-//    IntegerSet::remove_redundant, so this pins that use of it too.
+//    IntegerSet::remove_redundant, so this pins that use of it too;
+//  * FarkasMemo: the scheduler's Farkas-system memo (DESIGN.md "Farkas
+//    systems by dependence shape") changes no schedule, is used on the
+//    default path and is bypassed under a budget.
 // Scheduler and solver speedups must leave these files untouched; a
 // deliberate output change re-records them in the same commit.
 //
@@ -18,6 +21,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -105,5 +109,72 @@ TEST_P(GoldenC, MatchesRecorded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, GoldenC, ::testing::ValuesIn(suite_names()));
+
+// --no-solve-cache turns the Farkas memo off with the solve cache: the
+// schedules of all five models must be the memoized run's, byte for byte.
+class FarkasMemo : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FarkasMemo, OffMatchesOn) {
+  const pf::suite::Benchmark& b = pf::suite::benchmark(GetParam());
+  for (const char* model : kModels) {
+    const std::string args = std::string("--model=") + model;
+    const std::string on = run_cli(b, "sched", {args});
+    const std::string off = run_cli(b, "sched", {args + " --no-solve-cache"});
+    EXPECT_EQ(off.substr(off.find('\n')), on.substr(on.find('\n')))
+        << model;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Suite, FarkasMemo,
+                         ::testing::ValuesIn(suite_names()));
+
+// The "name = value" counter lines of `--stats` for one CLI run.
+std::map<std::string, long long> stats_counters(const pf::suite::Benchmark& b,
+                                                const std::string& args) {
+  const std::string input = temp_path(b.name + ".pf");
+  std::ofstream(input) << b.source;
+  const std::string err = temp_path("stats");
+  const std::string cmd = std::string(POLYFUSE_CLI_PATH) + " --stats " + args +
+                          " --emit=sched " + input + " > /dev/null 2> " + err;
+  const int rc = std::system(cmd.c_str());
+  EXPECT_EQ(WEXITSTATUS(rc), 0) << args << "\n" << slurp(err);
+  std::map<std::string, long long> counters;
+  std::istringstream lines(slurp(err));
+  std::string name, eq;
+  long long value = 0;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    if (fields >> name >> eq >> value && eq == "=") counters[name] = value;
+  }
+  return counters;
+}
+
+// swim repeats dependence shapes across statement pairs, so its default
+// wisefuse run serves some Farkas systems from the memo.
+TEST(FarkasMemo, SwimWisefuseHits) {
+  auto c = stats_counters(pf::suite::benchmark("swim"), "--model=wisefuse");
+  EXPECT_GT(c["farkas_memo_hits"], 0);
+  EXPECT_GT(c["farkas_builds"], 0);
+}
+
+// A budget bypasses the memo, so a fuel limit that never binds spends
+// exactly the fuel of the run with every cache off.
+TEST(FarkasMemo, BudgetedRunsBypassMemo) {
+  const pf::suite::Benchmark& b = pf::suite::benchmark("swim");
+  const std::string fuel = "--model=wisefuse --fuel=1000000000000";
+  auto on = stats_counters(b, fuel);
+  auto off = stats_counters(b, fuel + " --no-solve-cache");
+  EXPECT_EQ(on["farkas_memo_hits"], 0);
+  EXPECT_GT(on["farkas_builds"], 0);
+  EXPECT_EQ(on["budget_exhaustions"], 0);
+  int fuel_counters = 0;
+  for (const auto& [name, value] : on) {
+    if (name.rfind("budget_fuel_", 0) != 0) continue;
+    ++fuel_counters;
+    EXPECT_EQ(value, off[name]) << name;
+  }
+  EXPECT_GT(fuel_counters, 0);
+  EXPECT_GT(on["budget_fuel_fme_project"], 0);
+}
 
 }  // namespace

@@ -107,6 +107,15 @@ TEST(Simplex, FeasiblePointSatisfiesConstraints) {
 
 // One pivot sweeps (m + 1) rows by (k + 1) stored columns: the k nonbasic
 // variables plus the rhs, never the m basic ones.
+//
+// It writes fewer. This LP takes one phase-1 pivot on x0 in row 0
+// (x0 + x1 - s0 = 1, every cell nonzero), and the artificial leaves.
+// Besides the pivot row it updates row 1 (x0 <= 4) and the cost row;
+// row 2 has a zero in the pivot column and is left alone. Phase 2 is
+// optimal at once. So the Rational lane writes the pivot row's 4 nonzero
+// cells and 4 cells in each updated row: 12. The int64 lane's pivot
+// value is 1 over denominator 1, so its pivot row changes only in the
+// pivot cell, and the two updated rows write 4 cells each: 9.
 TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
   // min x0 + 2*x1 s.t. x0 + x1 >= 1, x0 <= 4, x1 <= 4 (nonneg). Variables:
   // 2 structurals, 3 slacks, 1 artificial (the first row fails at x = 0),
@@ -126,6 +135,10 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
     EXPECT_EQ(metrics.registry().get(support::Counter::kSimplexCells),
               pivots * (3 + 1) * (3 + 1))
         << "lane " << lane;
+    EXPECT_EQ(pivots, 1);
+    EXPECT_EQ(metrics.registry().get(support::Counter::kSimplexCellsWritten),
+              lane ? 9 : 12)
+        << "lane " << lane;
   }
   set_fastlane_enabled(true);
 }
@@ -135,7 +148,8 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
 // and objective must be the reference's. The compact int64 lane falls
 // back to Rationals exactly when the dense int64 lane overflows, and at
 // the same pivot: a fallen-back solve counts the dense int64 lane's
-// pivots up to the overflow plus the exact lane's.
+// pivots up to the overflow plus the exact lane's. Neither lane writes
+// more cells than its pivots sweep.
 struct ReferenceOutcomes {
   test::DenseOutcome exact, fast;
 };
@@ -172,6 +186,9 @@ ReferenceOutcomes expect_matches_reference(
     }
     EXPECT_EQ(pivots, lane && fast.overflow ? fast.pivots + exact.pivots
                                             : exact.pivots)
+        << where << " lane " << lane;
+    EXPECT_LE(metrics.registry().get(support::Counter::kSimplexCellsWritten),
+              metrics.registry().get(support::Counter::kSimplexCells))
         << where << " lane " << lane;
   }
   set_fastlane_enabled(true);

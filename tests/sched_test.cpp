@@ -3,6 +3,8 @@
 // property tests over every policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/reductions.h"
 #include "ddg/dependences.h"
 #include "frontend/parser.h"
@@ -12,6 +14,7 @@
 #include "suite/suite.h"
 #include "support/linalg.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 
 namespace pf::sched {
 namespace {
@@ -467,6 +470,87 @@ TEST(OrientationCertificate, NeverFiresWhenAFlippedOrientationSucceeds) {
     for (std::size_t k = 0; k < 2; ++k)
       dot += comp(j, k) * sch.rows[0][1].coeff(k);
   EXPECT_LT(dot, 0);
+}
+
+// One sched/farkas_system span per dependence system the scheduler
+// needs, saying whether the shape memo served it and how many rows were
+// kept. With the memo off (the solve cache off) every system is built,
+// and each keeps exactly as many rows, in the same order of dependences,
+// with the same schedule as the result.
+TEST(FarkasMemo, SpansMatchCountersAndUnmemoizedBuild) {
+  const ir::Scop scop = suite::parse(suite::benchmark("swim"));
+  const auto dg = ddg::DependenceGraph::analyze(scop);
+  SchedulerOptions opts;
+  opts.relaxed_deps = analysis::analyze_reductions(scop, dg).relaxable;
+  struct Run {
+    std::string schedule;
+    std::vector<std::string> hits, rows_kept;
+    i64 builds = 0, memo_hits = 0;
+  };
+  auto run = [&](bool memo) {
+    poly::set_solve_cache_enabled(memo);
+    support::Tracer tracer(/*spans=*/true, /*remarks=*/false);
+    support::TracerScope tracer_scope(&tracer);
+    support::MetricsScope metrics;
+    const auto policy = fusion::make_policy(FusionModel::kWisefuse);
+    Run out;
+    out.schedule = compute_schedule(scop, dg, *policy, opts).to_string();
+    for (const support::TraceEvent& e : tracer.events()) {
+      if (e.name != "farkas_system") continue;
+      EXPECT_EQ(e.category, "sched");
+      EXPECT_EQ(e.attrs.size(), 2u);
+      for (const support::TraceAttr& a : e.attrs)
+        (a.first == "hit" ? out.hits : out.rows_kept).push_back(a.second);
+    }
+    out.builds = metrics.registry().get(support::Counter::kFarkasBuilds);
+    out.memo_hits = metrics.registry().get(support::Counter::kFarkasMemoHits);
+    poly::set_solve_cache_enabled(true);
+    return out;
+  };
+  const Run on = run(true);
+  const Run off = run(false);
+  EXPECT_GT(on.memo_hits, 0);
+  EXPECT_EQ(std::count(on.hits.begin(), on.hits.end(), "1"), on.memo_hits);
+  EXPECT_EQ(std::count(on.hits.begin(), on.hits.end(), "0"), on.builds);
+  EXPECT_EQ(off.memo_hits, 0);
+  EXPECT_EQ(off.builds, on.builds + on.memo_hits);
+  EXPECT_EQ(std::count(off.hits.begin(), off.hits.end(), "0"), off.builds);
+  EXPECT_EQ(off.rows_kept, on.rows_kept);
+  EXPECT_EQ(off.schedule, on.schedule);
+}
+
+// Which dependences share a build. In this time loop all eight
+// dependences have the rows i' = i and either t' >= t + 1 (carried by t)
+// or t' = t, over the same domain. One build serves both self-dependences
+// (one block each) and one each of the S1 -> S2 pairs carried by t and
+// not carried; the S2 -> S1 pair carried by t has the rows of the
+// S1 -> S2 one but its blocks the other way round, so it is a fourth
+// shape. Four builds, four hits; with the memo off, eight builds and the
+// same schedule.
+TEST(FarkasMemo, SharesBuildsExactlyByShape) {
+  const ir::Scop scop = frontend::parse_scop(R"(
+    scop ping(T, N) { context T >= 2; context N >= 4;
+      array a[N]; array b[N];
+      for (t = 0 .. T-1) {
+        for (i = 0 .. N-1) { S1: a[i] = b[i] + 1.0; }
+        for (i = 0 .. N-1) { S2: b[i] = a[i] * 0.5; } } })");
+  const auto dg = ddg::DependenceGraph::analyze(scop);
+  ASSERT_EQ(dg.deps().size(), 8u);
+  std::string schedules[2];
+  for (const bool memo : {true, false}) {
+    poly::set_solve_cache_enabled(memo);
+    support::MetricsScope metrics;
+    const auto policy = fusion::make_policy(FusionModel::kWisefuse);
+    const Schedule sch = compute_schedule(scop, dg, *policy);
+    expect_legal(scop, dg, sch);
+    schedules[memo ? 0 : 1] = sch.to_string();
+    EXPECT_EQ(metrics.registry().get(support::Counter::kFarkasBuilds),
+              memo ? 4 : 8);
+    EXPECT_EQ(metrics.registry().get(support::Counter::kFarkasMemoHits),
+              memo ? 4 : 0);
+  }
+  poly::set_solve_cache_enabled(true);
+  EXPECT_EQ(schedules[0], schedules[1]);
 }
 
 }  // namespace

@@ -95,14 +95,14 @@ run_jobs_legs() {
 }
 
 # The paper suite's golden schedules and emitted C with the int64 fast
-# lane and the scheduler's warm start off, plus the lane's own tests
-# (Fastlane*, Simplex.*), whose default-lane solves then take the
-# Rational lane.
+# lane and the scheduler's warm start off, plus the Farkas-memo on/off
+# tests (FarkasMemo*) and the lane's own tests (Fastlane*, Simplex.*),
+# whose default-lane solves then take the Rational lane.
 run_golden_fastlane_off() {
   local name="$1" dir="$2"
   echo "==== [$name] golden schedules and C, lane tests at POLYFUSE_NO_FASTLANE=1 ===="
   POLYFUSE_NO_FASTLANE=1 ctest --test-dir "$dir" -j "$JOBS" \
-    --output-on-failure -R '^Suite/Golden(Schedule|C)\.|Fastlane|Simplex' ||
+    --output-on-failure -R '^Suite/Golden(Schedule|C)\.|FarkasMemo|Fastlane|Simplex' ||
     { collect_diagnostics "$name-nofastlane" "$dir"; exit 1; }
 }
 
