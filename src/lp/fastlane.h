@@ -1,13 +1,15 @@
 // Process-wide switch for the int64 fast lane.
 //
-// The fast lane (lp/simplex.cpp's integer tableau, poly/set.cpp's integer
-// Fourier-Motzkin combination, and the scheduler's warm-started lexmin) is
-// a pure performance feature: every answer it produces is byte-identical
-// to the exact Rational path, and any solve it cannot finish (an
-// intermediate outside the 2^62 safety bound) falls back transparently.
-// The switch exists for differential testing and for the byte-identity
-// acceptance check: set POLYFUSE_NO_FASTLANE=1 (or pass --no-fastlane)
-// and the whole pipeline runs the Rational lane only.
+// The fast lane (lp/simplex.cpp's kernel on int64 cells, poly/set.cpp's
+// integer Fourier-Motzkin combination, and the scheduler's warm-started
+// lexmin) is a pure performance feature: every answer it produces is
+// byte-identical to the exact path, and any solve it cannot finish (an
+// intermediate outside the 2^62 safety bound) falls back transparently --
+// a simplex solve to the same kernel on BigInt cells (lp/bigint.h), an FM
+// row to checked AffineExpr arithmetic. The switch exists for
+// differential testing and for the byte-identity acceptance check: set
+// POLYFUSE_NO_FASTLANE=1 (or pass --no-fastlane) and the whole pipeline
+// runs the exact paths only.
 #pragma once
 
 namespace pf::lp {

@@ -4,8 +4,12 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <optional>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
+#include "lp/bigint.h"
 #include "lp/fastlane.h"
 #include "support/arena.h"
 #include "support/budget.h"
@@ -15,8 +19,9 @@ namespace pf::lp {
 
 namespace {
 
-// Per-thread running pivot total (both lanes bump it); minimize()
-// snapshots it around a solve to feed the pivots-per-solve histogram.
+// Per-thread running pivot total (both kernel instances bump it);
+// minimize() snapshots it around a solve to feed the pivots-per-solve
+// histogram.
 thread_local i64 tl_pivots = 0;
 // Per-thread running total of the cells completed pivots wrote, counted
 // into simplex_cells_written once per solve: a shared counter bumped per
@@ -81,12 +86,12 @@ void SimplexSolver::add_equality(RatVector coeffs, Rational constant) {
 
 namespace {
 
-// Shared variable layout of both tableau lanes: for each variable j,
-// col_pos[j]; for free vars also col_neg[j] (x_j = pos - neg). Then one
-// slack per inequality, then one artificial per row that needs one
-// (equalities, and inequalities infeasible at x = 0).
+// The tableau's variable layout: for each variable j, col_pos[j]; for
+// free vars also col_neg[j] (x_j = pos - neg). Then one slack per
+// inequality, then one artificial per row that needs one (equalities,
+// and inequalities infeasible at x = 0).
 //
-// Both tableaux are compact: a row stores only the columns of the
+// The tableau is compact: a row stores only the columns of the
 // k = nv - m nonbasic variables, plus the right-hand side. A basic
 // variable's column is the unit vector of its row, so it is never stored.
 // Row r starts with its slack basic (when the row holds at x = 0) or its
@@ -155,9 +160,9 @@ std::size_t smallest_var_column(const std::size_t* colvar, std::size_t k,
   return best;
 }
 
-// Bookkeeping of one pivot of an (m + 1) x (k + 1) tableau, either lane.
-// The cells it writes are counted when it completes, so a pivot the
-// int64 lane abandons on overflow counts none.
+// Bookkeeping of one pivot of an (m + 1) x (k + 1) tableau, either cell
+// type. The cells it writes are counted when it completes, so a pivot
+// the i64 instance abandons on overflow counts none.
 void account_pivot(std::size_t m, std::size_t k) {
   support::count(support::Counter::kSimplexPivots);
   support::count(support::Counter::kSimplexCells,
@@ -171,114 +176,34 @@ void account_pivot(std::size_t m, std::size_t k) {
                          static_cast<i64>(m) + 1);
 }
 
-// Compact simplex tableau over Rationals. Column j < k holds nonbasic
-// variable colvar[j]; column k is the right-hand side. Row `m` (the last)
-// is the reduced-cost row; its RHS cell holds the negated objective value.
-struct Tableau {
-  std::size_t m = 0;  // constraint rows
-  std::size_t k = 0;  // stored (nonbasic) columns, excl. rhs
-  std::vector<RatVector> t;
-  std::vector<std::size_t> basis;   // basis[r] = variable basic in row r
-  std::vector<std::size_t> colvar;  // colvar[j] = variable of column j
-  std::vector<std::size_t> nz;      // the pivot row's nonzero columns
-
-  Rational& at(std::size_t r, std::size_t c) { return t[r][c]; }
-  const Rational& at(std::size_t r, std::size_t c) const { return t[r][c]; }
-  Rational& rhs(std::size_t r) { return t[r][k]; }
-  const Rational& rhs(std::size_t r) const { return t[r][k]; }
-
-  // colvar[pc] enters the basis in row pr; the leaving variable takes
-  // over column pc. Its column was the unit vector e_pr, so the ordinary
-  // row operations run on that column in place of the entering one.
-  void pivot(std::size_t pr, std::size_t pc) {
-    account_pivot(m, k);
-    const Rational inv = at(pr, pc).reciprocal();
-    at(pr, pc) = Rational(1);
-    // Only the pivot row's nonzero columns take part in the row
-    // operations: a zero cell changes no other row.
-    nz.clear();
-    for (std::size_t c = 0; c <= k; ++c) {
-      if (t[pr][c].is_zero()) continue;
-      t[pr][c] *= inv;
-      nz.push_back(c);
-    }
-    // The pivot column is in nz (its cell is 1), so each updated row
-    // writes exactly the nz cells, as does the pivot row.
-    std::size_t written = nz.size();
-    for (std::size_t r = 0; r <= m; ++r) {
-      if (r == pr || at(r, pc).is_zero()) continue;
-      const Rational factor = at(r, pc);
-      at(r, pc) = Rational(0);
-      for (const std::size_t c : nz) t[r][c] -= factor * t[pr][c];
-      written += nz.size();
-    }
-    tl_cells_written += static_cast<i64>(written);
-    std::swap(basis[pr], colvar[pc]);
-  }
-
-  // One phase of Bland-rule simplex on the current cost row. Variables
-  // < limit are eligible to enter the basis (phase 2 bars artificials,
-  // which always form a suffix). Returns false if unbounded.
-  bool optimize(std::size_t limit) {
-    for (;;) {
-      const std::size_t enter = smallest_var_column(
-          colvar.data(), k, limit,
-          [&](std::size_t j) { return at(m, j).sign() < 0; });
-      if (enter == k) return true;  // optimal
-      // Leaving: min ratio rhs/entry over positive entries, Bland tie-break
-      // on smallest basic variable.
-      std::size_t leave = m;
-      Rational best_ratio(0);
-      for (std::size_t r = 0; r < m; ++r) {
-        if (at(r, enter).sign() <= 0) continue;
-        const Rational ratio = rhs(r) / at(r, enter);
-        if (leave == m || ratio < best_ratio ||
-            (ratio == best_ratio && basis[r] < basis[leave])) {
-          leave = r;
-          best_ratio = ratio;
-        }
-      }
-      if (leave == m) return false;  // unbounded
-      pivot(leave, enter);
-    }
-  }
-
-  // Installs per-variable cost vector `costs` into the cost row, pricing
-  // out the current basis.
-  void set_costs(const RatVector& costs) {
-    for (std::size_t j = 0; j < k; ++j) at(m, j) = costs[colvar[j]];
-    rhs(m) = Rational(0);
-    for (std::size_t r = 0; r < m; ++r) {
-      const Rational cb = costs[basis[r]];
-      if (cb.is_zero()) continue;
-      for (std::size_t c = 0; c <= k; ++c)
-        if (!t[r][c].is_zero()) t[m][c] -= cb * t[r][c];
-    }
-  }
-};
-
 // ---------------------------------------------------------------------------
-// The int64 fast lane.
+// The simplex kernel: one compact tableau and one Bland-rule pivot loop,
+// instantiated for two cell types.
 //
-// Same tableau, same pivot rule, same answers -- but each row is stored as
-// int64 numerators over one per-row denominator instead of a vector of
-// canonicalized Rationals, so a pivot is a fused integer row operation
-// instead of k Rational multiply-subtracts with a gcd each.
+// Each row is stored as integer numerators over one positive per-row
+// denominator, in lowest terms, so a pivot is a fused integer row
+// operation.
 //
-// Every entry is kept below 2^62 (kFastLimit), which makes all the 128-bit
-// intermediates provably exact: products of two in-range values stay below
-// 2^124 and their sums below 2^125, well inside __int128. Any value that
-// would leave the range throws FastlaneOverflow and the caller reruns the
-// solve on the exact Rational tableau -- the lane is transparently
-// correct-or-absent, never wrong.
+// - i64 cells (the fast instance). Every stored value is kept below 2^62
+//   (kFastLimit), which makes all the 128-bit intermediates provably
+//   exact: products of two in-range values stay below 2^124 and their
+//   sums below 2^125, well inside __int128. A value that would leave the
+//   range throws FastlaneOverflow, and minimize() reruns the solve from
+//   scratch on the BigInt instance -- the fast instance is
+//   correct-or-absent, never wrong.
+// - BigInt cells (lp/bigint.h), whose intermediates are BigInts too:
+//   nothing overflows. This instance serves --no-fastlane and every
+//   fallback.
 //
-// Pivot-for-pivot identity with the Rational lane: the entering test reads
-// only reduced-cost signs (per-row denominators are positive, so signs
-// live in the numerators), and the leaving test compares ratios
-// rhs(r)/a(r) in which the row denominator cancels -- cross-multiplied in
-// 128 bits, exactly. Scaling the cost row by the positive lcm of the
-// objective's denominators preserves every sign, so both lanes take the
-// same pivots and return bit-identical Results.
+// Both instances compute the same exact values and keep them in the same
+// lowest terms, so every branch on a value (a sign, a zero, a gcd of 1, a
+// ratio comparison) goes the same way: the same pivots, the same cells
+// written and the same Result. The entering test reads only reduced-cost
+// signs (per-row denominators are positive, so signs live in the
+// numerators), and the leaving test compares ratios rhs(r)/a(r) in which
+// the row denominator cancels, cross-multiplied exactly. Scaling the cost
+// row by the positive lcm of the objective's denominators preserves every
+// sign.
 
 struct FastlaneOverflow {};
 
@@ -327,65 +252,103 @@ inline i128 div_exact(i128 x, i128 g) {
   return x / g;
 }
 
-// lcm of positive denominators; overflow exits to the Rational lane (the
-// exact tableau never scales, so this must not surface as a pf::Error).
-inline i64 fl_lcm(i64 a, i64 b) {
-  return fl_narrow(static_cast<i128>(a / gcd(a, b)) * b);
-}
+// What the kernel needs of a cell type besides its arithmetic operators
+// and gcd(): the type of its intermediates (Wide), the narrowing of an
+// intermediate back to a cell, the gcd and exact quotient of
+// intermediates, and the conversion of a value num/den (den > 0) into a
+// Rational.
+template <typename Cell>
+struct CellOps;
 
-// v scaled to the common denominator `den` (a multiple of v.den()).
-inline i64 fl_scaled(const Rational& v, i64 den) {
-  return fl_narrow(static_cast<i128>(v.num()) * (den / v.den()));
-}
+template <>
+struct CellOps<i64> {
+  using Wide = i128;
+  static i64 narrow(i128 v) { return fl_narrow(v); }
+  static i128 wide_gcd(i128 g, i128 x) { return gcd_step(g, x); }  // g > 0
+  static i128 wide_div(i128 x, i128 g) { return div_exact(x, g); }
+  static Rational cell_value(i64 num, i64 den) { return Rational(num, den); }
+  // Past the fast range the solve is redone on BigInt cells, which then
+  // either fits or raises the error.
+  static Rational wide_value(i128 num, i128 den) {
+    const i128 g = num == 0 ? den : gcd128(num, den);
+    return Rational(fl_narrow(num / g), fl_narrow(den / g));
+  }
+};
 
-// Integer tableau: value(r, c) = nums[r * stride + c] / dens[r], with
-// dens[r] > 0, every stored integer in (-2^62, 2^62) and every row in
-// lowest terms (the gcd of its denominator and numerators is 1); row r's
-// basic variable has the implicit numerator dens[r]. Storage comes from
-// the thread's arena (released wholesale by the caller's ArenaScope).
-struct IntTableau {
+template <>
+struct CellOps<BigInt> {
+  using Wide = BigInt;
+  static BigInt narrow(BigInt v) { return v; }
+  static BigInt wide_gcd(const BigInt& g, const BigInt& x) {
+    return gcd(g, x);
+  }
+  static BigInt wide_div(const BigInt& x, const BigInt& g) { return x / g; }
+  static Rational cell_value(const BigInt& num, const BigInt& den) {
+    return wide_value(num, den);
+  }
+  // The one place the BigInt instance can fail: a Result is 64-bit
+  // Rationals.
+  static Rational wide_value(const BigInt& num, const BigInt& den) {
+    const BigInt g = gcd(num, den);
+    const std::optional<i64> n = (num / g).to_i64(), d = (den / g).to_i64();
+    if (!n || !d) PF_FAIL("the LP optimum exceeds 64-bit rationals");
+    return Rational(*n, *d);
+  }
+};
+
+// The tableau: value(r, c) = nums[r * stride + c] / dens[r], with
+// dens[r] > 0 and every row in lowest terms (the gcd of its denominator
+// and numerators is 1); row r's basic variable has the implicit numerator
+// dens[r]. Column j < k holds nonbasic variable colvar[j]; column k is the
+// right-hand side. Row m (the last) is the reduced-cost row; its RHS cell
+// holds the negated objective value.
+template <typename Cell>
+struct Tableau {
+  using Ops = CellOps<Cell>;
+  using Wide = typename Ops::Wide;
+
   std::size_t m = 0;
   std::size_t k = 0;       // stored (nonbasic) columns, excl. rhs
   std::size_t stride = 0;  // k + 1 (rhs in the last cell)
-  i64* nums = nullptr;     // (m + 1) * stride
-  i64* dens = nullptr;     // m + 1
-  i128* scratch = nullptr;  // stride; the in-flight combined row (in
+  Cell* nums = nullptr;    // (m + 1) * stride
+  Cell* dens = nullptr;    // m + 1
+  Wide* scratch = nullptr;  // stride; the in-flight combined row (in
                             // update_unit, its cells listed in nz)
   std::size_t* nz = nullptr;  // stride; the pivot row's nonzero columns
   std::size_t* basis = nullptr;   // m
   std::size_t* colvar = nullptr;  // k
 
-  i64* row(std::size_t r) { return nums + r * stride; }
-  const i64* row(std::size_t r) const { return nums + r * stride; }
-  i64 num_at(std::size_t r, std::size_t c) const { return row(r)[c]; }
+  Cell* row(std::size_t r) { return nums + r * stride; }
+  const Cell* row(std::size_t r) const { return nums + r * stride; }
+  const Cell& num_at(std::size_t r, std::size_t c) const { return row(r)[c]; }
 
   // Divide row r (and its denominator) by their common gcd, keeping the
   // representation small across pivots.
   void reduce_row(std::size_t r) {
-    i64* q = row(r);
-    i64 g = dens[r];
+    Cell* q = row(r);
+    Cell g = dens[r];
     for (std::size_t c = 0; c <= k && g != 1; ++c) g = gcd(g, q[c]);
     if (g <= 1) return;
     for (std::size_t c = 0; c <= k; ++c) q[c] /= g;
     dens[r] /= g;
   }
 
-  // Store scratch / den128 into row r in lowest terms; throws
-  // FastlaneOverflow when the reduced row leaves the safe range. A row
-  // whose gcd is 1 is stored without dividing.
-  void store_reduced(std::size_t r, i128 den128) {
-    i128 g = den128;
+  // Store scratch / den into row r in lowest terms (narrowed: i64 cells
+  // throw FastlaneOverflow when the reduced row leaves the safe range). A
+  // row whose gcd is 1 is stored without dividing.
+  void store_reduced(std::size_t r, const Wide& den) {
+    Wide g = den;
     for (std::size_t c = 0; c <= k && g != 1; ++c)
-      if (scratch[c] != 0) g = gcd_step(g, scratch[c]);
-    i64* q = row(r);
+      if (scratch[c] != 0) g = Ops::wide_gcd(g, scratch[c]);
+    Cell* q = row(r);
     if (g == 1) {
-      for (std::size_t c = 0; c <= k; ++c) q[c] = fl_narrow(scratch[c]);
-      dens[r] = fl_narrow(den128);
+      for (std::size_t c = 0; c <= k; ++c) q[c] = Ops::narrow(scratch[c]);
+      dens[r] = Ops::narrow(den);
       return;
     }
     for (std::size_t c = 0; c <= k; ++c)
-      q[c] = fl_narrow(div_exact(scratch[c], g));
-    dens[r] = fl_narrow(den128 / g);
+      q[c] = Ops::narrow(Ops::wide_div(scratch[c], g));
+    dens[r] = Ops::narrow(den / g);
   }
 
   // Row r's update under a pivot row p of denominator 1, f being row r's
@@ -395,43 +358,46 @@ struct IntTableau {
   // divided by the gcd of dr and its new numerators when that exceeds 1,
   // exactly as store_reduced would. Returns the cells written: the nnz
   // listed ones, or the whole row when it is divided.
-  std::size_t update_unit(std::size_t r, i64 f, const i64* p,
+  // f is taken by value: a reference could alias q's cells.
+  std::size_t update_unit(std::size_t r, Cell f, const Cell* p,
                           std::size_t nnz) {
-    i64* q = row(r);
-    const i64 dr = dens[r];
+    Cell* q = row(r);
+    const Cell dr = dens[r];
     if (dr == 1) {
       for (std::size_t i = 0; i < nnz; ++i) {
         const std::size_t c = nz[i];
-        q[c] = fl_narrow(static_cast<i128>(q[c]) -
-                         static_cast<i128>(f) * p[c]);
+        q[c] = Ops::narrow(Wide(q[c]) - Wide(f) * p[c]);
       }
       return nnz;
     }
     for (std::size_t i = 0; i < nnz; ++i) {
       const std::size_t c = nz[i];
-      scratch[i] = static_cast<i128>(q[c]) - static_cast<i128>(f) * p[c];
+      scratch[i] = Wide(q[c]) - Wide(f) * p[c];
     }
     // The gcd walks the whole new row: unchanged cells from q, changed
     // ones (the ascending nz list) from scratch.
-    i128 g = dr;
+    Wide g = dr;
     for (std::size_t c = 0, i = 0; c <= k && g != 1; ++c) {
       if (i < nnz && nz[i] == c)
-        g = gcd_step(g, scratch[i++]);
+        g = Ops::wide_gcd(g, scratch[i++]);
       else if (q[c] != 0)
-        g = gcd_step(g, q[c]);
+        g = Ops::wide_gcd(g, q[c]);
     }
     if (g == 1) {
-      for (std::size_t i = 0; i < nnz; ++i) q[nz[i]] = fl_narrow(scratch[i]);
+      for (std::size_t i = 0; i < nnz; ++i) q[nz[i]] = Ops::narrow(scratch[i]);
       return nnz;
     }
-    const i64 g64 = static_cast<i64>(g);  // divides dr
-    for (std::size_t c = 0; c <= k; ++c) q[c] /= g64;
+    const Cell gc = Ops::narrow(g);  // divides dr
+    for (std::size_t c = 0; c <= k; ++c) q[c] /= gc;
     for (std::size_t i = 0; i < nnz; ++i)
-      q[nz[i]] = fl_narrow(div_exact(scratch[i], g));
-    dens[r] = dr / g64;
+      q[nz[i]] = Ops::narrow(Ops::wide_div(scratch[i], g));
+    dens[r] = dr / gc;
     return k + 1;
   }
 
+  // colvar[pc] enters the basis in row pr; the leaving variable takes
+  // over column pc. Its column was the unit vector e_pr, so the ordinary
+  // row operations run on that column in place of the entering one.
   void pivot(std::size_t pr, std::size_t pc) {
     account_pivot(m, k);
     // Scale the pivot row so its pivot cell becomes 1: dividing every
@@ -439,8 +405,8 @@ struct IntTableau {
     // numerators stay put and a becomes the denominator (row negated
     // first when a is negative, keeping dens > 0). The leaving variable's
     // unit cell, numerator dens[pr], moves into the pivot cell's slot.
-    i64* p = row(pr);
-    const i64 a = p[pc];
+    Cell* p = row(pr);
+    const Cell a = p[pc];
     p[pc] = dens[pr];
     dens[pr] = a < 0 ? -a : a;
     // Only the pivot row's nonzero columns take part in the row
@@ -448,7 +414,7 @@ struct IntTableau {
     std::size_t nnz = 0;
     for (std::size_t c = 0; c <= k; ++c)
       if (p[c] != 0) nz[nnz++] = c;
-    i64 g = dens[pr];
+    Cell g = dens[pr];
     for (std::size_t i = 0; i < nnz; ++i) {
       if (a < 0) p[nz[i]] = -p[nz[i]];
       if (g != 1) g = gcd(g, p[nz[i]]);
@@ -461,11 +427,11 @@ struct IntTableau {
     // divided, else only the pivot cell. The pivot column is in nz, so a
     // sparse row update writes no cell outside the list.
     std::size_t written = a < 0 || g > 1 ? nnz : 1;
-    const i64 dp = dens[pr];
+    const Cell dp = dens[pr];
     for (std::size_t r = 0; r <= m; ++r) {
       if (r == pr) continue;
-      i64* q = row(r);
-      const i64 f = q[pc];
+      Cell* q = row(r);
+      const Cell f = q[pc];
       if (f == 0) continue;
       q[pc] = 0;  // the leaving variable was basic in row pr only
       if (dp == 1) {
@@ -474,36 +440,39 @@ struct IntTableau {
       }
       // value'(c) = q[c]/dr - (f/dr) * (p[c]/dp)
       //          = (q[c]*dp - f*p[c]) / (dr*dp)
-      for (std::size_t c = 0; c <= k; ++c)
-        scratch[c] = static_cast<i128>(q[c]) * dp;
+      for (std::size_t c = 0; c <= k; ++c) scratch[c] = Wide(q[c]) * dp;
       for (std::size_t i = 0; i < nnz; ++i)
-        scratch[nz[i]] -= static_cast<i128>(f) * p[nz[i]];
-      store_reduced(r, static_cast<i128>(dens[r]) * dp);
+        scratch[nz[i]] -= Wide(f) * p[nz[i]];
+      store_reduced(r, Wide(dens[r]) * dp);
       written += k + 1;
     }
     tl_cells_written += static_cast<i64>(written);
     std::swap(basis[pr], colvar[pc]);
   }
 
+  // One phase of Bland-rule simplex on the current cost row. Variables
+  // < limit are eligible to enter the basis (phase 2 bars artificials,
+  // which always form a suffix). Returns false if unbounded.
   bool optimize(std::size_t limit) {
     for (;;) {
-      const i64* cost = row(m);
+      const Cell* cost = row(m);
       const std::size_t enter = smallest_var_column(
           colvar, k, limit, [&](std::size_t j) { return cost[j] < 0; });
       if (enter == k) return true;  // optimal
-      // Leaving: min rhs(r)/a(r, enter) over positive entries. The row
-      // denominator cancels inside the ratio, so it is rhs_num/a_num;
-      // cross-rows compare by 128-bit cross-multiplication (both
-      // divisors positive, so the inequality direction is preserved).
+      // Leaving: min rhs(r)/a(r, enter) over positive entries, Bland
+      // tie-break on the smallest basic variable. The row denominator
+      // cancels inside the ratio, so it is rhs_num/a_num; rows compare by
+      // cross-multiplication (both divisors positive, so the inequality
+      // direction is preserved).
       std::size_t leave = m;
-      i64 best_rhs = 0, best_a = 1;
+      Cell best_rhs = 0, best_a = 1;
       for (std::size_t r = 0; r < m; ++r) {
-        const i64 a = num_at(r, enter);
+        const Cell& a = num_at(r, enter);
         if (a <= 0) continue;
-        const i64 rh = num_at(r, k);
+        const Cell& rh = num_at(r, k);
         if (leave != m) {
-          const i128 lhs = static_cast<i128>(rh) * best_a;
-          const i128 rhs = static_cast<i128>(best_rhs) * a;
+          const Wide lhs = Wide(rh) * best_a;
+          const Wide rhs = Wide(best_rhs) * a;
           if (lhs > rhs) continue;
           if (lhs == rhs && basis[leave] < basis[r]) continue;
         }
@@ -516,31 +485,63 @@ struct IntTableau {
     }
   }
 
-  // Integer per-variable cost vector (the caller pre-scales rational
+  // Installs the per-variable cost vector `costs` into the cost row,
+  // pricing out the current basis (the caller pre-scales rational
   // objectives by a positive constant, which preserves every reduced-cost
   // sign).
-  void set_costs(const i64* costs) {
-    i64* cost = row(m);
+  void set_costs(const Cell* costs) {
+    Cell* cost = row(m);
     for (std::size_t j = 0; j < k; ++j) cost[j] = costs[colvar[j]];
     cost[k] = 0;
     dens[m] = 1;
     for (std::size_t r = 0; r < m; ++r) {
-      const i64 cb = costs[basis[r]];
+      const Cell& cb = costs[basis[r]];
       if (cb == 0) continue;
-      const i64* q = row(r);
-      const i64 dr = dens[r];
-      const i64 dm = dens[m];
+      const Cell* q = row(r);
+      const Cell dr = dens[r];
+      const Cell dm = dens[m];
       // cost'(c) = cost[c]/dm - cb * q[c]/dr
       //          = (cost[c]*dr - (cb*dm)*q[c]) / (dm*dr)
       // cb*dm is narrowed first so the per-cell product stays two-term.
-      const i64 cbdm = fl_narrow(static_cast<i128>(cb) * dm);
+      const Cell cbdm = Ops::narrow(Wide(cb) * dm);
       for (std::size_t c = 0; c <= k; ++c)
-        scratch[c] = static_cast<i128>(cost[c]) * dr -
-                     static_cast<i128>(cbdm) * q[c];
-      store_reduced(m, static_cast<i128>(dm) * dr);
+        scratch[c] = Wide(cost[c]) * dr - Wide(cbdm) * q[c];
+      store_reduced(m, Wide(dm) * dr);
     }
   }
 };
+
+// An array of n copies of `fill` for one solve. Trivially destructible
+// cells (i64, i128) come from the thread's arena, released wholesale by
+// the solve's ArenaScope; BigInt cells own heap limbs, so they live in
+// `own`.
+template <typename T>
+T* alloc_filled(support::Arena& arena, std::vector<T>& own, std::size_t n,
+                const T& fill) {
+  if constexpr (std::is_trivially_destructible_v<T>) {
+    T* p = arena.alloc_array<T>(n);
+    std::fill_n(p, n, fill);
+    return p;
+  } else {
+    own.assign(n, fill);
+    return own.data();
+  }
+}
+
+// The lcm of a positive cell and a positive denominator, narrowed (an i64
+// lcm past the fast range redoes the solve on BigInt cells).
+template <typename Cell>
+Cell lcm_with(const Cell& a, i64 b) {
+  using Ops = CellOps<Cell>;
+  return Ops::narrow(typename Ops::Wide(a / gcd(a, Cell(b))) * b);
+}
+
+// v scaled to the common denominator `den` (a multiple of v.den()).
+template <typename Cell>
+Cell scaled(const Rational& v, const Cell& den) {
+  using Ops = CellOps<Cell>;
+  return Ops::narrow(typename Ops::Wide(v.num()) * (den / v.den()));
+}
 
 // The optimal point from the per-variable values (basic variables at
 // their row's rhs, nonbasic ones at 0).
@@ -564,15 +565,15 @@ SimplexSolver::Result SimplexSolver::minimize(
   SolveProbe probe;
   if (fastlane_enabled()) {
     if (support::budget_injection_fires(support::BudgetSite::kLpFastlane)) {
-      // --inject lp.fastlane:fail-after=K forces this solve down the
-      // Rational lane; both lanes return the same bits, so this is a
-      // pure coverage knob, not a fault.
+      // --inject lp.fastlane:fail-after=K forces this solve onto BigInt
+      // cells; both instances return the same bits, so this is a pure
+      // coverage knob, not a fault.
       support::count(support::Counter::kFastlaneFallbacks);
       support::observe(support::Hist::kFastlaneFallbackCause,
                        support::kFallbackSimplexInjected);
     } else {
       try {
-        Result res = minimize_fast(objective);
+        Result res = solve<i64>(objective);
         support::count(support::Counter::kFastlaneSolves);
         return res;
       } catch (const FastlaneOverflow&) {
@@ -582,29 +583,30 @@ SimplexSolver::Result SimplexSolver::minimize(
       }
     }
   }
-  return minimize_exact(objective);
+  return solve<BigInt>(objective);
 }
 
-SimplexSolver::Result SimplexSolver::minimize_fast(
-    const RatVector& objective) const {
+template <typename Cell>
+SimplexSolver::Result SimplexSolver::solve(const RatVector& objective) const {
+  using Wide = typename CellOps<Cell>::Wide;
   support::Arena& arena = support::Arena::thread_local_instance();
   support::ArenaScope scope(arena);
+  std::vector<Cell> own_nums, own_dens, own_costs;
+  std::vector<Wide> own_scratch;
 
   const Layout lay = make_layout(num_vars_, nonneg_, rows_);
   const std::size_t nv = lay.nv;
 
-  IntTableau tab;
+  Tableau<Cell> tab;
   tab.m = rows_.size();
   tab.k = lay.colvar.size();
   tab.stride = tab.k + 1;
-  tab.nums = arena.alloc_array<i64>((tab.m + 1) * tab.stride);
-  tab.dens = arena.alloc_array<i64>(tab.m + 1);
-  tab.scratch = arena.alloc_array<i128>(tab.stride);
+  tab.nums = alloc_filled(arena, own_nums, (tab.m + 1) * tab.stride, Cell(0));
+  tab.dens = alloc_filled(arena, own_dens, tab.m + 1, Cell(1));
+  tab.scratch = alloc_filled(arena, own_scratch, tab.stride, Wide(0));
   tab.nz = arena.alloc_array<std::size_t>(tab.stride);
   tab.basis = arena.alloc_array<std::size_t>(std::max<std::size_t>(tab.m, 1));
   tab.colvar = arena.alloc_array<std::size_t>(std::max<std::size_t>(tab.k, 1));
-  std::fill_n(tab.nums, (tab.m + 1) * tab.stride, i64{0});
-  std::fill_n(tab.dens, tab.m + 1, i64{1});
   std::copy(lay.basis.begin(), lay.basis.end(), tab.basis);
   std::copy(lay.colvar.begin(), lay.colvar.end(), tab.colvar);
 
@@ -615,17 +617,17 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
   std::size_t slack = lay.first_slack;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
-    i64 den = 1;
-    for (const Rational& v : r.coeffs) den = fl_lcm(den, v.den());
-    den = fl_lcm(den, r.constant.den());
-    i64* row = tab.row(i);
+    Cell den = 1;
+    for (const Rational& v : r.coeffs) den = lcm_with(den, v.den());
+    den = lcm_with(den, r.constant.den());
+    Cell* row = tab.row(i);
     // coeffs . x + constant >= 0  becomes  coeffs . x - s = -constant.
     for (std::size_t j = 0; j < num_vars_; ++j) {
-      const i64 n = fl_scaled(r.coeffs[j], den);
+      const Cell n = scaled(r.coeffs[j], den);
       row[lay.slot[lay.col_pos[j]]] = n;
       if (lay.col_neg[j] != SIZE_MAX) row[lay.slot[lay.col_neg[j]]] = -n;
     }
-    row[k] = -fl_scaled(r.constant, den);
+    row[k] = -scaled(r.constant, den);
     tab.dens[i] = den;
     if (!r.is_equality && lay.slot[slack++] == SIZE_MAX) {
       // Slack value at x = 0 is `constant` >= 0: negate the row so the
@@ -644,8 +646,7 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
 
   // Phase 1: minimize the sum of artificials (skipped when none exist).
   if (lay.num_artificials > 0) {
-    i64* costs = arena.alloc_array<i64>(nv);
-    std::fill_n(costs, nv, i64{0});
+    Cell* costs = alloc_filled(arena, own_costs, nv, Cell(0));
     for (std::size_t a = 0; a < lay.num_artificials; ++a)
       costs[lay.first_artificial + a] = 1;
     tab.set_costs(costs);
@@ -671,13 +672,13 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
   // artificial variables are barred from entering. Their nonbasic
   // columns stay stored, so every row keeps the representation (and the
   // gcds) it would have with every column stored.
-  i64 obj_scale = 1;
+  Cell obj_scale = 1;
   {
-    for (const Rational& v : objective) obj_scale = fl_lcm(obj_scale, v.den());
-    i64* costs = arena.alloc_array<i64>(nv);
-    std::fill_n(costs, nv, i64{0});
+    for (const Rational& v : objective)
+      obj_scale = lcm_with(obj_scale, v.den());
+    Cell* costs = alloc_filled(arena, own_costs, nv, Cell(0));
     for (std::size_t j = 0; j < num_vars_; ++j) {
-      const i64 n = fl_scaled(objective[j], obj_scale);
+      const Cell n = scaled(objective[j], obj_scale);
       costs[lay.col_pos[j]] = n;
       if (lay.col_neg[j] != SIZE_MAX) costs[lay.col_neg[j]] = -n;
     }
@@ -686,97 +687,14 @@ SimplexSolver::Result SimplexSolver::minimize_fast(
       return Result{Status::kUnbounded, {}, Rational(0)};
   }
 
-  // Extract solution.
+  // Extract the solution; objective = -rhs(m) / obj_scale.
   RatVector values(nv, Rational(0));
   for (std::size_t r = 0; r < tab.m; ++r)
-    values[tab.basis[r]] = Rational(tab.num_at(r, k), tab.dens[r]);
+    values[tab.basis[r]] =
+        CellOps<Cell>::cell_value(tab.num_at(r, k), tab.dens[r]);
   Result res = optimal_at(lay, num_vars_, values);
-  // objective = -rhs(m) / obj_scale.
-  {
-    const i128 onum = -static_cast<i128>(tab.num_at(tab.m, k));
-    const i128 oden = static_cast<i128>(tab.dens[tab.m]) * obj_scale;
-    const i128 g = onum == 0 ? oden : gcd128(onum, oden);
-    res.objective = Rational(fl_narrow(onum / g), fl_narrow(oden / g));
-  }
-  return res;
-}
-
-SimplexSolver::Result SimplexSolver::minimize_exact(
-    const RatVector& objective) const {
-  const Layout lay = make_layout(num_vars_, nonneg_, rows_);
-  const std::size_t nv = lay.nv;
-
-  Tableau tab;
-  tab.m = rows_.size();
-  tab.k = lay.colvar.size();
-  tab.t.assign(tab.m + 1, RatVector(tab.k + 1, Rational(0)));
-  tab.basis = lay.basis;
-  tab.colvar = lay.colvar;
-
-  const std::size_t k = tab.k;
-  std::size_t slack = lay.first_slack;
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const Row& r = rows_[i];
-    // coeffs . x + constant >= 0  becomes  coeffs . x - s = -constant.
-    for (std::size_t j = 0; j < num_vars_; ++j) {
-      tab.at(i, lay.slot[lay.col_pos[j]]) = r.coeffs[j];
-      if (lay.col_neg[j] != SIZE_MAX)
-        tab.at(i, lay.slot[lay.col_neg[j]]) = -r.coeffs[j];
-    }
-    tab.rhs(i) = -r.constant;
-    if (!r.is_equality && lay.slot[slack++] == SIZE_MAX) {
-      // Slack value at x = 0 is `constant` >= 0: negate the row so the
-      // basic slack has +1 and a non-negative RHS.
-      for (std::size_t c = 0; c <= k; ++c) tab.t[i][c] = -tab.t[i][c];
-      continue;
-    }
-    if (!r.is_equality) tab.at(i, lay.slot[slack - 1]) = Rational(-1);
-    // Normalize RHS >= 0; the row's basic artificial has coefficient 1.
-    if (tab.rhs(i).sign() < 0) {
-      for (std::size_t c = 0; c <= k; ++c) tab.t[i][c] = -tab.t[i][c];
-    }
-  }
-
-  // Phase 1: minimize the sum of artificials (skipped when none exist).
-  if (lay.num_artificials > 0) {
-    RatVector costs(nv, Rational(0));
-    for (std::size_t a = 0; a < lay.num_artificials; ++a)
-      costs[lay.first_artificial + a] = Rational(1);
-    tab.set_costs(costs);
-    const bool bounded = tab.optimize(nv);
-    PF_CHECK_MSG(bounded, "phase-1 objective cannot be unbounded");
-    // Objective value is -rhs of the cost row.
-    if ((-tab.rhs(tab.m)).sign() > 0)
-      return Result{Status::kInfeasible, {}, Rational(0)};
-    // Pivot remaining artificials (at value 0) out of the basis where
-    // possible; rows with no non-artificial entry are redundant and stay
-    // (they are all-zero, harmless).
-    for (std::size_t r = 0; r < tab.m; ++r) {
-      if (tab.basis[r] < lay.first_artificial) continue;
-      const std::size_t c = smallest_var_column(
-          tab.colvar.data(), k, lay.first_artificial,
-          [&](std::size_t j) { return !tab.at(r, j).is_zero(); });
-      if (c < k) tab.pivot(r, c);
-    }
-  }
-
-  // Phase 2: original objective; artificial variables are barred.
-  {
-    RatVector costs(nv, Rational(0));
-    for (std::size_t j = 0; j < num_vars_; ++j) {
-      costs[lay.col_pos[j]] = objective[j];
-      if (lay.col_neg[j] != SIZE_MAX) costs[lay.col_neg[j]] = -objective[j];
-    }
-    tab.set_costs(costs);
-    if (!tab.optimize(lay.first_artificial))
-      return Result{Status::kUnbounded, {}, Rational(0)};
-  }
-
-  // Extract solution.
-  RatVector values(nv, Rational(0));
-  for (std::size_t r = 0; r < tab.m; ++r) values[tab.basis[r]] = tab.rhs(r);
-  Result res = optimal_at(lay, num_vars_, values);
-  res.objective = -tab.rhs(tab.m);
+  res.objective = CellOps<Cell>::wide_value(-Wide(tab.num_at(tab.m, k)),
+                                            Wide(tab.dens[tab.m]) * obj_scale);
   return res;
 }
 

@@ -3,8 +3,14 @@
 // This is the LP core under all of polyfuse: dependence-polyhedron
 // emptiness tests, min/max of affine forms over polyhedra, and the LP
 // relaxations inside the branch-and-bound ILP used by the Pluto-style
-// scheduler. Bland's rule guarantees termination; all arithmetic is exact
-// (Rational), so answers are never victims of floating-point noise.
+// scheduler. Bland's rule guarantees termination; all arithmetic is exact,
+// so answers are never victims of floating-point noise.
+//
+// One tableau kernel runs on two cell types: int64 cells first (the fast
+// lane, lp/fastlane.h), and arbitrary-precision BigInt cells (lp/bigint.h)
+// when the int64 instance would overflow or the lane is off. Both take the
+// same pivots and return the same Result; the only error left is an
+// optimum whose values do not fit in 64-bit Rationals.
 //
 // Problem form. Variables x_0..x_{n-1}; each is either free or constrained
 // non-negative. Constraints are affine: coeffs . x + constant >= 0 (or
@@ -62,12 +68,11 @@ class SimplexSolver {
     bool is_equality;
   };
 
-  /// The exact Rational tableau (always correct, never fast).
-  Result minimize_exact(const RatVector& objective) const;
-  /// The int64 fast lane: same pivots, same Result, arena-backed integer
-  /// rows; throws (internally) and defers to minimize_exact when any
-  /// intermediate leaves the 62-bit safe range. See lp/fastlane.h.
-  Result minimize_fast(const RatVector& objective) const;
+  /// One solve on the kernel instance with `Cell` cells (i64 or BigInt).
+  /// The i64 instance throws (internally) when a value leaves the 62-bit
+  /// safe range, and minimize() reruns the solve on BigInt cells.
+  template <typename Cell>
+  Result solve(const RatVector& objective) const;
 
   std::size_t num_vars_;
   std::vector<bool> nonneg_;

@@ -76,7 +76,7 @@ enum class Counter : std::size_t {
   kBudgetDowngrades,     // graceful-degradation steps taken, any layer
   kBudgetAssumedDeps,    // dependences conservatively assumed under budget
   kFastlaneSolves,       // simplex solves served by the int64 fast lane
-  kFastlaneFallbacks,    // per-solve fallbacks to the Rational tableau
+  kFastlaneFallbacks,    // per-solve fallbacks to the bignum simplex instance
   kFastlaneFmeRows,      // FM row combinations taken by the int64 path
   kFastlaneFmeFallbacks,  // FM combinations that fell back to checked ops
   kFastlaneWarmHits,     // scheduler warm-start points accepted (feasible)

@@ -571,8 +571,8 @@ TEST(Cli, AnalyzeFeedsExplainAndMachineReport) {
 
 TEST(Cli, AnalyzeCountsSurviveFastlaneFallback) {
   // Counting differential under the fast-lane fault injection and with
-  // the lane disabled outright: the exact Rational lane must produce the
-  // byte-identical report.
+  // the lane disabled outright: the exact paths (the simplex kernel on
+  // bignum cells) must produce the byte-identical report.
   const std::string path = write_program("p.pf", kPipeline);
   const std::string base = "--analyze=json --params=8 --emit=source " + path;
   const SplitResult lane_on = run_cli_split(base);

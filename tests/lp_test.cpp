@@ -3,10 +3,12 @@
 // against brute-force enumeration over small boxes.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 
 #include "dense_simplex.h"
+#include "lp/bigint.h"
 #include "lp/fastlane.h"
 #include "lp/ilp.h"
 #include "lp/simplex.h"
@@ -112,10 +114,10 @@ TEST(Simplex, FeasiblePointSatisfiesConstraints) {
 // (x0 + x1 - s0 = 1, every cell nonzero), and the artificial leaves.
 // Besides the pivot row it updates row 1 (x0 <= 4) and the cost row;
 // row 2 has a zero in the pivot column and is left alone. Phase 2 is
-// optimal at once. So the Rational lane writes the pivot row's 4 nonzero
-// cells and 4 cells in each updated row: 12. The int64 lane's pivot
-// value is 1 over denominator 1, so its pivot row changes only in the
-// pivot cell, and the two updated rows write 4 cells each: 9.
+// optimal at once. The pivot value is 1 over denominator 1, so the pivot
+// row changes only in the pivot cell, and the two updated rows write 4
+// cells each: 9. Both cell types run the same kernel, so the lane does
+// not change the count.
 TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
   // min x0 + 2*x1 s.t. x0 + x1 >= 1, x0 <= 4, x1 <= 4 (nonneg). Variables:
   // 2 structurals, 3 slacks, 1 artificial (the first row fails at x = 0),
@@ -137,7 +139,7 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
         << "lane " << lane;
     EXPECT_EQ(pivots, 1);
     EXPECT_EQ(metrics.registry().get(support::Counter::kSimplexCellsWritten),
-              lane ? 9 : 12)
+              9)
         << "lane " << lane;
   }
   set_fastlane_enabled(true);
@@ -146,10 +148,11 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
 // Solves the LP with the int64 lane on and off and checks both runs
 // against the dense reference (tests/dense_simplex.h): the status, point
 // and objective must be the reference's. The compact int64 lane falls
-// back to Rationals exactly when the dense int64 lane overflows, and at
-// the same pivot: a fallen-back solve counts the dense int64 lane's
+// back to BigInt cells exactly when the dense int64 lane overflows, and
+// at the same pivot: a fallen-back solve counts the dense int64 lane's
 // pivots up to the overflow plus the exact lane's. Neither lane writes
-// more cells than its pivots sweep.
+// more cells than its pivots sweep, and a solve the int64 lane finishes
+// writes the same cells with the lane off (both run one kernel).
 struct ReferenceOutcomes {
   test::DenseOutcome exact, fast;
 };
@@ -168,6 +171,8 @@ ReferenceOutcomes expect_matches_reference(
                         test::dense_minimize_int(nonneg, rows, objective)};
   const test::DenseOutcome& exact = ref.exact;
   const test::DenseOutcome& fast = ref.fast;
+  i64 written[2] = {0, 0};  // by lane
+  bool fell_back_on = false;
   for (const bool lane : {true, false}) {
     set_fastlane_enabled(lane);
     support::MetricsScope metrics;
@@ -183,15 +188,21 @@ ReferenceOutcomes expect_matches_reference(
     }
     if (lane) {
       EXPECT_EQ(fell_back, fast.overflow) << where;
+      fell_back_on = fell_back;
     }
     EXPECT_EQ(pivots, lane && fast.overflow ? fast.pivots + exact.pivots
                                             : exact.pivots)
         << where << " lane " << lane;
-    EXPECT_LE(metrics.registry().get(support::Counter::kSimplexCellsWritten),
+    written[lane] =
+        metrics.registry().get(support::Counter::kSimplexCellsWritten);
+    EXPECT_LE(written[lane],
               metrics.registry().get(support::Counter::kSimplexCells))
         << where << " lane " << lane;
   }
   set_fastlane_enabled(true);
+  if (!fell_back_on) {
+    EXPECT_EQ(written[false], written[true]) << where;
+  }
   if (!fast.overflow) {
     EXPECT_EQ(fast.pivots, exact.pivots) << where;
   }
@@ -225,7 +236,7 @@ TEST(Simplex, CompactTableauMatchesDenseReference) {
     // Every 25th LP carries one row over x0..x3 whose cells have four
     // distinct five-digit prime denominators: their lcm passes 2^62, so
     // the int64 lane overflows. Its other rows leave x0..x3 alone, which
-    // keeps the Rational lane's values in range.
+    // keeps the dense reference's Rational lane in range.
     const bool huge = seed % 25 == 0;
     const std::size_t n = static_cast<std::size_t>(huge ? pick(5, 7)
                                                         : pick(1, 12));
@@ -233,7 +244,8 @@ TEST(Simplex, CompactTableauMatchesDenseReference) {
     const i64 free_share = pick(0, 4);  // 0: all nonneg .. 4: all free
     for (std::size_t j = 0; j < n; ++j) nonneg[j] = pick(1, 4) > free_share;
     // Sparse rows of small values, as in the scheduler's systems; dense
-    // ones with 12 variables overflow the Rational lane's int64 cells.
+    // ones with 12 variables overflow the dense reference's Rational
+    // cells.
     auto value = [&](i64 lo, i64 hi) {
       return Rational(pick(lo, hi), pick(0, 5) == 0 ? 2 : 1);
     };
@@ -410,6 +422,241 @@ TEST(Simplex, CompactLaneFallsBackExactlyWhereDenseReferenceOverflows) {
   EXPECT_GT(updates.unit_pivot_reduced, 0);
   EXPECT_GT(updates.den_pivot, 0);
   EXPECT_GT(updates.reduced_stores, 0);
+}
+
+// Dense LPs over free variables: 12 variables, 40 inequalities that hold
+// at a hidden integer point, each coefficient nonzero with probability
+// 1/2 and a value of -5..5 over 1 or 2. Their optima fit in 64 bits, but
+// a solve on per-cell Rationals overflows on nearly all of them. The
+// int64 lane finishes every one without falling back, and with the lane
+// off the BigInt cells return the same Result after the same pivots and
+// cell writes.
+TEST(Simplex, DenseFreeLpsSolveOnBothLanes) {
+  constexpr std::size_t kVars = 12, kRows = 40;
+  int optimal = 0;
+  for (unsigned seed = 0; seed < 200; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&rng](i64 lo, i64 hi) {
+      return std::uniform_int_distribution<i64>(lo, hi)(rng);
+    };
+    RatVector x0(kVars);
+    for (Rational& v : x0) v = Rational(pick(-3, 3));
+    auto solver = SimplexSolver::all_free(kVars);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      RatVector coeffs(kVars, Rational(0));
+      Rational at_x0(0);
+      for (std::size_t j = 0; j < kVars; ++j) {
+        if (pick(0, 1) == 0) continue;
+        coeffs[j] = Rational(pick(-5, 5), pick(1, 2));
+        at_x0 += coeffs[j] * x0[j];
+      }
+      solver.add_inequality(std::move(coeffs), Rational(pick(0, 3)) - at_x0);
+    }
+    RatVector objective(kVars);
+    for (Rational& v : objective) v = Rational(pick(-5, 5), pick(1, 2));
+
+    const std::string where = "seed " + std::to_string(seed);
+    SimplexSolver::Result got[2];
+    i64 pivots[2] = {0, 0}, written[2] = {0, 0};
+    for (const bool lane : {true, false}) {
+      set_fastlane_enabled(lane);
+      support::MetricsScope metrics;
+      ASSERT_NO_THROW(got[lane] = solver.minimize(objective))
+          << where << " lane " << lane;
+      EXPECT_EQ(metrics.registry().get(support::Counter::kFastlaneFallbacks),
+                0)
+          << where << " lane " << lane;
+      pivots[lane] = metrics.registry().get(support::Counter::kSimplexPivots);
+      written[lane] =
+          metrics.registry().get(support::Counter::kSimplexCellsWritten);
+    }
+    set_fastlane_enabled(true);
+    EXPECT_EQ(got[false].status, got[true].status) << where;
+    EXPECT_EQ(got[false].point, got[true].point) << where;
+    EXPECT_EQ(got[false].objective, got[true].objective) << where;
+    EXPECT_EQ(pivots[false], pivots[true]) << where;
+    EXPECT_EQ(written[false], written[true]) << where;
+    optimal += got[true].status == Status::kOptimal ? 1 : 0;
+  }
+  // Free variables leave room in both directions: some LPs are bounded.
+  EXPECT_GT(optimal, 0);
+}
+
+// min x2 s.t. x1 >= 2^40, x2 >= 2^40 * x1 (non-negative): the optimum is
+// x2 = 2^80. The int64 lane overflows and falls back; the BigInt cells
+// finish the solve, but no Result can hold the optimum.
+TEST(Simplex, UnrepresentableOptimumIsAnError) {
+  constexpr i64 kTwo40 = i64{1} << 40;
+  auto s = SimplexSolver::all_nonneg(3);
+  s.add_inequality(rv({0, 1, 0}), Rational(-kTwo40));
+  s.add_inequality(RatVector{Rational(0), Rational(-kTwo40), Rational(1)},
+                   Rational(0));
+  for (const bool lane : {true, false}) {
+    set_fastlane_enabled(lane);
+    support::MetricsScope metrics;
+    try {
+      s.minimize(rv({0, 0, 1}));
+      ADD_FAILURE() << "lane " << lane << ": no error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "the LP optimum exceeds 64-bit rationals"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(metrics.registry().get(support::Counter::kFastlaneFallbacks),
+              lane ? 1 : 0);
+  }
+  set_fastlane_enabled(true);
+}
+
+// ---------------------------------------------------------------------------
+// BigInt, the fallback kernel's cells.
+// ---------------------------------------------------------------------------
+
+i128 gcd_i128(i128 a, i128 b) {
+  a = a < 0 ? -a : a;
+  b = b < 0 ? -b : b;
+  while (b != 0) {
+    const i128 t = a % b;
+    a = b;
+    b = t;
+  }
+  return a;
+}
+
+// Random i64 operands of every width, extremes included. A product of
+// two is at most 2^126, so the results below are exact in i128 (a sum or
+// difference of two products is checked when i128 holds it).
+TEST(BigInt, MatchesInt128OnOperandsThatFit) {
+  std::mt19937_64 rng(7);
+  auto operand = [&rng]() -> i64 {
+    switch (rng() % 8) {
+      case 0:
+        return INT64_MIN;
+      case 1:
+        return INT64_MAX;
+      case 2:
+        return static_cast<i64>(rng() % 7) - 3;
+      default: {
+        const i64 v = static_cast<i64>(rng() >> (rng() % 63));
+        return rng() % 2 == 0 ? v : -v;
+      }
+    }
+  };
+  auto big = [](i128 v) { return BigInt::from_i128(v); };
+  auto sgn = [](i128 v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); };
+  for (int iter = 0; iter < 20000; ++iter) {
+    const i64 a = operand(), b = operand(), c = operand(), d = operand();
+    const i128 ab = static_cast<i128>(a) * b, cd = static_cast<i128>(c) * d;
+    const BigInt A(a), B(b), C(c), D(d);
+    const std::string where = std::to_string(a) + " " + std::to_string(b) +
+                              " " + std::to_string(c) + " " +
+                              std::to_string(d);
+    ASSERT_EQ(A * B, big(ab)) << where;
+    i128 sum = 0, diff = 0;  // both overflow only at (+-2^63)^2 +- 2^126
+    if (!__builtin_add_overflow(ab, cd, &sum)) {
+      ASSERT_EQ(A * B + C * D, big(sum)) << where;
+    }
+    if (!__builtin_sub_overflow(ab, cd, &diff)) {
+      ASSERT_EQ(A * B - C * D, big(diff)) << where;
+      if (c != 0) {
+        ASSERT_EQ((A * B - C * D) / C, big(diff / c)) << where;
+      }
+    }
+    ASSERT_EQ(-(A * B), big(-ab)) << where;
+    ASSERT_EQ(A + B, big(static_cast<i128>(a) + b)) << where;
+    ASSERT_EQ(A - B, big(static_cast<i128>(a) - b)) << where;
+    ASSERT_EQ(gcd(A * B, C * D), big(gcd_i128(ab, cd))) << where;
+    ASSERT_EQ(gcd(A * B, C), big(gcd_i128(ab, c))) << where;
+    ASSERT_EQ(compare(A * B, C * D), sgn(ab - cd)) << where;
+    ASSERT_EQ((A * B).sign(), sgn(ab)) << where;
+    if (b != 0) {
+      ASSERT_EQ(A * B / B, A) << where;
+    }
+  }
+  // from_i128 agrees with limbs assembled by arithmetic.
+  const BigInt two32(i64{1} << 32);
+  for (int iter = 0; iter < 1000; ++iter) {
+    const i64 hi = operand();
+    const auto lo = static_cast<i64>(rng() >> 1);
+    const i128 v = static_cast<i128>(hi) * (i128{1} << 62) + lo;
+    ASSERT_EQ(big(v), BigInt(hi) * BigInt(i64{1} << 62) + BigInt(lo));
+    ASSERT_EQ(big(v) * two32 / two32, big(v));
+  }
+}
+
+// Identities on values far past 2^128: products of three or four i64.
+TEST(BigInt, IdentitiesPastTwoTo128) {
+  std::mt19937_64 rng(11);
+  auto factor = [&rng]() {
+    const i64 v = static_cast<i64>(rng() >> (1 + rng() % 8));
+    return BigInt(rng() % 2 == 0 ? v : -v);
+  };
+  auto product = [&](int n) {
+    BigInt p = factor();
+    for (int i = 1; i < n; ++i) p = p * factor();
+    return p;
+  };
+  auto abs = [](const BigInt& v) { return v.sign() < 0 ? -v : v; };
+  const BigInt two128 = BigInt::from_i128(i128{1} << 100) *
+                        BigInt::from_i128(i128{1} << 28);
+  int past = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const BigInt a = product(3 + iter % 2), b = product(3), c = product(2);
+    past += abs(a) > two128 ? 1 : 0;
+    if (b.sign() != 0) {
+      ASSERT_EQ(a * b / b, a) << iter;
+    }
+    ASSERT_EQ(gcd(a * c, b * c), abs(c) * gcd(a, b)) << iter;
+    ASSERT_EQ(compare(a, b), (a - b).sign()) << iter;
+    ASSERT_EQ(compare(b, a), (b - a).sign()) << iter;
+    ASSERT_EQ(compare(a, a), 0) << iter;
+    ASSERT_EQ((a + b) - b, a) << iter;
+    ASSERT_EQ(a + -a, BigInt(0)) << iter;
+  }
+  EXPECT_GT(past, 1000);
+  // Carries and borrows through every limb: 2^160 - 1 is all one bits.
+  const BigInt two160 = two128 * BigInt(i64{1} << 32);
+  const BigInt ones = two160 - BigInt(1);
+  EXPECT_EQ(ones + BigInt(1), two160);
+  EXPECT_EQ(ones + ones, two160 * BigInt(2) - BigInt(2));
+  EXPECT_EQ(-ones - BigInt(1), -two160);
+  EXPECT_EQ(two160 / ones, BigInt(1));
+  EXPECT_EQ(ones * ones / ones, ones);
+  // Shared factors: gcd recovers a known common part.
+  const BigInt g = product(3);
+  const BigInt x = g * BigInt(3) * BigInt(5), y = g * BigInt(7) * BigInt(5);
+  EXPECT_EQ(gcd(x, y), abs(g) * BigInt(5));
+  EXPECT_EQ(gcd(x, BigInt(0)), abs(x));
+  EXPECT_EQ(gcd(BigInt(0), BigInt(0)), BigInt(0));
+}
+
+TEST(BigInt, NarrowsToI64ExactlyWhenTheValueFits) {
+  const BigInt max(INT64_MAX), min(INT64_MIN), one(1);
+  EXPECT_EQ(max.to_i64(), INT64_MAX);
+  EXPECT_EQ(min.to_i64(), INT64_MIN);
+  EXPECT_EQ(BigInt(0).to_i64(), 0);
+  EXPECT_FALSE((max + one).to_i64().has_value());
+  EXPECT_FALSE((min - one).to_i64().has_value());
+  EXPECT_FALSE((-min).to_i64().has_value());
+  EXPECT_FALSE((min / BigInt(-1)).to_i64().has_value());
+  EXPECT_EQ((max + one - one).to_i64(), INT64_MAX);
+  EXPECT_EQ((min - one + one).to_i64(), INT64_MIN);
+  // Values built past 64 bits come back when they fit again.
+  const BigInt huge = max * max * max;
+  EXPECT_FALSE(huge.to_i64().has_value());
+  EXPECT_EQ((huge / (max * max)).to_i64(), INT64_MAX);
+  EXPECT_EQ((huge - huge + BigInt(42)).to_i64(), 42);
+  EXPECT_EQ((-huge / (max * max)).to_i64(), -INT64_MAX);
+  for (int shift = 60; shift < 70; ++shift) {
+    const i128 v = i128{1} << shift;
+    const bool fits = shift < 63;
+    EXPECT_EQ(BigInt::from_i128(v).to_i64().has_value(), fits) << shift;
+    EXPECT_EQ(BigInt::from_i128(-v).to_i64().has_value(), shift <= 63)
+        << shift;
+    EXPECT_EQ(BigInt::from_i128(v - 1).to_i64().has_value(), shift <= 63)
+        << shift;
+  }
 }
 
 TEST(Ilp, IntegerMinimumDiffersFromRelaxation) {

@@ -230,7 +230,7 @@ INSTANTIATE_TEST_SUITE_P(RandomCases, SetUnionVsEnumeration,
 // the many-disjunct progressive-subtraction path, and the projection
 // count. A differential leg re-counts with the int64 fast lane disabled
 // (and is re-run under --inject=lp.fastlane by ci.sh): the exact
-// Rational lane must produce the identical numbers.
+// paths must produce the identical numbers.
 // ---------------------------------------------------------------------------
 
 class CountVsEnumeration : public ::testing::TestWithParam<unsigned> {};

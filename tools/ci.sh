@@ -5,9 +5,10 @@
 #      at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every tier-1 test
 #      runs serial and multi-threaded whatever the host's core count;
 #      then the golden-output tests (tests/golden/sched/ schedules and
-#      tests/golden/c/ emitted programs) once more with
-#      POLYFUSE_NO_FASTLANE=1, so the exact Rational path schedules and
-#      emits the paper suite byte-identically too.
+#      tests/golden/c/ emitted programs) and the lane's own tests once
+#      more with POLYFUSE_NO_FASTLANE=1, so the simplex kernel's bignum
+#      instance (and checked FM arithmetic) schedules and emits the
+#      paper suite byte-identically too.
 #   2. clang-tidy over src/ and tools/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
@@ -97,7 +98,7 @@ run_jobs_legs() {
 # The paper suite's golden schedules and emitted C with the int64 fast
 # lane and the scheduler's warm start off, plus the Farkas-memo on/off
 # tests (FarkasMemo*) and the lane's own tests (Fastlane*, Simplex.*),
-# whose default-lane solves then take the Rational lane.
+# whose default-lane solves then run the simplex kernel on bignum cells.
 run_golden_fastlane_off() {
   local name="$1" dir="$2"
   echo "==== [$name] golden schedules and C, lane tests at POLYFUSE_NO_FASTLANE=1 ===="
@@ -124,7 +125,8 @@ run_robustness() {
   "$cli" --model=wisefuse --time-budget=10000 $checks "$input" >/dev/null
   echo "==== [$name] robustness: fault injection ===="
   # lp.fastlane is injection-only: it forces int64 fast-lane fallbacks
-  # onto the exact Rational lane, which must be output-invisible.
+  # onto the exact paths (the simplex kernel's bignum instance, checked
+  # FM arithmetic), which must be output-invisible.
   # count_set faults the --analyze counting engine, which must degrade
   # its counts to the structured "unknown" without failing the run.
   # analysis.reductions faults the reduction pass, which must degrade to

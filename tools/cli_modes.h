@@ -70,8 +70,8 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "(with --batch: per request, to <stem>.err)"},
     {"--no-solve-cache", "disable the polyhedral solve cache"},
     {"--no-fastlane",
-     "disable the int64 fast-lane solver paths and run the\n"
-     "exact Rational lane only (POLYFUSE_NO_FASTLANE);\n"
+     "disable the int64 fast-lane solver paths: simplex\n"
+     "solves run on bignum cells only (POLYFUSE_NO_FASTLANE);\n"
      "output is byte-identical either way -- see\n"
      "docs/performance.md"},
     {"--fuel=N",
