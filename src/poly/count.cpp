@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
+#include <vector>
 
 #include "poly/memo.h"
 #include "support/budget.h"
@@ -205,6 +207,42 @@ Count count_set_prefix(const IntegerSet& s, std::size_t prefix, Ctx& ctx) {
   return Count{static_cast<Count::Kind>(v[0]), v[1]};
 }
 
+Count count_union_prefix(const std::vector<IntegerSet>& disjuncts,
+                         std::size_t prefix, Ctx& ctx);
+
+// The union-of-disjuncts form of the separable shortcut. When no present
+// disjunct couples dim 0 to another dim, each one is its dim-0 range
+// times a fixed remainder, so the slice at dim 0 = v only changes where
+// some range starts or ends: count each segment between two such cuts
+// once and multiply by its length. Boxes then cost O(cuts^dims) steps,
+// whatever their extents.
+Count count_union_segments(const std::vector<const IntegerSet*>& present,
+                           const std::vector<Dim0Range>& ranges,
+                           std::size_t prefix, Ctx& ctx) {
+  std::vector<i128> cuts;
+  cuts.reserve(2 * ranges.size());
+  for (const Dim0Range& r : ranges) {
+    cuts.push_back(r.lo);
+    cuts.push_back(static_cast<i128>(r.hi) + 1);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  i128 total = 0;
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    if (!step(ctx)) return Count::unknown();
+    std::vector<IntegerSet> slices;
+    for (std::size_t i = 0; i < present.size(); ++i)
+      if (ranges[i].lo <= cuts[k] && cuts[k] <= ranges[i].hi)
+        slices.push_back(drop_dim0(*present[i]));
+    if (slices.empty()) continue;
+    const Count sub = count_union_prefix(slices, prefix - 1, ctx);
+    if (sub.kind != Count::kExact) return sub;
+    total += (cuts[k + 1] - cuts[k]) * sub.value;
+    if (!in_i64(total)) return Count::unknown();
+  }
+  return Count::exact(static_cast<i64>(total));
+}
+
 // Union prefix counting: enumerate the leading dim over the union of the
 // disjunct ranges, recursing on the fixed slices. Cells covered by
 // several disjuncts are counted once (membership, not summation).
@@ -228,9 +266,11 @@ Count count_union_prefix(const std::vector<IntegerSet>& disjuncts,
   if (!step(ctx)) return Count::unknown();
   // Joint range of dim 0 across the live disjuncts.
   bool have_range = false;
+  bool separable = true;
   i64 lo = 0;
   i64 hi = 0;
   std::vector<const IntegerSet*> present;
+  std::vector<Dim0Range> ranges;
   for (const IntegerSet& d : live) {
     const Dim0Range r = dim0_range(d, ctx.opts.ilp);
     switch (r.kind) {
@@ -246,9 +286,12 @@ Count count_union_prefix(const std::vector<IntegerSet>& disjuncts,
     lo = have_range ? std::min(lo, r.lo) : r.lo;
     hi = have_range ? std::max(hi, r.hi) : r.hi;
     have_range = true;
+    separable &= dim0_separable(d);
     present.push_back(&d);
+    ranges.push_back(r);
   }
   if (!have_range) return Count::exact(0);
+  if (separable) return count_union_segments(present, ranges, prefix, ctx);
   const i128 range = static_cast<i128>(hi) - lo + 1;
   if (range > ctx.opts.max_steps - ctx.steps) return Count::unknown();
   i128 total = 0;
@@ -268,6 +311,80 @@ Count count_union_prefix(const std::vector<IntegerSet>& disjuncts,
   }
   return in_i64(total) ? Count::exact(static_cast<i64>(total))
                        : Count::unknown();
+}
+
+// Point count of a union under one context. Inclusion-exclusion:
+// |union A_i| = sum over non-empty subsets S of (-1)^(|S|+1)
+// |intersection of S|. Beyond max_inclusion_exclusion_disjuncts the
+// 2^n - 1 intersections would blow up, so joint prefix enumeration takes
+// over instead. Exact (membership semantics never double counts), and --
+// unlike subtracting disjuncts from each other, whose piece count
+// multiplies with every subtraction -- its total work is bounded by the
+// step guard.
+Count count_union_points(const std::vector<IntegerSet>& ds, std::size_t dims,
+                         Ctx& ctx) {
+  if (ds.empty()) return Count::exact(0);
+  if (ds.size() == 1) return count_set_prefix(ds[0], dims, ctx);
+  if (ds.size() > ctx.opts.max_inclusion_exclusion_disjuncts)
+    return count_union_prefix(ds, dims, ctx);
+  i128 total = 0;
+  const std::size_t n = ds.size();
+  for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
+    IntegerSet inter(dims);
+    int picked = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((mask >> i & 1U) == 0) continue;
+      ++picked;
+      if (picked == 1)
+        inter = ds[i];
+      else
+        inter.intersect(ds[i]);
+      if (inter.trivially_empty()) break;
+    }
+    if (inter.trivially_empty()) continue;
+    const Count c = count_set_prefix(inter, dims, ctx);
+    if (c.kind == Count::kUnknown) return Count::unknown();
+    // An unbounded intersection is contained in the union.
+    if (c.kind == Count::kUnbounded) return Count::unbounded();
+    total += (picked % 2 == 1) ? static_cast<i128>(c.value)
+                               : -static_cast<i128>(c.value);
+  }
+  return in_i64(total) ? Count::exact(static_cast<i64>(total))
+                       : Count::unknown();
+}
+
+// The integer images of the disjuncts on dims [0, prefix), trivially
+// empty and repeated images dropped; nullopt when some disjunct keeps an
+// existential dim (IntegerSet::exact_projection_onto_prefix). The
+// elimination charges fuel, so it runs inside the recovery boundary.
+std::optional<std::vector<IntegerSet>> exact_images(
+    const std::vector<IntegerSet>& ds, std::size_t prefix) {
+  std::vector<IntegerSet> images;
+  std::vector<std::vector<i64>> keys;
+  for (const IntegerSet& d : ds) {
+    if (d.trivially_empty()) continue;
+    std::optional<IntegerSet> image = d.exact_projection_onto_prefix(prefix);
+    if (!image) return std::nullopt;
+    if (image->trivially_empty()) continue;
+    std::vector<i64> key = canonical_key(0, 0, prefix, image->constraints());
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+    keys.push_back(std::move(key));
+    images.push_back(std::move(*image));
+  }
+  return images;
+}
+
+// Distinct prefixes of a union's points. Existential quantification
+// distributes over union -- the projection of a union is the union of
+// the disjuncts' projections -- so when every disjunct projects exactly,
+// the answer is the point count of the images, at a cost independent of
+// the extents wherever the images are separable. Otherwise the shared
+// prefix is enumerated jointly, cell by cell.
+Count count_union_projection(const std::vector<IntegerSet>& ds,
+                             std::size_t prefix, Ctx& ctx) {
+  if (const auto images = exact_images(ds, prefix))
+    return count_union_points(*images, prefix, ctx);
+  return count_union_prefix(ds, prefix, ctx);
 }
 
 // Top-level wrapper: counters, the steps histogram, the wall-clock
@@ -315,11 +432,17 @@ Count count_points(const IntegerSet& s, const CountOptions& options) {
   });
 }
 
+Count count_points(const SetUnion& u, const CountOptions& options) {
+  return count_top_level(options, [&](Ctx& ctx) {
+    return count_union_points(u.disjuncts(), u.dims(), ctx);
+  });
+}
+
 Count count_projection(const IntegerSet& s, std::size_t prefix,
                        const CountOptions& options) {
   PF_CHECK(prefix <= s.dims());
   return count_top_level(options, [&](Ctx& ctx) {
-    return count_set_prefix(s, prefix, ctx);
+    return count_union_projection({s}, prefix, ctx);
   });
 }
 
@@ -327,49 +450,7 @@ Count count_projection(const SetUnion& u, std::size_t prefix,
                        const CountOptions& options) {
   PF_CHECK(prefix <= u.dims());
   return count_top_level(options, [&](Ctx& ctx) {
-    return count_union_prefix(u.disjuncts(), prefix, ctx);
-  });
-}
-
-Count count_points(const SetUnion& u, const CountOptions& options) {
-  const std::vector<IntegerSet>& ds = u.disjuncts();
-  if (ds.empty()) return Count::exact(0);
-  if (ds.size() == 1) return count_points(ds[0], options);
-  if (ds.size() <= options.max_inclusion_exclusion_disjuncts) {
-    // Inclusion-exclusion: |union A_i| = sum over non-empty subsets S of
-    // (-1)^(|S|+1) |intersection of S|.
-    i128 total = 0;
-    const std::size_t n = ds.size();
-    for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
-      IntegerSet inter(u.dims());
-      int picked = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if ((mask >> i & 1U) == 0) continue;
-        ++picked;
-        if (picked == 1)
-          inter = ds[i];
-        else
-          inter.intersect(ds[i]);
-        if (inter.trivially_empty()) break;
-      }
-      if (inter.trivially_empty()) continue;
-      const Count c = count_points(inter, options);
-      if (c.kind == Count::kUnknown) return Count::unknown();
-      // An unbounded intersection is contained in the union.
-      if (c.kind == Count::kUnbounded) return Count::unbounded();
-      total += (picked % 2 == 1) ? static_cast<i128>(c.value)
-                                 : -static_cast<i128>(c.value);
-    }
-    return in_i64(total) ? Count::exact(static_cast<i64>(total))
-                         : Count::unknown();
-  }
-  // Too many disjuncts for 2^n - 1 intersections: joint prefix
-  // enumeration instead. Exact (membership semantics never double
-  // counts), and -- unlike subtracting disjuncts from each other, whose
-  // piece count multiplies with every subtraction -- its total work is
-  // bounded by the single shared step guard.
-  return count_top_level(options, [&](Ctx& ctx) {
-    return count_union_prefix(ds, u.dims(), ctx);
+    return count_union_projection(u.disjuncts(), prefix, ctx);
   });
 }
 

@@ -425,60 +425,93 @@ void IntegerSet::fm_eliminate_column(std::vector<Constraint>& cs,
   cs = std::move(rest);
 }
 
-IntegerSet IntegerSet::eliminate_dims(const std::vector<bool>& remove) const {
-  PF_CHECK(remove.size() == dims_);
-  std::vector<Constraint> cs = constraints_;
-  bool empty = trivially_empty_;
-
-  // Eliminate cheapest column first (fewest lower*upper combinations).
-  std::vector<std::size_t> pending;
-  for (std::size_t d = 0; d < dims_; ++d)
-    if (remove[d]) pending.push_back(d);
-  // One fme_project "operation" per projection that actually eliminates
-  // something (the --inject unit).
-  if (!pending.empty()) support::budget_op(support::BudgetSite::kFmeProject);
-
-  while (!pending.empty() && !empty) {
+bool IntegerSet::eliminate_columns(std::vector<Constraint>& cs,
+                                   std::vector<std::size_t> pending,
+                                   bool exact_only, bool* empty) {
+  while (!pending.empty() && !*empty) {
+    // Cheapest column first (fewest lower*upper combinations; a +-1
+    // equality substitutes for free). Under exact_only a column is a
+    // candidate only when its rational shadow is its integer projection:
+    // a +-1 equality, or unit coefficients on every lower or on every
+    // upper bound (Pugh's exact shadow). An equality with a larger
+    // coefficient expands into a non-unit lower *and* upper bound.
     std::size_t best_idx = 0;
     long best_cost = -1;
     for (std::size_t i = 0; i < pending.size(); ++i) {
       const std::size_t d = pending[i];
       long lo = 0, up = 0;
       bool has_unit_eq = false;
+      bool unit_lowers = true;
+      bool unit_uppers = true;
       for (const Constraint& c : cs) {
         const i64 a = c.expr.coeff(d);
         if (a == 0) continue;
         if (c.is_equality && (a == 1 || a == -1)) has_unit_eq = true;
+        if (c.is_equality || a > 1) unit_lowers = false;
+        if (c.is_equality || a < -1) unit_uppers = false;
         if (a > 0)
           ++lo;
         else
           ++up;
       }
+      if (exact_only && !has_unit_eq && !unit_lowers && !unit_uppers)
+        continue;
       const long cost = has_unit_eq ? 0 : lo * up;
       if (best_cost < 0 || cost < best_cost) {
         best_cost = cost;
         best_idx = i;
       }
     }
+    if (best_cost < 0) return false;
     const std::size_t d = pending[best_idx];
     pending.erase(pending.begin() + static_cast<long>(best_idx));
-    fm_eliminate_column(cs, d, &empty);
+    fm_eliminate_column(cs, d, empty);
     dedupe(cs);
   }
+  return true;
+}
 
-  // Shrink: drop the removed columns (all zero now).
+IntegerSet IntegerSet::shrunk(const std::vector<Constraint>& cs, bool empty,
+                              const std::vector<bool>& remove) {
   std::size_t new_dims = 0;
-  for (std::size_t d = 0; d < dims_; ++d)
-    if (!remove[d]) ++new_dims;
+  for (const bool r : remove)
+    if (!r) ++new_dims;
   IntegerSet out(new_dims);
-  if (empty) out.mark_trivially_empty();
-  if (!empty) {
-    for (Constraint& c : cs) {
-      Constraint shrunk{c.expr.drop_dims(remove), c.is_equality};
-      out.add_constraint(std::move(shrunk));
-    }
+  if (empty) {
+    out.mark_trivially_empty();
+    return out;
   }
+  for (const Constraint& c : cs)
+    out.add_constraint(Constraint{c.expr.drop_dims(remove), c.is_equality});
   return out;
+}
+
+IntegerSet IntegerSet::eliminate_dims(const std::vector<bool>& remove) const {
+  PF_CHECK(remove.size() == dims_);
+  std::vector<Constraint> cs = constraints_;
+  bool empty = trivially_empty_;
+  std::vector<std::size_t> pending;
+  for (std::size_t d = 0; d < dims_; ++d)
+    if (remove[d]) pending.push_back(d);
+  // One fme_project "operation" per projection that actually eliminates
+  // something (the --inject unit).
+  if (!pending.empty()) support::budget_op(support::BudgetSite::kFmeProject);
+  eliminate_columns(cs, std::move(pending), /*exact_only=*/false, &empty);
+  return shrunk(cs, empty, remove);
+}
+
+std::optional<IntegerSet> IntegerSet::exact_projection_onto_prefix(
+    std::size_t n) const {
+  PF_CHECK(n <= dims_);
+  std::vector<Constraint> cs = constraints_;
+  bool empty = trivially_empty_;
+  std::vector<std::size_t> pending;
+  for (std::size_t d = n; d < dims_; ++d) pending.push_back(d);
+  if (!eliminate_columns(cs, std::move(pending), /*exact_only=*/true, &empty))
+    return std::nullopt;
+  std::vector<bool> remove(dims_, false);
+  for (std::size_t d = n; d < dims_; ++d) remove[d] = true;
+  return shrunk(cs, empty, remove);
 }
 
 IntegerSet IntegerSet::eliminate_dim(std::size_t k) const {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,14 @@ class IntegerSet {
   IntegerSet eliminate_dim(std::size_t k) const;
   /// Keep only dims [0, n): eliminate the rest.
   IntegerSet project_onto_prefix(std::size_t n) const;
+  /// The integer projection onto dims [0, n), when Fourier-Motzkin
+  /// computes it exactly: every trailing dim must go by substitution
+  /// through a +-1 equality, or have unit coefficients on all its lower
+  /// or on all its upper bounds (Pugh's exact shadow). nullopt when some
+  /// dim admits neither -- the rational shadow could then hold integer
+  /// points without an integer preimage (a[2*i]'s odd cells). Charges
+  /// fuel like any elimination but is not an fme_project operation.
+  std::optional<IntegerSet> exact_projection_onto_prefix(std::size_t n) const;
 
   /// Insert `count` unconstrained dims at position `pos`.
   IntegerSet insert_dims(std::size_t pos, std::size_t count) const;
@@ -150,6 +159,15 @@ class IntegerSet {
   static void fm_eliminate_column(std::vector<Constraint>& cs, std::size_t k,
                                   bool* trivially_empty);
   static void dedupe(std::vector<Constraint>& cs);
+  // Eliminate the `pending` columns of `cs`, cheapest first. With
+  // exact_only, only integer-exact eliminations are taken; returns false
+  // when pending columns remain of which none is exact.
+  static bool eliminate_columns(std::vector<Constraint>& cs,
+                                std::vector<std::size_t> pending,
+                                bool exact_only, bool* empty);
+  // The set over the dims not in `remove`, from eliminated rows `cs`.
+  static IntegerSet shrunk(const std::vector<Constraint>& cs, bool empty,
+                           const std::vector<bool>& remove);
 
   std::size_t dims_;
   std::vector<Constraint> constraints_;

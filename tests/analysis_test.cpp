@@ -16,10 +16,12 @@
 #include "ddg/dependences.h"
 #include "exec/interp.h"
 #include "frontend/parser.h"
+#include "poly/set.h"
 #include "sched/analysis.h"
 #include "suite/suite.h"
 #include "suite/synthetic.h"
 #include "support/budget.h"
+#include "support/metrics.h"
 
 namespace pf::analysis {
 namespace {
@@ -494,11 +496,13 @@ TEST(Locality, CountedFindingVolumes) {
   ASSERT_TRUE(uninit->volume.is_exact());
   EXPECT_EQ(uninit->volume.value, 4);
   // Findings rank by volume, descending.
-  for (std::size_t i = 1; i < rep.findings.size(); ++i)
+  for (std::size_t i = 1; i < rep.findings.size(); ++i) {
     if (rep.findings[i - 1].volume.is_exact() &&
-        rep.findings[i].volume.is_exact())
+        rep.findings[i].volume.is_exact()) {
       EXPECT_GE(rep.findings[i - 1].volume.value,
                 rep.findings[i].volume.value);
+    }
+  }
 }
 
 TEST(Locality, StridedFootprintIsExactNotRationalShadow) {
@@ -535,6 +539,36 @@ TEST(Locality, BudgetDegradesToUnknownNeverWrong) {
     EXPECT_EQ(al.footprint.to_string(), "unknown");
   }
   EXPECT_EQ(rep.shared_cells_or_negative(0, 0), -1);
+}
+
+TEST(Locality, TceCountStepsIndependentOfN) {
+  // tce's footprints and shared cells are counted on the images of its
+  // access relations, so the counting work is the same at N = 14 as at
+  // N = 140, and the pair counts follow their closed forms: a self pair
+  // shares its two N^4 tensors and its N^2 coefficient matrix, and each
+  // contraction hands an N^4 tensor to the next.
+  const suite::Benchmark& b = suite::benchmark("tce");
+  const ir::Scop scop = suite::parse(b);
+  const ddg::DependenceGraph dg = ddg::DependenceGraph::analyze(scop);
+  auto& stats = support::current_metrics();
+  auto steps_at = [&](i64 n) {
+    poly::clear_solve_cache();
+    const i64 before = stats.get(support::Counter::kCountSteps);
+    const LocalityReport rep = analyze_locality(scop, dg, {n});
+    const i64 n2 = n * n;
+    const i64 n4 = n2 * n2;
+    EXPECT_EQ(rep.pairs.size(), 7u);
+    for (const PairLocality& p : rep.pairs) {
+      EXPECT_TRUE(p.t == p.s || p.t == p.s + 1) << p.s << "/" << p.t;
+      EXPECT_EQ(p.shared_cells.to_string(),
+                std::to_string(p.t == p.s ? 2 * n4 + n2 : n4))
+          << "N=" << n << " S" << p.s + 1 << "/S" << p.t + 1;
+    }
+    return stats.get(support::Counter::kCountSteps) - before;
+  };
+  const i64 small = steps_at(14);
+  EXPECT_GT(small, 0);
+  EXPECT_EQ(steps_at(140), small);
 }
 
 TEST(Locality, BenchmarksMatchInterpretedGroundTruth) {

@@ -85,8 +85,8 @@ TEST(Fastlane, RandomizedSimplexMatchesExactLane) {
 
 TEST(Fastlane, OverflowFallsBackToExactLaneMidPipeline) {
   // Row denominators whose LCM exceeds the 2^62 tableau bound: the fast
-  // lane must bail while building the row and the exact Rational lane
-  // must transparently take over, with the fallback counted.
+  // lane must bail while building the row and the kernel's bignum
+  // instance must transparently take over, with the fallback counted.
   const i64 primes[4] = {99991, 99989, 99971, 99961};
   auto s = lp::SimplexSolver::all_nonneg(4);
   RatVector row;

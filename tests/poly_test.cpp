@@ -679,6 +679,100 @@ TEST(Count, ProjectionCountsDistinctPrefixes) {
   EXPECT_EQ(count_points(twice).value, 10);
 }
 
+TEST(Count, ImageEliminationUnderBudgetIsUnknown) {
+  // Two shifted accesses c = i and c = i + 1 over a 10x10 nest that never
+  // reads j: 11 cells, found by eliminating i and j from each disjunct.
+  auto access = [](i64 shift) {
+    IntegerSet s(3);
+    const auto c = AffineExpr::var(3, 0);
+    s.add_constraint(Constraint::eq(
+        c, AffineExpr::var(3, 1) + AffineExpr::constant(3, shift)));
+    for (std::size_t d = 1; d < 3; ++d) {
+      const auto x = AffineExpr::var(3, d);
+      s.add_constraint(Constraint::ge(x, AffineExpr::constant(3, 0)));
+      s.add_constraint(Constraint::le(x, AffineExpr::constant(3, 9)));
+    }
+    return s;
+  };
+  auto u = SetUnion::wrap(access(0));
+  u.add_disjunct(access(1));
+
+  auto& stats = support::current_metrics();
+  struct Run {
+    Count cells;
+    i64 spent = 0;
+    i64 fme_fuel = 0;    // charged at fme_project, the failing charge too
+    i64 count_fuel = 0;  // charged at count_set
+  };
+  auto run = [&](i64 fuel) {
+    support::BudgetSpec spec;
+    spec.fuel = fuel;
+    support::Budget budget(spec);
+    support::BudgetScope scope(&budget);
+    const i64 fme0 = stats.get(support::Counter::kBudgetFuelFmeProject);
+    const i64 count0 = stats.get(support::Counter::kBudgetFuelCountSet);
+    Run r;
+    r.cells = count_projection(u, 1);  // never throws
+    r.spent = budget.spent();
+    r.fme_fuel = stats.get(support::Counter::kBudgetFuelFmeProject) - fme0;
+    r.count_fuel = stats.get(support::Counter::kBudgetFuelCountSet) - count0;
+    return r;
+  };
+  const Run full = run(1 << 20);
+  ASSERT_EQ(full.cells.to_string(), "11");
+  ASSERT_GT(full.fme_fuel, 1);
+  ASSERT_GT(full.count_fuel, 0);
+  // Fuel that runs out during the elimination: the failing charge is an
+  // elimination's, no counting step ever ran, and the answer is unknown.
+  for (i64 fuel = 0; fuel < full.fme_fuel; ++fuel) {
+    const Run r = run(fuel);
+    EXPECT_EQ(r.cells.kind, Count::kUnknown) << "fuel " << fuel;
+    EXPECT_EQ(r.fme_fuel, fuel + 1) << "fuel " << fuel;
+    EXPECT_EQ(r.count_fuel, 0) << "fuel " << fuel;
+  }
+  // Any larger allowance: unknown or the exact count, never another one.
+  for (i64 fuel = full.fme_fuel; fuel < full.spent; ++fuel) {
+    const std::string cells = run(fuel).cells.to_string();
+    EXPECT_TRUE(cells == "unknown" || cells == "11") << "fuel " << fuel;
+  }
+  EXPECT_EQ(run(full.spent).cells.to_string(), "11");
+}
+
+TEST(Count, UnionOfBoxesCostIndependentOfExtent) {
+  // Overlapping boxes (an interior plus boundary strips) are counted a
+  // segment at a time, not a cell at a time: the same recursion steps at
+  // any extent.
+  auto box = [](i64 lo0, i64 hi0, i64 lo1, i64 hi1) {
+    IntegerSet s(2);
+    const auto x = AffineExpr::var(2, 0);
+    const auto y = AffineExpr::var(2, 1);
+    s.add_constraint(Constraint::ge(x, AffineExpr::constant(2, lo0)));
+    s.add_constraint(Constraint::le(x, AffineExpr::constant(2, hi0)));
+    s.add_constraint(Constraint::ge(y, AffineExpr::constant(2, lo1)));
+    s.add_constraint(Constraint::le(y, AffineExpr::constant(2, hi1)));
+    return s;
+  };
+  auto& stats = support::current_metrics();
+  auto steps_to_count = [&](i64 n) {
+    SetUnion u(2);
+    u.add_disjunct(box(1, n, 1, n));
+    for (const i64 edge : {i64{0}, n, n + 1}) {
+      u.add_disjunct(box(edge, edge, 0, n + 1));
+      u.add_disjunct(box(0, n + 1, edge, edge));
+    }
+    u.add_disjunct(box(2, n - 1, 0, n));
+    clear_solve_cache();
+    const i64 before = stats.get(support::Counter::kCountSteps);
+    CountOptions joint;  // force the joint enumeration, not 2^n - 1 terms
+    joint.max_inclusion_exclusion_disjuncts = 1;
+    const Count c = count_points(u, joint);
+    EXPECT_EQ(c.to_string(), std::to_string((n + 2) * (n + 2))) << n;
+    EXPECT_EQ(count_points(u).to_string(), c.to_string()) << n;
+    return stats.get(support::Counter::kCountSteps) - before;
+  };
+  EXPECT_EQ(steps_to_count(1000), steps_to_count(10));
+}
+
 TEST(Count, SeparableCostIndependentOfExtent) {
   // Separable dims multiply in as range lengths: an n^3 box costs the same
   // recursion steps at n = 4096 as at n = 16.

@@ -6,6 +6,9 @@
 //  * remove_redundant() preserves set membership and keeps exactly the
 //    rows of the sequential one-LP-per-row rule, in order.
 //  * lexmin() agrees with brute-force lexicographic search.
+//  * count_projection() of random access-relation unions agrees with
+//    brute-force enumeration of the distinct cells, on the exact-image
+//    path and on the joint-enumeration fallback alike.
 //  * permutable_bands() never groups a level that breaks a satisfied
 //    dependence's non-negativity.
 //  * the independent verifier (src/verify) is consistent with the
@@ -16,12 +19,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <set>
 
 #include "ddg/dependences.h"
 #include "frontend/parser.h"
 #include "fusion/models.h"
 #include "lp/simplex.h"
+#include "poly/count.h"
 #include "poly/set.h"
+#include "poly/set_union.h"
 #include "sched/analysis.h"
 #include "sched/farkas.h"
 #include "sched/pluto.h"
@@ -348,6 +354,153 @@ TEST_P(LexminProperty, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LexminProperty, ::testing::Range(0u, 30u));
+
+// ---------------------------------------------------------------------------
+// Projection counts vs brute force.
+// ---------------------------------------------------------------------------
+
+// Unions of access-relation disjuncts over [cells, existentials], every
+// dim clipped to a small box: cells in [kCellLo, kCellHi], existentials
+// (the iteration dims) in [0, kIterHi]. Cells are unit-offset or strided
+// images of the iterations, diagonals, windows, or free; pairs of
+// accesses to one cell and i - i' >= 1 deltas mimic the self-pair
+// graphs of the locality analysis. Strides and non-unit bound pairs
+// leave existentials that are not exactly eliminable, so the
+// joint-enumeration fallback runs too.
+constexpr i64 kCellLo = -2, kCellHi = 6, kIterHi = 2;
+
+poly::IntegerSet random_access_disjunct(std::mt19937& rng, std::size_t cells,
+                                        std::size_t iters) {
+  auto pick = [&](i64 lo, i64 hi) {
+    return std::uniform_int_distribution<i64>(lo, hi)(rng);
+  };
+  const std::size_t dims = cells + iters;
+  auto var = [&](std::size_t d) { return poly::AffineExpr::var(dims, d); };
+  auto cst = [&](i64 v) { return poly::AffineExpr::constant(dims, v); };
+  auto iter = [&](i64 k) { return cells + static_cast<std::size_t>(k); };
+  const i64 last = static_cast<i64>(iters) - 1;
+  poly::IntegerSet s(dims);
+  for (std::size_t d = 0; d < dims; ++d) {
+    const bool cell = d < cells;
+    s.add_constraint(poly::Constraint::ge(var(d), cst(cell ? kCellLo : 0)));
+    s.add_constraint(
+        poly::Constraint::le(var(d), cst(cell ? kCellHi : kIterHi)));
+  }
+  if (pick(0, 2) == 0)  // a narrower loop
+    s.add_constraint(poly::Constraint::le(var(iter(pick(0, last))), cst(1)));
+  i64 prev = 0;  // the iteration the previous cell indexes
+  for (std::size_t r = 0; r < cells; ++r) {
+    const i64 k = pick(0, last);
+    const poly::AffineExpr off = cst(pick(-1, 1));
+    switch (pick(0, 6)) {
+      case 0:
+      case 1:  // a[i + off]
+        s.add_constraint(poly::Constraint::eq(var(r), var(iter(k)) + off));
+        prev = k;
+        break;
+      case 2:  // a[2*i + off]
+        s.add_constraint(
+            poly::Constraint::eq(var(r), var(iter(k)) * 2 + off));
+        prev = k;
+        break;
+      case 3:  // diagonal a[i][i]: the previous cell's iteration again
+        s.add_constraint(poly::Constraint::eq(var(r), var(iter(prev))));
+        break;
+      case 4:  // a window i <= c <= i + 1
+        s.add_constraint(poly::Constraint::ge(var(r), var(iter(k))));
+        s.add_constraint(poly::Constraint::le(var(r), var(iter(k)) + cst(1)));
+        prev = k;
+        break;
+      case 5: {  // two accesses to one cell: a[i] and a[i' + off]
+        const i64 k2 = pick(0, last);
+        s.add_constraint(poly::Constraint::eq(var(r), var(iter(k))));
+        s.add_constraint(poly::Constraint::eq(var(r), var(iter(k2)) + off));
+        prev = k;
+        break;
+      }
+      default:  // a cell no access pins down
+        break;
+    }
+  }
+  if (iters >= 2 && pick(0, 2) == 0) {  // distinct instances: i - i' >= 1
+    const i64 a = pick(0, last);
+    const i64 b = (a + pick(1, last)) % static_cast<i64>(iters);
+    s.add_constraint(
+        poly::Constraint::ge(var(iter(a)) - var(iter(b)), cst(1)));
+  }
+  if (pick(0, 5) == 0) {  // 2*i >= c - 1 and 3*i <= c + 2: no exact shadow
+    const i64 k = pick(0, last);
+    s.add_constraint(
+        poly::Constraint::ge(var(iter(k)) * 2, var(0) - cst(1)));
+    s.add_constraint(
+        poly::Constraint::le(var(iter(k)) * 3, var(0) + cst(2)));
+  }
+  if (pick(0, 7) == 0)  // empty, though not trivially so
+    s.add_constraint(poly::Constraint::ge(var(iter(0)) + var(iter(last)),
+                                          cst(2 * kIterHi + 1)));
+  return s;
+}
+
+TEST(ProjectionCount, MatchesBruteForce) {
+  std::mt19937 rng(7);
+  auto pick = [&](i64 lo, i64 hi) {
+    return std::uniform_int_distribution<i64>(lo, hi)(rng);
+  };
+  int exact_unions = 0, fallback_unions = 0, empty_disjuncts = 0;
+  int zero_counts = 0;
+  for (int iter = 0; iter < 120; ++iter) {
+    const auto cells = static_cast<std::size_t>(pick(1, 4));
+    const auto iters = static_cast<std::size_t>(pick(1, 3));
+    const std::size_t dims = cells + iters;
+    poly::SetUnion u(dims);
+    for (i64 n = pick(1, 4); n > 0; --n)
+      u.add_disjunct(random_access_disjunct(rng, cells, iters));
+
+    // Brute force: every point of the box, its cell prefix kept when some
+    // disjunct holds it.
+    std::set<IntVector> distinct;
+    std::vector<bool> nonempty(u.num_disjuncts(), false);
+    IntVector x(dims);
+    for (std::size_t d = 0; d < dims; ++d) x[d] = d < cells ? kCellLo : 0;
+    for (;;) {
+      for (std::size_t k = 0; k < u.num_disjuncts(); ++k) {
+        if (!u.disjuncts()[k].contains(x)) continue;
+        nonempty[k] = true;
+        distinct.insert(IntVector(x.begin(), x.begin() + cells));
+      }
+      std::size_t d = 0;
+      for (; d < dims; ++d) {
+        const i64 hi = d < cells ? kCellHi : kIterHi;
+        if (x[d] < hi) {
+          ++x[d];
+          break;
+        }
+        x[d] = d < cells ? kCellLo : 0;
+      }
+      if (d == dims) break;
+    }
+    const std::string want = std::to_string(distinct.size());
+
+    EXPECT_EQ(poly::count_projection(u, cells).to_string(), want)
+        << "iter " << iter << ": " << u.to_string();
+    poly::CountOptions joint;  // the joint enumeration over the images
+    joint.max_inclusion_exclusion_disjuncts = 1;
+    EXPECT_EQ(poly::count_projection(u, cells, joint).to_string(), want)
+        << "iter " << iter << " (joint): " << u.to_string();
+
+    bool exact = true;
+    for (const poly::IntegerSet& d : u.disjuncts())
+      exact &= d.exact_projection_onto_prefix(cells).has_value();
+    ++(exact ? exact_unions : fallback_unions);
+    for (const bool ne : nonempty) empty_disjuncts += ne ? 0 : 1;
+    zero_counts += distinct.empty() ? 1 : 0;
+  }
+  // Both paths ran, on empty disjuncts and empty projections too.
+  EXPECT_GT(exact_unions, 30);
+  EXPECT_GT(fallback_unions, 20);
+  EXPECT_GT(empty_disjuncts, 10);
+  EXPECT_GT(zero_counts, 2);
+}
 
 // ---------------------------------------------------------------------------
 // Permutable bands are sound.

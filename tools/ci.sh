@@ -101,9 +101,12 @@ run_jobs_legs() {
 # whose default-lane solves then run the simplex kernel on bignum cells.
 run_golden_fastlane_off() {
   local name="$1" dir="$2"
-  echo "==== [$name] golden schedules and C, lane tests at POLYFUSE_NO_FASTLANE=1 ===="
+  echo "==== [$name] golden schedules and C, lane and count tests at POLYFUSE_NO_FASTLANE=1 ===="
+  # Count/Locality: the exact-image counting eliminates through the FM
+  # rows, whose checked (lane-off) arithmetic must give the same counts.
   POLYFUSE_NO_FASTLANE=1 ctest --test-dir "$dir" -j "$JOBS" \
-    --output-on-failure -R '^Suite/Golden(Schedule|C)\.|FarkasMemo|Fastlane|Simplex' ||
+    --output-on-failure \
+    -R '^Suite/Golden(Schedule|C)\.|FarkasMemo|Fastlane|Simplex|^Count\.|^Locality\.' ||
     { collect_diagnostics "$name-nofastlane" "$dir"; exit 1; }
 }
 
