@@ -4,7 +4,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "lp/fastlane.h"
 #include "support/budget.h"
 #include "support/metrics.h"
 #include "support/trace.h"
@@ -274,10 +273,11 @@ IlpResult IlpProblem::lexmin(const std::vector<IntVector>& objectives,
   // point (from the scheduler's previous level) is validated first --
   // structural changes make it stale, never wrong. Stage k's own optimum
   // then becomes the warm point of stage k+1 (it satisfies the pinning
-  // equality by construction). All of this is bypassed with the fast lane
-  // off so a cold run is maximally plain.
+  // equality by construction). testing::ExactPathScope bypasses all of
+  // this, so a differential test can compare against a cold run.
+  const bool use_warm = !testing::exact_path_forced();
   std::optional<IntVector> warm;
-  if (warm_start != nullptr && fastlane_enabled()) {
+  if (warm_start != nullptr && use_warm) {
     if (is_feasible_point(*warm_start)) {
       warm = *warm_start;
       support::count(support::Counter::kFastlaneWarmHits);
@@ -295,7 +295,7 @@ IlpResult IlpProblem::lexmin(const std::vector<IntVector>& objectives,
     if (last.status != IlpStatus::kOptimal) return last;
     if (k + 1 < objectives.size())
       work.add_equality(objectives[k], checked_neg(last.objective));
-    if (fastlane_enabled()) warm = last.point;
+    if (use_warm) warm = last.point;
   }
   if (objectives.empty()) last = find_point(options);
   return last;

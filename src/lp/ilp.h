@@ -80,7 +80,8 @@ class IlpProblem {
   /// hyperplane). It is validated against this problem's constraints
   /// before use -- a stale point is simply ignored -- and only ever
   /// tightens the strict pruning bound, so the returned point is the one
-  /// the cold search finds. Disabled when the fast lane is off.
+  /// the cold search finds. testing::ExactPathScope (lp/simplex.h) turns
+  /// warm starts off.
   IlpResult lexmin(const std::vector<IntVector>& objectives,
                    const IlpOptions& options = {},
                    const IntVector* warm_start = nullptr) const;

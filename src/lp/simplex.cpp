@@ -1,6 +1,7 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "lp/bigint.h"
-#include "lp/fastlane.h"
 #include "support/arena.h"
 #include "support/budget.h"
 #include "support/metrics.h"
@@ -27,6 +27,10 @@ thread_local i64 tl_pivots = 0;
 // into simplex_cells_written once per solve: a shared counter bumped per
 // pivot would bounce its cache line between dependence workers.
 thread_local i64 tl_cells_written = 0;
+
+// Live testing::ExactPathScope objects, process-wide: a test's scope must
+// reach the dependence workers' threads too.
+std::atomic<int> g_exact_path_scopes{0};
 
 // Distribution probe for one top-level SimplexSolver::minimize: pivot
 // delta + wall time, observed on every return path via RAII.
@@ -192,8 +196,8 @@ void account_pivot(std::size_t m, std::size_t k) {
 //   scratch on the BigInt instance -- the fast instance is
 //   correct-or-absent, never wrong.
 // - BigInt cells (lp/bigint.h), whose intermediates are BigInts too:
-//   nothing overflows. This instance serves --no-fastlane and every
-//   fallback.
+//   nothing overflows. This instance serves every fallback and
+//   testing::ExactPathScope.
 //
 // Both instances compute the same exact values and keep them in the same
 // lowest terms, so every branch on a value (a sign, a zero, a gcd of 1, a
@@ -563,7 +567,7 @@ SimplexSolver::Result SimplexSolver::minimize(
     const RatVector& objective) const {
   PF_CHECK(objective.size() == num_vars_);
   SolveProbe probe;
-  if (fastlane_enabled()) {
+  if (!testing::exact_path_forced()) {
     if (support::budget_injection_fires(support::BudgetSite::kLpFastlane)) {
       // --inject lp.fastlane:fail-after=K forces this solve onto BigInt
       // cells; both instances return the same bits, so this is a pure
@@ -709,5 +713,21 @@ SimplexSolver::Result SimplexSolver::maximize(const RatVector& objective) const 
 SimplexSolver::Result SimplexSolver::feasible_point() const {
   return minimize(RatVector(num_vars_, Rational(0)));
 }
+
+namespace testing {
+
+ExactPathScope::ExactPathScope() {
+  ++g_exact_path_scopes;
+}
+
+ExactPathScope::~ExactPathScope() {
+  --g_exact_path_scopes;
+}
+
+bool exact_path_forced() {
+  return g_exact_path_scopes.load() != 0;
+}
+
+}  // namespace testing
 
 }  // namespace pf::lp

@@ -6,11 +6,11 @@
 // scheduler. Bland's rule guarantees termination; all arithmetic is exact,
 // so answers are never victims of floating-point noise.
 //
-// One tableau kernel runs on two cell types: int64 cells first (the fast
-// lane, lp/fastlane.h), and arbitrary-precision BigInt cells (lp/bigint.h)
-// when the int64 instance would overflow or the lane is off. Both take the
-// same pivots and return the same Result; the only error left is an
-// optimum whose values do not fit in 64-bit Rationals.
+// One tableau kernel runs on two cell types: int64 cells first, and
+// arbitrary-precision BigInt cells (lp/bigint.h) when the int64 instance
+// would overflow or an `lp.fastlane` injection fires. Both take the same
+// pivots and return the same Result; the only error left is an optimum
+// whose values do not fit in 64-bit Rationals.
 //
 // Problem form. Variables x_0..x_{n-1}; each is either free or constrained
 // non-negative. Constraints are affine: coeffs . x + constant >= 0 (or
@@ -78,5 +78,25 @@ class SimplexSolver {
   std::vector<bool> nonneg_;
   std::vector<Row> rows_;
 };
+
+namespace testing {
+
+/// Test seam for differential tests. While any ExactPathScope is alive,
+/// on any thread, every simplex solve runs on BigInt cells and every
+/// IlpProblem::lexmin ignores its warm start: the solver with neither
+/// shortcut, whose answers the default path must reproduce bit for bit.
+/// Nothing outside tests creates one.
+class ExactPathScope {
+ public:
+  ExactPathScope();
+  ~ExactPathScope();
+  ExactPathScope(const ExactPathScope&) = delete;
+  ExactPathScope& operator=(const ExactPathScope&) = delete;
+};
+
+/// True while an ExactPathScope is alive.
+bool exact_path_forced();
+
+}  // namespace testing
 
 }  // namespace pf::lp

@@ -39,6 +39,27 @@ AffineExpr AffineExpr::operator*(i64 s) const {
   return r;
 }
 
+AffineExpr linear_combination(const AffineExpr& x, i128 p, const AffineExpr& y,
+                              i128 q) {
+  PF_CHECK_MSG(x.dims() == y.dims(),
+               "combining affine exprs of different spaces");
+  constexpr i128 kMaxFactor = static_cast<i128>(1) << 63;
+  PF_CHECK(p >= -kMaxFactor && p <= kMaxFactor && q >= -kMaxFactor &&
+           q <= kMaxFactor);
+  // |cell * factor| <= 2^126, so only the sum can leave i128, and then it
+  // is far outside i64 anyway.
+  const auto cell = [p, q](i64 a, i64 b) {
+    i128 sum;
+    PF_CHECK_MSG(!__builtin_add_overflow(a * p, b * q, &sum),
+                 "integer overflow in affine combination");
+    return narrow_i128(sum);
+  };
+  IntVector coeffs(x.dims());
+  for (std::size_t i = 0; i < x.dims(); ++i)
+    coeffs[i] = cell(x.coeff(i), y.coeff(i));
+  return AffineExpr(std::move(coeffs), cell(x.const_term(), y.const_term()));
+}
+
 AffineExpr AffineExpr::plus_const(i64 c) const {
   AffineExpr r = *this;
   r.constant_ = checked_add(r.constant_, c);

@@ -79,6 +79,14 @@ class AffineExpr {
   i64 constant_;
 };
 
+/// x * p + y * q, each cell computed in one 128-bit step. Factors of
+/// magnitude up to 2^63 keep every product within 2^126, so the only
+/// failure is a result cell outside i64, which throws pf::Error. The
+/// staged `x * p + y * q` also throws when a product alone passes i64;
+/// this does not. Fourier-Motzkin builds every row with it (poly/set.cpp).
+AffineExpr linear_combination(const AffineExpr& x, i128 p, const AffineExpr& y,
+                              i128 q);
+
 /// Hash over (coeffs, constant); equal expressions hash equal.
 inline std::size_t hash_value(const AffineExpr& e) {
   std::size_t seed = std::hash<std::size_t>{}(e.dims());

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "lp/fastlane.h"
 #include "lp/simplex.h"
 #include "poly/memo.h"
 #include "support/budget.h"
@@ -251,83 +250,9 @@ void IntegerSet::dedupe(std::vector<Constraint>& cs) {
   cs = std::move(out);
 }
 
-namespace {
-
-inline bool in_i64(i128 v) {
-  return v >= static_cast<i128>(INT64_MIN) && v <= static_cast<i128>(INT64_MAX);
-}
-
-// ---------------------------------------------------------------------------
-// Integer fast lane for the FM row combinations. The exact path builds
-// each combined row through staged checked AffineExpr operators, which
-// allocate one temporary expression per stage and overflow-check through
-// the generic pf::Error machinery. These helpers fuse the combination
-// cell-for-cell in 128 bits and report failure (caller reruns the staged
-// expression, which throws) exactly when any *staged intermediate* would
-// overflow -- not merely the final value -- so error behavior is identical
-// with the lane on or off.
-// ---------------------------------------------------------------------------
-
-// c := c - e * (b * a), mirroring `c - e * checked_mul(b, a)`.
-bool fast_sub_scaled(AffineExpr* c, const AffineExpr& e, i64 b, i64 a) {
-  const i128 f = static_cast<i128>(b) * a;
-  if (!in_i64(f)) return false;
-  const std::size_t d = c->dims();
-  IntVector coeffs(d);
-  i64 cst = 0;
-  for (std::size_t j = 0; j <= d; ++j) {
-    const i64 cv = j < d ? c->coeff(j) : c->const_term();
-    const i64 ev = j < d ? e.coeff(j) : e.const_term();
-    const i128 prod = static_cast<i128>(ev) * f;
-    if (!in_i64(prod)) return false;
-    const i128 diff = static_cast<i128>(cv) - prod;
-    if (!in_i64(diff)) return false;
-    if (j < d)
-      coeffs[j] = static_cast<i64>(diff);
-    else
-      cst = static_cast<i64>(diff);
-  }
-  *c = AffineExpr(std::move(coeffs), cst);
-  return true;
-}
-
-// out := lo * b + up * a, mirroring `lo.expr * b + up.expr * a`.
-bool fast_combine(const AffineExpr& lo, i64 b, const AffineExpr& up, i64 a,
-                  AffineExpr* out) {
-  const std::size_t d = lo.dims();
-  IntVector coeffs(d);
-  i64 cst = 0;
-  for (std::size_t j = 0; j <= d; ++j) {
-    const i128 p1 = static_cast<i128>(j < d ? lo.coeff(j) : lo.const_term()) * b;
-    if (!in_i64(p1)) return false;
-    const i128 p2 = static_cast<i128>(j < d ? up.coeff(j) : up.const_term()) * a;
-    if (!in_i64(p2)) return false;
-    const i128 s = p1 + p2;
-    if (!in_i64(s)) return false;
-    if (j < d)
-      coeffs[j] = static_cast<i64>(s);
-    else
-      cst = static_cast<i64>(s);
-  }
-  *out = AffineExpr(std::move(coeffs), cst);
-  return true;
-}
-
-}  // namespace
-
 void IntegerSet::fm_eliminate_column(std::vector<Constraint>& cs,
                                      std::size_t k, bool* trivially_empty) {
   support::budget_charge(support::BudgetSite::kFmeProject);
-  bool lane = false;
-  if (lp::fastlane_enabled()) {
-    if (support::budget_injection_fires(support::BudgetSite::kLpFastlane)) {
-      support::count(support::Counter::kFastlaneFmeFallbacks);
-      support::observe(support::Hist::kFastlaneFallbackCause,
-                       support::kFallbackFmeInjected);
-    } else {
-      lane = true;
-    }
-  }
   // Prefer exact substitution through an equality with a +-1 coefficient
   // on x_k: x_k = -(rest) keeps the projection integer-exact.
   for (std::size_t i = 0; i < cs.size(); ++i) {
@@ -342,18 +267,8 @@ void IntegerSet::fm_eliminate_column(std::vector<Constraint>& cs,
       if (j == i) continue;
       Constraint c = cs[j];
       const i64 b = c.expr.coeff(k);
-      if (b != 0) {
-        bool fused = false;
-        if (lane) {
-          fused = fast_sub_scaled(&c.expr, e, b, a);
-          support::count(fused ? support::Counter::kFastlaneFmeRows
-                               : support::Counter::kFastlaneFmeFallbacks);
-          if (!fused)
-            support::observe(support::Hist::kFastlaneFallbackCause,
-                             support::kFallbackFmeOverflow);
-        }
-        if (!fused) c.expr = c.expr - e * checked_mul(b, a);
-      }
+      if (b != 0)
+        c.expr = linear_combination(c.expr, 1, e, -static_cast<i128>(b) * a);
       PF_CHECK(c.expr.coeff(k) == 0);
       out.push_back(std::move(c));
     }
@@ -398,17 +313,7 @@ void IntegerSet::fm_eliminate_column(std::vector<Constraint>& cs,
       const i64 a = lo.expr.coeff(k);        // > 0
       const i64 b = checked_neg(up.expr.coeff(k));  // > 0
       // b*lo + a*up eliminates x_k.
-      AffineExpr combined;
-      bool fused = false;
-      if (lane) {
-        fused = fast_combine(lo.expr, b, up.expr, a, &combined);
-        support::count(fused ? support::Counter::kFastlaneFmeRows
-                             : support::Counter::kFastlaneFmeFallbacks);
-        if (!fused)
-          support::observe(support::Hist::kFastlaneFallbackCause,
-                           support::kFallbackFmeOverflow);
-      }
-      if (!fused) combined = lo.expr * b + up.expr * a;
+      AffineExpr combined = linear_combination(lo.expr, b, up.expr, a);
       PF_CHECK(combined.coeff(k) == 0);
       support::count(support::Counter::kFmeRowsGenerated);
       ++rows_generated;

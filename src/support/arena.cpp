@@ -42,7 +42,6 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
     Chunk fresh;
     fresh.size = std::max(min_chunk_bytes_, bytes + align);
     fresh.data = std::make_unique<char[]>(fresh.size);
-    reserved_ += fresh.size;
     count(Counter::kFastlaneArenaBytes, static_cast<i64>(fresh.size));
     if (!chunks_.empty() && chunks_[cur_].used > 0) ++cur_;
     chunks_.insert(chunks_.begin() + static_cast<long>(cur_),

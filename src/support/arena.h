@@ -1,15 +1,15 @@
 // Chunked bump allocator for the solver hot loops.
 //
-// The int64 fast lane (lp/simplex.cpp) rebuilds a dense tableau for every
-// solve; with thousands of solves per compile, per-solve std::vector heap
-// churn is measurable. An Arena hands out storage by bumping a pointer
-// into large chunks and releases it wholesale: a solve marks the arena on
-// entry, allocates its tableau rows, and releases back to the marker on
-// exit (ArenaScope), so the same warm chunk is reused by every solve on
-// the thread.
+// The simplex kernel's int64 instance (lp/simplex.cpp) builds a compact
+// tableau for every solve; with thousands of solves per compile,
+// per-solve std::vector heap churn is measurable. An Arena hands out
+// storage by bumping a pointer into large chunks and releases it
+// wholesale: a solve marks the arena on entry, allocates its tableau
+// rows, and releases back to the marker on exit (ArenaScope), so the same
+// warm chunk is reused by every solve on the thread.
 //
-// Only trivially-destructible payloads are supported (the lane stores raw
-// i64 / __int128 rows). Arenas are not thread safe; use the per-thread
+// Only trivially-destructible payloads are supported (the int64 instance
+// stores raw i64 / __int128 rows; BigInt cells live on the heap). Arenas are not thread safe; use the per-thread
 // instance (thread_local_instance) from solver code.
 #pragma once
 
@@ -50,10 +50,6 @@ class Arena {
   Marker mark() const { return Marker{cur_, chunk_used()}; }
   void release(const Marker& m);
 
-  /// Total chunk bytes ever reserved by this arena (monotone; feeds the
-  /// fastlane_arena_bytes counter).
-  std::size_t bytes_reserved() const { return reserved_; }
-
   /// The calling thread's arena (created on first use).
   static Arena& thread_local_instance();
 
@@ -71,12 +67,11 @@ class Arena {
   std::vector<Chunk> chunks_;
   std::size_t cur_ = 0;  // chunk currently bump-allocated from
   std::size_t min_chunk_bytes_;
-  std::size_t reserved_ = 0;
 };
 
 /// RAII mark/release pair: everything the scope's body allocates from the
 /// arena is reclaimed on destruction, including on exception unwind (the
-/// fast lane bails out mid-solve on overflow).
+/// int64 instance bails out mid-solve on overflow).
 class ArenaScope {
  public:
   explicit ArenaScope(Arena& arena) : arena_(arena), marker_(arena.mark()) {}

@@ -72,10 +72,6 @@ const char* to_string(Counter c) {
       return "fastlane_solves";
     case Counter::kFastlaneFallbacks:
       return "fastlane_fallbacks";
-    case Counter::kFastlaneFmeRows:
-      return "fastlane_fme_rows";
-    case Counter::kFastlaneFmeFallbacks:
-      return "fastlane_fme_fallbacks";
     case Counter::kFastlaneWarmHits:
       return "fastlane_warm_hits";
     case Counter::kFastlaneWarmMisses:
@@ -205,22 +201,6 @@ bool hist_is_runtime(Hist h) {
     default:
       return false;
   }
-}
-
-const char* to_string(FastlaneFallbackCause cause) {
-  switch (cause) {
-    case kFallbackSimplexOverflow:
-      return "simplex-overflow";
-    case kFallbackSimplexInjected:
-      return "simplex-injected";
-    case kFallbackFmeOverflow:
-      return "fme-overflow";
-    case kFallbackFmeInjected:
-      return "fme-injected";
-    case kNumFallbackCauses:
-      break;
-  }
-  return "?";
 }
 
 std::size_t hist_bucket_index(HistLayout layout, i64 value) {

@@ -77,8 +77,6 @@ enum class Counter : std::size_t {
   kBudgetAssumedDeps,    // dependences conservatively assumed under budget
   kFastlaneSolves,       // simplex solves served by the int64 fast lane
   kFastlaneFallbacks,    // per-solve fallbacks to the bignum simplex instance
-  kFastlaneFmeRows,      // FM row combinations taken by the int64 path
-  kFastlaneFmeFallbacks,  // FM combinations that fell back to checked ops
   kFastlaneWarmHits,     // scheduler warm-start points accepted (feasible)
   kFastlaneWarmMisses,   // scheduler warm-start points rejected
   kFastlaneArenaBytes,   // bytes of arena chunk storage reserved
@@ -167,12 +165,7 @@ bool hist_is_runtime(Hist h);
 enum FastlaneFallbackCause : i64 {
   kFallbackSimplexOverflow = 0,  // int64 tableau overflowed mid-solve
   kFallbackSimplexInjected = 1,  // --inject=lp.fastlane forced the solve over
-  kFallbackFmeOverflow = 2,      // int64 FM row combination overflowed
-  kFallbackFmeInjected = 3,      // --inject=lp.fastlane forced the rows over
-  kNumFallbackCauses = 4,
 };
-
-const char* to_string(FastlaneFallbackCause cause);
 
 /// Fixed bucket count for every histogram. Log2 layout: bucket 0 holds
 /// values <= 0, bucket i in [1, kHistBuckets-2] holds [2^(i-1), 2^i - 1],

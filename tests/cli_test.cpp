@@ -38,10 +38,6 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// The environment of a run that needs the int64 fast lane on whatever
-// the caller exported (lp/fastlane.h reads "0" as on).
-constexpr const char* kLaneOn = "POLYFUSE_NO_FASTLANE=0";
-
 // `env` is prepended verbatim, e.g. "POLYFUSE_TRACE=/tmp/t.json".
 CmdResult run_cli(const std::string& args, const std::string& env = "") {
   const std::string out_file = temp_path("out");
@@ -181,42 +177,43 @@ TEST(Cli, JobsProduceByteIdenticalOutput) {
 
 TEST(Cli, FastlaneProducesByteIdenticalOutput) {
   // The int64 fast lane is a pure performance path: --emit output must
-  // be byte-identical with the lane disabled (flag or env) at any job
-  // count. This is the acceptance bar for the lane's fallback contract.
-  // The lane-on runs set kLaneOn, so both lanes are compared even when
-  // the caller exports POLYFUSE_NO_FASTLANE=1.
+  // be byte-identical when an lp.fastlane injection forces solves onto
+  // the bignum cells, at any job count. This is the acceptance bar for
+  // the lane's fallback contract; the whole-suite differential is
+  // tests/exact_path_test.cpp.
   const std::string path = write_program("p.pf", kPipeline);
   for (const char* emit : {"--emit=c", "--emit=deps", "--emit=sched"}) {
     for (const char* jobs : {"--jobs=1", "--jobs=8"}) {
       const std::string base = std::string(jobs) + " " + emit + " " + path;
-      const CmdResult lane_on = run_cli(base, kLaneOn);
-      const CmdResult lane_off = run_cli("--no-fastlane " + base);
-      const CmdResult env_off = run_cli(base, "POLYFUSE_NO_FASTLANE=1");
+      const CmdResult lane_on = run_cli(base);
+      const CmdResult forced =
+          run_cli("--inject=lp.fastlane:fail-after=0 " + base);
       EXPECT_EQ(lane_on.exit_code, 0) << lane_on.output;
-      EXPECT_EQ(lane_off.exit_code, 0) << lane_off.output;
-      EXPECT_EQ(lane_on.output, lane_off.output) << emit << " " << jobs;
-      EXPECT_EQ(lane_on.output, env_off.output) << emit << " " << jobs;
+      EXPECT_EQ(forced.exit_code, 0) << forced.output;
+      EXPECT_EQ(lane_on.output, forced.output) << emit << " " << jobs;
     }
   }
 }
 
+TEST(Cli, NoFastlaneFlagIsAUsageError) {
+  // The solver has one production path and no switch to pick another.
+  const std::string path = write_program("p.pf", kPipeline);
+  const CmdResult r = run_cli("--no-fastlane " + path);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+}
+
 TEST(Cli, FastlaneCountersAppearInStats) {
   const std::string path = write_program("p.pf", kPipeline);
-  const CmdResult r = run_cli("--stats --emit=sched " + path, kLaneOn);
+  const CmdResult r = run_cli("--stats --emit=sched " + path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("fastlane_solves"), std::string::npos);
   EXPECT_NE(r.output.find("fastlane_rate"), std::string::npos);
-  // With the lane off, solves and fallbacks both stay zero.
-  const CmdResult off = run_cli("--stats --no-fastlane --emit=sched " + path);
-  EXPECT_EQ(off.exit_code, 0) << off.output;
-  EXPECT_NE(off.output.find("fastlane_solves = 0"), std::string::npos)
-      << off.output;
   // An lp.fastlane injection forces fallbacks without failing the run.
   // fail-after=0 fires once per per-pair sub-budget (docs/robustness.md
   // "Determinism across --jobs"), so assert nonzero rather than a count.
   const CmdResult inj = run_cli(
-      "--stats --inject=lp.fastlane:fail-after=0 --emit=sched " + path,
-      kLaneOn);
+      "--stats --inject=lp.fastlane:fail-after=0 --emit=sched " + path);
   EXPECT_EQ(inj.exit_code, 0) << inj.output;
   EXPECT_EQ(inj.output.find("fastlane_fallbacks = 0"), std::string::npos)
       << inj.output;
@@ -241,7 +238,10 @@ TEST(Cli, StatsReportShowsSolverWork) {
   // With the cache disabled, the hit/miss counters stay zero.
   const CmdResult n = run_cli("--stats --no-solve-cache --emit=c " + path);
   EXPECT_EQ(n.exit_code, 0) << n.output;
-  EXPECT_NE(n.output.find("solve_cache_hits"), std::string::npos);
+  EXPECT_NE(n.output.find("solve_cache_hits = 0\n"), std::string::npos)
+      << n.output;
+  EXPECT_NE(n.output.find("solve_cache_misses = 0\n"), std::string::npos)
+      << n.output;
 }
 
 TEST(Cli, TraceAndExplainEmitWellFormedJson) {
@@ -508,8 +508,7 @@ TEST(Cli, AnalyzeCountsLandInDeterministicStats) {
   // deterministic part of --stats=json (everything before "runtime"):
   // byte-identical at every --jobs.
   const std::string path = write_program("p.pf", kPipeline);
-  const std::string base =
-      "--analyze --stats=json --no-solve-cache --emit=sched " + path;
+  const std::string base = "--analyze --stats=json --emit=sched " + path;
   const SplitResult serial = run_cli_split("--jobs=1 " + base);
   const SplitResult parallel = run_cli_split("--jobs=8 " + base);
   EXPECT_EQ(serial.exit_code, 0) << serial.err;
@@ -570,19 +569,15 @@ TEST(Cli, AnalyzeFeedsExplainAndMachineReport) {
 }
 
 TEST(Cli, AnalyzeCountsSurviveFastlaneFallback) {
-  // Counting differential under the fast-lane fault injection and with
-  // the lane disabled outright: the exact paths (the simplex kernel on
-  // bignum cells) must produce the byte-identical report.
+  // Counting differential under the fast-lane fault injection: the
+  // simplex kernel's bignum cells must produce the byte-identical report.
   const std::string path = write_program("p.pf", kPipeline);
   const std::string base = "--analyze=json --params=8 --emit=source " + path;
   const SplitResult lane_on = run_cli_split(base);
-  const SplitResult lane_off = run_cli_split("--no-fastlane " + base);
   const SplitResult inj =
       run_cli_split("--inject=lp.fastlane:fail-after=0 " + base);
   EXPECT_EQ(lane_on.exit_code, 0) << lane_on.err;
-  EXPECT_EQ(lane_off.exit_code, 0) << lane_off.err;
   EXPECT_EQ(inj.exit_code, 0) << inj.err;
-  EXPECT_EQ(lane_on.err, lane_off.err);
   EXPECT_EQ(lane_on.err, inj.err);
 }
 
@@ -671,8 +666,8 @@ TEST(Cli, ReductionInjectionDegradesGracefully) {
 }
 
 TEST(Cli, ReductionCountersLandInDeterministicStats) {
-  const std::string base = "--verify --stats=json --no-solve-cache --emit=c " +
-                           example_path("dotprod.pf");
+  const std::string base =
+      "--verify --stats=json --emit=c " + example_path("dotprod.pf");
   const SplitResult serial = run_cli_split("--jobs=1 " + base);
   const SplitResult parallel = run_cli_split("--jobs=8 " + base);
   EXPECT_EQ(serial.exit_code, 0) << serial.err;
@@ -727,10 +722,11 @@ TEST(Cli, MalformedProgramsProduceLocatedDiagnostics) {
 TEST(Cli, StatsJsonHistogramsDeterministicAcrossJobs) {
   // The determinism contract of docs/observability.md: everything outside
   // the "runtime" subtree of --stats=json is byte-identical at every
-  // --jobs (cache off; hit/miss totals depend on interleaving). The
+  // --jobs, solve-cache hit/miss totals included (the memo table solves
+  // each key once and makes concurrent askers wait for it). The
   // histograms of per-solve work live in the deterministic part.
   const std::string path = write_program("p.pf", kPipeline);
-  const std::string base = "--stats=json --no-solve-cache --emit=sched " + path;
+  const std::string base = "--stats=json --emit=sched " + path;
   const SplitResult serial = run_cli_split("--jobs=1 " + base);
   const SplitResult parallel = run_cli_split("--jobs=8 " + base);
   EXPECT_EQ(serial.exit_code, 0) << serial.err;

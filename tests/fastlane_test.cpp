@@ -1,8 +1,8 @@
-// Differential tests for the int64 fast lane (lp/fastlane.h): the
-// integer simplex tableau, the integer FM row combination, and the
-// warm-started lexmin must all return bit-identical results with the
-// lane on or off -- on random inputs, on inputs engineered to overflow
-// the lane mid-solve, and with fallbacks forced through the
+// Differential tests for the solver's int64 instance: the simplex
+// kernel on int64 cells and the warm-started lexmin must return exactly
+// what lp::testing::ExactPathScope's path returns (every solve on BigInt
+// cells, no warm start) -- on random inputs, on inputs engineered to
+// overflow int64 mid-solve, and with fallbacks forced through the
 // `lp.fastlane` injection site.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "ddg/dependences.h"
 #include "frontend/parser.h"
 #include "fusion/models.h"
-#include "lp/fastlane.h"
 #include "lp/ilp.h"
 #include "lp/simplex.h"
 #include "poly/set.h"
@@ -25,13 +24,7 @@
 namespace pf {
 namespace {
 
-// Force the lane on/off for one scope; restore the suite default (on --
-// the env override only matters for the CLI binary) on exit.
-class LaneGuard {
- public:
-  explicit LaneGuard(bool enabled) { lp::set_fastlane_enabled(enabled); }
-  ~LaneGuard() { lp::set_fastlane_enabled(true); }
-};
+using lp::testing::ExactPathScope;
 
 i64 counter(support::Counter c) { return support::current_metrics().get(c); }
 
@@ -70,13 +63,10 @@ TEST(Fastlane, RandomizedSimplexMatchesExactLane) {
     for (std::size_t v = 0; v < nvars; ++v)
       obj.push_back(Rational(coef(rng), den(rng)));
 
-    lp::SimplexSolver::Result fast, exact;
+    const lp::SimplexSolver::Result fast = s.minimize(obj);
+    lp::SimplexSolver::Result exact;
     {
-      LaneGuard g(true);
-      fast = s.minimize(obj);
-    }
-    {
-      LaneGuard g(false);
+      ExactPathScope scope;
       exact = s.minimize(obj);
     }
     expect_same_result(fast, exact, "iter " + std::to_string(iter));
@@ -95,15 +85,12 @@ TEST(Fastlane, OverflowFallsBackToExactLaneMidPipeline) {
   const RatVector obj(4, Rational(1));
 
   support::current_metrics().reset();
-  lp::SimplexSolver::Result fast, exact;
-  {
-    LaneGuard g(true);
-    fast = s.minimize(obj);
-  }
+  const lp::SimplexSolver::Result fast = s.minimize(obj);
   EXPECT_EQ(counter(support::Counter::kFastlaneSolves), 0);
   EXPECT_EQ(counter(support::Counter::kFastlaneFallbacks), 1);
+  lp::SimplexSolver::Result exact;
   {
-    LaneGuard g(false);
+    ExactPathScope scope;
     exact = s.minimize(obj);
   }
   expect_same_result(fast, exact, "lcm overflow");
@@ -124,7 +111,6 @@ TEST(Fastlane, InjectionForcesSimplexFallbackWithoutFault) {
   s.add_inequality(RatVector{Rational(0), Rational(1)}, Rational(-3));
   const RatVector obj{Rational(1), Rational(1)};
 
-  LaneGuard g(true);
   const auto r0 = s.minimize(obj);  // ordinal 0: fast lane
   const auto r1 = s.minimize(obj);  // ordinal 1: injected -> exact lane
   const auto r2 = s.minimize(obj);  // ordinal 2: single-shot, fast again
@@ -139,71 +125,6 @@ TEST(Fastlane, InjectionForcesSimplexFallbackWithoutFault) {
   EXPECT_EQ(b.faults(), 0);
 }
 
-poly::IntegerSet random_set(std::mt19937& rng, std::size_t dims) {
-  std::uniform_int_distribution<i64> coef(-6, 6);
-  poly::IntegerSet set(dims);
-  const std::size_t nrows = 2 + rng() % (2 * dims);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    IntVector coeffs;
-    for (std::size_t d = 0; d < dims; ++d) coeffs.push_back(coef(rng));
-    poly::AffineExpr e(std::move(coeffs), coef(rng));
-    if (rng() % 5 == 0)
-      set.add_constraint(poly::Constraint::eq0(std::move(e)));
-    else
-      set.add_constraint(poly::Constraint::ge0(std::move(e)));
-  }
-  return set;
-}
-
-TEST(Fastlane, RandomizedFmEliminationMatchesExactLane) {
-  std::mt19937 rng(77);
-  for (int iter = 0; iter < 200; ++iter) {
-    const std::size_t dims = 3 + rng() % 3;
-    const poly::IntegerSet set = random_set(rng, dims);
-    std::vector<bool> remove(dims, false);
-    const std::size_t nremove = 1 + rng() % 2;
-    for (std::size_t i = 0; i < nremove; ++i) remove[rng() % dims] = true;
-
-    std::string fast, exact;
-    {
-      LaneGuard g(true);
-      fast = set.eliminate_dims(remove).to_string();
-    }
-    {
-      LaneGuard g(false);
-      exact = set.eliminate_dims(remove).to_string();
-    }
-    EXPECT_EQ(fast, exact) << "iter " << iter;
-  }
-}
-
-TEST(Fastlane, InjectionForcesFmeFallback) {
-  support::BudgetSpec spec;
-  spec.injections.push_back({support::BudgetSite::kLpFastlane, 0});
-  support::Budget b(spec);
-  support::BudgetScope scope(&b);
-  support::current_metrics().reset();
-
-  std::mt19937 rng(5);
-  const poly::IntegerSet set = random_set(rng, 4);
-  std::vector<bool> remove{false, true, false, true};
-  std::string forced;
-  {
-    LaneGuard g(true);
-    forced = set.eliminate_dims(remove).to_string();
-  }
-  EXPECT_GE(counter(support::Counter::kFastlaneFmeFallbacks), 1);
-  EXPECT_EQ(counter(support::Counter::kBudgetInjectedFaults), 1);
-  EXPECT_EQ(b.faults(), 0);
-
-  std::string exact;
-  {
-    LaneGuard g(false);
-    exact = set.eliminate_dims(remove).to_string();
-  }
-  EXPECT_EQ(forced, exact);
-}
-
 TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {
   // min lex (x0, x1) over x0 + x1 >= 4, x0 <= 3, nonneg integers.
   auto p = lp::IlpProblem::all_nonneg(2);
@@ -211,8 +132,17 @@ TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {
   p.add_upper_bound(0, 3);
   const std::vector<IntVector> objectives{IntVector{1, 0}, IntVector{0, 1}};
 
-  LaneGuard g(true);
-  const auto cold = p.lexmin(objectives);
+  lp::IlpResult cold;
+  {
+    // No warm start at all, not even from one stage to the next; a given
+    // warm point is ignored, not validated.
+    ExactPathScope scope;
+    cold = p.lexmin(objectives);
+    support::current_metrics().reset();
+    const IntVector feasible{3, 1};
+    EXPECT_EQ(p.lexmin(objectives, {}, &feasible).point, cold.point);
+    EXPECT_EQ(counter(support::Counter::kFastlaneWarmHits), 0);
+  }
   ASSERT_EQ(cold.status, lp::IlpStatus::kOptimal);
 
   support::current_metrics().reset();
@@ -240,7 +170,7 @@ TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {
 
 TEST(Fastlane, EndToEndSchedulesIdenticalLaneOnOff) {
   // Full pipeline (parse -> analyze -> Pluto with warm starts) on
-  // synthetic programs: the schedule must be identical lane on/off.
+  // synthetic programs: the schedule must be identical on the exact path.
   for (const unsigned seed : {3u, 11u, 42u}) {
     const ir::Scop scop =
         frontend::parse_scop(suite::synthetic_program(seed));
@@ -251,13 +181,10 @@ TEST(Fastlane, EndToEndSchedulesIdenticalLaneOnOff) {
           fusion::make_policy(fusion::FusionModel::kWisefuse);
       return sched::compute_schedule(scop, dg, *policy).to_string();
     };
-    std::string fast, exact;
+    const std::string fast = run();
+    std::string exact;
     {
-      LaneGuard g(true);
-      fast = run();
-    }
-    {
-      LaneGuard g(false);
+      ExactPathScope scope;
       exact = run();
     }
     EXPECT_EQ(fast, exact) << "seed " << seed;

@@ -12,9 +12,9 @@
 // Scheduler and solver speedups must leave these files untouched; a
 // deliberate output change re-records them in the same commit.
 //
-// The POLYFUSE_JOBS and POLYFUSE_NO_FASTLANE environment of the ctest run
-// reaches the pipeline (tools/ci.sh runs these at one and four workers
-// and with the fast lane off).
+// The POLYFUSE_JOBS environment of the ctest run reaches the pipeline
+// (tools/ci.sh runs these at one and four workers). The same outputs on
+// the solver's exact path are tests/exact_path_test.cpp.
 #include <gtest/gtest.h>
 
 #include <unistd.h>

@@ -9,7 +9,6 @@
 
 #include "dense_simplex.h"
 #include "lp/bigint.h"
-#include "lp/fastlane.h"
 #include "lp/ilp.h"
 #include "lp/simplex.h"
 #include "support/metrics.h"
@@ -127,7 +126,8 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
   s.add_inequality(rv({-1, 0}), Rational(4));
   s.add_inequality(rv({0, -1}), Rational(4));
   for (const bool lane : {true, false}) {
-    set_fastlane_enabled(lane);
+    std::optional<testing::ExactPathScope> exact_path;
+    if (!lane) exact_path.emplace();
     support::MetricsScope metrics;
     const auto r = s.minimize(rv({1, 2}));
     ASSERT_EQ(r.status, Status::kOptimal);
@@ -142,11 +142,11 @@ TEST(Simplex, CellsCounterIsRowsTimesStoredColumnsPerPivot) {
               9)
         << "lane " << lane;
   }
-  set_fastlane_enabled(true);
 }
 
-// Solves the LP with the int64 lane on and off and checks both runs
-// against the dense reference (tests/dense_simplex.h): the status, point
+// Solves the LP on the default path and under testing::ExactPathScope
+// (the "lane off" run: BigInt cells only) and checks both runs against
+// the dense reference (tests/dense_simplex.h): the status, point
 // and objective must be the reference's. The compact int64 lane falls
 // back to BigInt cells exactly when the dense int64 lane overflows, and
 // at the same pivot: a fallen-back solve counts the dense int64 lane's
@@ -174,7 +174,8 @@ ReferenceOutcomes expect_matches_reference(
   i64 written[2] = {0, 0};  // by lane
   bool fell_back_on = false;
   for (const bool lane : {true, false}) {
-    set_fastlane_enabled(lane);
+    std::optional<testing::ExactPathScope> exact_path;
+    if (!lane) exact_path.emplace();
     support::MetricsScope metrics;
     const SimplexSolver::Result got = solver.minimize(objective);
     const i64 pivots = metrics.registry().get(support::Counter::kSimplexPivots);
@@ -199,7 +200,6 @@ ReferenceOutcomes expect_matches_reference(
               metrics.registry().get(support::Counter::kSimplexCells))
         << where << " lane " << lane;
   }
-  set_fastlane_enabled(true);
   if (!fell_back_on) {
     EXPECT_EQ(written[false], written[true]) << where;
   }
@@ -221,8 +221,7 @@ void add_updates(test::RowUpdates& total, const test::RowUpdates& u) {
 // seeded LPs of 1-12 variables and up to 60 rows, mixing free and
 // non-negative variables, equalities, negative constants, duplicate,
 // degenerate and empty rows, rational coefficients, and rows whose common
-// denominator pushes the int64 lane past 2^62. With the lane on and off,
-// the status, point, objective and the solve's pivot count must be the
+// denominator pushes the int64 lane past 2^62. On both paths, the status, point, objective and the solve's pivot count must be the
 // reference's (expect_matches_reference). Between them the LPs meet every
 // case of the int64 lane's row update.
 TEST(Simplex, CompactTableauMatchesDenseReference) {
@@ -428,8 +427,8 @@ TEST(Simplex, CompactLaneFallsBackExactlyWhereDenseReferenceOverflows) {
 // at a hidden integer point, each coefficient nonzero with probability
 // 1/2 and a value of -5..5 over 1 or 2. Their optima fit in 64 bits, but
 // a solve on per-cell Rationals overflows on nearly all of them. The
-// int64 lane finishes every one without falling back, and with the lane
-// off the BigInt cells return the same Result after the same pivots and
+// int64 lane finishes every one without falling back, and under
+// testing::ExactPathScope the BigInt cells return the same Result after the same pivots and
 // cell writes.
 TEST(Simplex, DenseFreeLpsSolveOnBothLanes) {
   constexpr std::size_t kVars = 12, kRows = 40;
@@ -459,7 +458,8 @@ TEST(Simplex, DenseFreeLpsSolveOnBothLanes) {
     SimplexSolver::Result got[2];
     i64 pivots[2] = {0, 0}, written[2] = {0, 0};
     for (const bool lane : {true, false}) {
-      set_fastlane_enabled(lane);
+      std::optional<testing::ExactPathScope> exact_path;
+      if (!lane) exact_path.emplace();
       support::MetricsScope metrics;
       ASSERT_NO_THROW(got[lane] = solver.minimize(objective))
           << where << " lane " << lane;
@@ -470,7 +470,6 @@ TEST(Simplex, DenseFreeLpsSolveOnBothLanes) {
       written[lane] =
           metrics.registry().get(support::Counter::kSimplexCellsWritten);
     }
-    set_fastlane_enabled(true);
     EXPECT_EQ(got[false].status, got[true].status) << where;
     EXPECT_EQ(got[false].point, got[true].point) << where;
     EXPECT_EQ(got[false].objective, got[true].objective) << where;
@@ -492,7 +491,8 @@ TEST(Simplex, UnrepresentableOptimumIsAnError) {
   s.add_inequality(RatVector{Rational(0), Rational(-kTwo40), Rational(1)},
                    Rational(0));
   for (const bool lane : {true, false}) {
-    set_fastlane_enabled(lane);
+    std::optional<testing::ExactPathScope> exact_path;
+    if (!lane) exact_path.emplace();
     support::MetricsScope metrics;
     try {
       s.minimize(rv({0, 0, 1}));
@@ -506,7 +506,6 @@ TEST(Simplex, UnrepresentableOptimumIsAnError) {
     EXPECT_EQ(metrics.registry().get(support::Counter::kFastlaneFallbacks),
               lane ? 1 : 0);
   }
-  set_fastlane_enabled(true);
 }
 
 // ---------------------------------------------------------------------------

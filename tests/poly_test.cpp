@@ -3,9 +3,11 @@
 // property test checking FM projections against point enumeration.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 
 #include "ddg/dependences.h"
+#include "lp/bigint.h"
 #include "poly/affine.h"
 #include "poly/count.h"
 #include "poly/memo.h"
@@ -38,6 +40,110 @@ TEST(AffineExpr, Arithmetic) {
   EXPECT_EQ(e.const_term(), -3);
   EXPECT_EQ(e.eval(IntVector{4, 1}), 6);
   EXPECT_EQ((-e).eval(IntVector{4, 1}), -6);
+}
+
+// linear_combination against the staged operators that Fourier-Motzkin
+// used to build its rows with: `x*p + y*q` (a lower/upper pair) and
+// `c - e*(b*a)` with a = +-1 (an equality substitution), on seeded rows
+// mixing small cells with cells near 2^31, 2^62 and the i64 extremes.
+// BigInt cells give the exact row. The fused combination must return it
+// whenever it fits in i64 (agreeing with the staged form wherever that
+// returns) and throw pf::Error otherwise -- also where only a staged
+// product passed i64 and the staged form threw.
+TEST(AffineExpr, LinearCombinationMatchesStagedOperators) {
+  std::mt19937_64 rng(29);
+  const auto pick = [&rng](i64 lo, i64 hi) {
+    return std::uniform_int_distribution<i64>(lo, hi)(rng);
+  };
+  const auto value = [&]() -> i64 {
+    const i64 sign = pick(0, 1) != 0 ? 1 : -1;
+    switch (pick(0, 9)) {
+      case 0:
+        return pick(0, 1) != 0 ? INT64_MIN : INT64_MAX;
+      case 1:
+      case 2:
+        return sign * ((i64{1} << 62) + pick(-9, 9));
+      case 3:
+      case 4:
+        return sign * ((i64{1} << 31) + pick(-9, 9));
+      default:
+        return pick(-9, 9);
+    }
+  };
+  // The exact row x*p + y*q, or nullopt when a cell leaves i64.
+  const auto exact = [](const AffineExpr& x, const lp::BigInt& p,
+                        const AffineExpr& y,
+                        const lp::BigInt& q) -> std::optional<AffineExpr> {
+    const auto cell = [&](i64 a, i64 b) {
+      return (lp::BigInt(a) * p + lp::BigInt(b) * q).to_i64();
+    };
+    AffineExpr r(x.dims());
+    for (std::size_t j = 0; j <= x.dims(); ++j) {
+      const bool constant = j == x.dims();
+      const std::optional<i64> v =
+          constant ? cell(x.const_term(), y.const_term())
+                   : cell(x.coeff(j), y.coeff(j));
+      if (!v) return std::nullopt;
+      if (constant)
+        r.set_const_term(*v);
+      else
+        r.set_coeff(j, *v);
+    }
+    return r;
+  };
+  int returned[2] = {0, 0}, thrown[2] = {0, 0}, rescued[2] = {0, 0};
+  for (int iter = 0; iter < 4000; ++iter) {
+    const std::size_t dims = 1 + static_cast<std::size_t>(pick(0, 2));
+    AffineExpr x(dims), y(dims);
+    for (std::size_t j = 0; j <= dims; ++j) {
+      const i64 xv = value();
+      // A third of the rows nearly cancel, so big products can still sum
+      // to a small result.
+      const bool cancel =
+          pick(0, 2) == 0 && xv != INT64_MIN && xv != INT64_MAX;
+      const i64 yv = cancel ? -xv + pick(-3, 3) : value();
+      if (j == dims) {
+        x.set_const_term(xv);
+        y.set_const_term(yv);
+      } else {
+        x.set_coeff(j, xv);
+        y.set_coeff(j, yv);
+      }
+    }
+    const int shape = iter % 2;  // 0: x*p + y*q, 1: x - y*(b*a)
+    const i64 b = value();
+    i64 a = pick(0, 1) != 0 ? 1 : -1;  // an equality's unit coefficient
+    if (shape == 0) a = pick(0, 2) == 0 ? b : value();
+    std::optional<AffineExpr> staged;
+    try {
+      staged = shape == 0 ? x * b + y * a : x - y * checked_mul(b, a);
+    } catch (const Error&) {
+    }
+    const std::optional<AffineExpr> want =
+        shape == 0 ? exact(x, b, y, a)
+                   : exact(x, 1, y, -(lp::BigInt(b) * lp::BigInt(a)));
+    const std::string where = "iter " + std::to_string(iter);
+    if (staged) {
+      ASSERT_TRUE(want) << where;
+      EXPECT_EQ(*staged, *want) << where;
+    }
+    try {
+      const AffineExpr got =
+          shape == 0 ? linear_combination(x, b, y, a)
+                     : linear_combination(x, 1, y, -static_cast<i128>(b) * a);
+      ASSERT_TRUE(want) << where << ": no throw for " << x.to_string();
+      EXPECT_EQ(got, *want) << where;
+      ++(staged ? returned : rescued)[shape];
+    } catch (const Error&) {
+      EXPECT_FALSE(want) << where << ": threw on a row that fits";
+      ++thrown[shape];
+    }
+  }
+  for (int shape = 0; shape < 2; ++shape) {
+    EXPECT_GT(returned[shape], 0) << "shape " << shape;
+    EXPECT_GT(thrown[shape], 0) << "shape " << shape;
+    EXPECT_GT(rescued[shape], 0) << "shape " << shape;
+  }
 }
 
 TEST(AffineExpr, RemapAndInsertDims) {

@@ -7,7 +7,7 @@
 
 #include <random>
 
-#include "lp/fastlane.h"
+#include "lp/simplex.h"
 #include "poly/count.h"
 #include "poly/set.h"
 #include "poly/set_union.h"
@@ -228,9 +228,8 @@ INSTANTIATE_TEST_SUITE_P(RandomCases, SetUnionVsEnumeration,
 // count_projection against literally counting `contains` hits --
 // covering the single-set recursion, the inclusion-exclusion union path,
 // the many-disjunct progressive-subtraction path, and the projection
-// count. A differential leg re-counts with the int64 fast lane disabled
-// (and is re-run under --inject=lp.fastlane by ci.sh): the exact
-// paths must produce the identical numbers.
+// count. A differential leg re-counts under lp::testing::ExactPathScope:
+// the exact path must produce the identical numbers.
 // ---------------------------------------------------------------------------
 
 class CountVsEnumeration : public ::testing::TestWithParam<unsigned> {};
@@ -282,16 +281,16 @@ TEST_P(CountVsEnumeration, CountMatchesEnumeration) {
   joint.max_inclusion_exclusion_disjuncts = 1;
   expect_exact(count_points(diff, joint), ndiff, "joint enumeration");
 
-  // Differential: the Rational-only lane counts the same points.
-  if (lp::fastlane_enabled()) {
-    lp::set_fastlane_enabled(false);
+  // Differential: the exact path (BigInt cells, no warm start) counts
+  // the same points.
+  {
+    lp::testing::ExactPathScope exact_path;
     clear_solve_cache();
-    expect_exact(count_points(a), na, "single set (no fastlane)");
-    expect_exact(count_points(u), nu, "union (no fastlane)");
-    expect_exact(count_projection(u, 1), nproj, "projection (no fastlane)");
-    lp::set_fastlane_enabled(true);
-    clear_solve_cache();
+    expect_exact(count_points(a), na, "single set (exact path)");
+    expect_exact(count_points(u), nu, "union (exact path)");
+    expect_exact(count_projection(u, 1), nproj, "projection (exact path)");
   }
+  clear_solve_cache();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCases, CountVsEnumeration,

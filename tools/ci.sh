@@ -3,19 +3,18 @@
 #
 #   1. Plain release-ish build + full ctest, then the full ctest again
 #      at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every tier-1 test
-#      runs serial and multi-threaded whatever the host's core count;
-#      then the golden-output tests (tests/golden/sched/ schedules and
-#      tests/golden/c/ emitted programs) and the lane's own tests once
-#      more with POLYFUSE_NO_FASTLANE=1, so the simplex kernel's bignum
-#      instance (and checked FM arithmetic) schedules and emits the
-#      paper suite byte-identically too.
+#      runs serial and multi-threaded whatever the host's core count.
+#      Every leg includes ExactPath.SuiteMatchesDefault, which reruns the
+#      paper suite in-process with every simplex solve on the kernel's
+#      bignum cells and no warm starts, and requires byte-identical
+#      schedules, C and --analyze=json reports.
 #   2. clang-tidy over src/ and tools/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
 #      skipped with a notice when clang-tidy is not installed.
 #   3. Robustness sweep on the plain build: the pipeline under tight
 #      compute-fuel budgets, a wall-clock budget, and one injected fault
-#      per solver site (incl. forced lp.fastlane fallbacks) must still
+#      per solver site (incl. forced lp.fastlane simplex fallbacks) must still
 #      emit verified, validated code (docs/robustness.md). The sweep also
 #      covers the persistent disk cache (injected cache-I/O faults and
 #      corrupted entries must be output-invisible), a fork-isolated batch
@@ -95,21 +94,6 @@ run_jobs_legs() {
   done
 }
 
-# The paper suite's golden schedules and emitted C with the int64 fast
-# lane and the scheduler's warm start off, plus the Farkas-memo on/off
-# tests (FarkasMemo*) and the lane's own tests (Fastlane*, Simplex.*),
-# whose default-lane solves then run the simplex kernel on bignum cells.
-run_golden_fastlane_off() {
-  local name="$1" dir="$2"
-  echo "==== [$name] golden schedules and C, lane and count tests at POLYFUSE_NO_FASTLANE=1 ===="
-  # Count/Locality: the exact-image counting eliminates through the FM
-  # rows, whose checked (lane-off) arithmetic must give the same counts.
-  POLYFUSE_NO_FASTLANE=1 ctest --test-dir "$dir" -j "$JOBS" \
-    --output-on-failure \
-    -R '^Suite/Golden(Schedule|C)\.|FarkasMemo|Fastlane|Simplex|^Count\.|^Locality\.' ||
-    { collect_diagnostics "$name-nofastlane" "$dir"; exit 1; }
-}
-
 # Degradation must never cost correctness: every budgeted or
 # fault-injected run still has to pass the static verifier (strict) and
 # the interpreter differential. jit_cc injection is exercised by ctest
@@ -127,9 +111,8 @@ run_robustness() {
   echo "==== [$name] robustness: time budget ===="
   "$cli" --model=wisefuse --time-budget=10000 $checks "$input" >/dev/null
   echo "==== [$name] robustness: fault injection ===="
-  # lp.fastlane is injection-only: it forces int64 fast-lane fallbacks
-  # onto the exact paths (the simplex kernel's bignum instance, checked
-  # FM arithmetic), which must be output-invisible.
+  # lp.fastlane is injection-only: it forces a simplex solve onto the
+  # kernel's bignum instance, which must be output-invisible.
   # count_set faults the --analyze counting engine, which must degrade
   # its counts to the structured "unknown" without failing the run.
   # analysis.reductions faults the reduction pass, which must degrade to
@@ -230,7 +213,6 @@ run_perfbench_gate() {
 
 run_stage "plain" "$PREFIX" -DCMAKE_BUILD_TYPE=Release
 run_jobs_legs "plain" "$PREFIX"
-run_golden_fastlane_off "plain" "$PREFIX"
 run_robustness "plain" "$PREFIX"
 run_perfbench_gate "plain"
 

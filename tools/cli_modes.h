@@ -69,11 +69,6 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "print scheduler/fusion decision remarks to stderr\n"
      "(with --batch: per request, to <stem>.err)"},
     {"--no-solve-cache", "disable the polyhedral solve cache"},
-    {"--no-fastlane",
-     "disable the int64 fast-lane solver paths: simplex\n"
-     "solves run on bignum cells only (POLYFUSE_NO_FASTLANE);\n"
-     "output is byte-identical either way -- see\n"
-     "docs/performance.md"},
     {"--fuel=N",
      "compute-fuel budget: abort solver work after N units\n"
      "and degrade gracefully (POLYFUSE_FUEL); see\n"
@@ -89,9 +84,9 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "batch.request);\n"
      "repeatable, for\n"
      "testing the degradation chain (POLYFUSE_INJECT);\n"
-     "lp.fastlane forces a fast-lane fallback instead of a\n"
-     "fault; batch.request fails that request's first\n"
-     "attempt (exercises the retry path);\n"
+     "lp.fastlane forces a simplex solve onto bignum cells\n"
+     "instead of a fault; batch.request fails that\n"
+     "request's first attempt (exercises the retry path);\n"
      "S:abort-after=K instead aborts the process\n"
      "(tests the crash-diagnostic path)"},
     {"--batch=PATH",

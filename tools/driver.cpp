@@ -19,7 +19,6 @@
 #include "exec/interp.h"
 #include "frontend/parser.h"
 #include "fusion/models.h"
-#include "lp/fastlane.h"
 #include "machine/perfmodel.h"
 #include "poly/set.h"
 #include "sched/analysis.h"
@@ -134,7 +133,6 @@ Options parse_args(int argc, char** argv) {
       o.diagnose_file = value_of("--diagnose=");
       if (o.diagnose_file.empty()) usage("--diagnose expects a file name");
     } else if (arg == "--no-solve-cache") o.solve_cache = false;
-    else if (arg == "--no-fastlane") o.fastlane = false;
     else if (arg.rfind("--fuel=", 0) == 0) {
       o.fuel = parse_int_option("--fuel", value_of("--fuel="));
       if (o.fuel < 0) usage("--fuel must be >= 0");
@@ -303,7 +301,6 @@ std::vector<support::Injection> budget_injections(
 void apply_process_config(const Options& o) {
   if (o.jobs != 0) support::set_default_jobs(o.jobs);
   poly::set_solve_cache_enabled(o.solve_cache);
-  if (!o.fastlane) lp::set_fastlane_enabled(false);
 
   if (!o.cache_dir.empty()) {
     if (!support::diskcache::configure(o.cache_dir, o.cache_max_mb))

@@ -7,7 +7,7 @@
 // and never lets an exception escape; every failure (unreadable input,
 // parse error, budget exhaustion the degradation chain could not absorb)
 // comes back as a RequestResult. Process-wide knobs (worker pool size,
-// solve cache, fast lane, the persistent disk cache) are applied once by
+// solve cache, the persistent disk cache) are applied once by
 // apply_process_config(); everything else -- budget, metrics registry,
 // memo table, tracer -- is per-request state.
 #pragma once
@@ -49,7 +49,6 @@ struct Options {
   std::size_t trace_max_events = support::Tracer::kDefaultMaxEvents;
   std::string diagnose_file;  // empty = no on-exit diagnostic dump
   bool solve_cache = true;
-  bool fastlane = true;
   i64 fuel = -1;            // < 0 = unlimited
   i64 time_budget_ms = -1;  // < 0 = unlimited
   std::vector<support::Injection> injections;
@@ -78,7 +77,7 @@ struct Options {
 Options parse_args(int argc, char** argv);
 
 /// Apply the process-wide knobs: worker-pool default, solve cache on/off,
-/// fast lane, metrics gauges, and the persistent disk cache (configured
+/// metrics gauges, and the persistent disk cache (configured
 /// from --cache-dir, with the diskcache.* injection table installed).
 /// Call exactly once, before any request runs.
 void apply_process_config(const Options& o);
