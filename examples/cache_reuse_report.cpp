@@ -45,7 +45,7 @@ int main() {
   row("accesses", static_cast<double>(before.cache.accesses),
       static_cast<double>(after.cache.accesses));
   for (std::size_t k = 0; k < before.cache.misses.size(); ++k)
-    row("L" + std::to_string(k + 1) + " misses",
+    row(pf::concat("L", std::to_string(k + 1), " misses"),
         static_cast<double>(before.cache.misses[k]),
         static_cast<double>(after.cache.misses[k]));
   row("serial cycles", before.serial_cycles, after.serial_cycles);

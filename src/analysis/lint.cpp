@@ -6,6 +6,7 @@
 #include "support/budget.h"
 #include "support/error.h"
 #include "support/metrics.h"
+#include "support/strings.h"
 #include "support/trace.h"
 
 namespace pf::analysis {
@@ -48,14 +49,16 @@ std::string LintFinding::to_string(const ir::Scop* scop) const {
   os << analysis::to_string(severity) << " " << analysis::to_string(kind);
   if (stmt != SIZE_MAX) {
     os << " "
-       << (scop ? scop->statement(stmt).name() : "S" + std::to_string(stmt));
+       << (scop ? scop->statement(stmt).name()
+                : concat("S", std::to_string(stmt)));
     if (stmt2 != SIZE_MAX)
       os << " -> "
          << (scop ? scop->statement(stmt2).name()
-                  : "S" + std::to_string(stmt2));
+                  : concat("S", std::to_string(stmt2)));
   }
   if (array != SIZE_MAX)
-    os << " " << (scop ? scop->array(array).name : "a" + std::to_string(array));
+    os << " "
+       << (scop ? scop->array(array).name : concat("a", std::to_string(array)));
   if (dim != SIZE_MAX) os << " (dim " << dim << ")";
   if (!detail.empty()) os << ": " << detail;
   return os.str();
@@ -121,7 +124,8 @@ std::string witness(const IntegerSet& region,
   std::ostringstream os;
   os << " at";
   for (std::size_t k = 0; k < point->size(); ++k)
-    os << " " << (k < names.size() ? names[k] : "x" + std::to_string(k)) << "="
+    os << " " << (k < names.size() ? names[k] : concat("x", std::to_string(k)))
+       << "="
        << (*point)[k];
   return os.str();
 }

@@ -6,6 +6,7 @@
 #include "analysis/dataflow.h"
 #include "support/budget.h"
 #include "support/error.h"
+#include "support/strings.h"
 #include "support/trace.h"
 
 namespace pf::analysis {
@@ -171,9 +172,10 @@ std::string json_count(const Count& c) {
 std::string VolumeFinding::to_string(const ir::Scop* scop) const {
   std::ostringstream os;
   os << (kind == kDeadWrite ? "dead-write" : "uninitialized-read") << " "
-     << (scop ? scop->statement(stmt).name() : "S" + std::to_string(stmt))
+     << (scop ? scop->statement(stmt).name()
+              : concat("S", std::to_string(stmt)))
      << " "
-     << (scop ? scop->array(array).name : "a" + std::to_string(array))
+     << (scop ? scop->array(array).name : concat("a", std::to_string(array)))
      << ": volume " << volume.to_string();
   return os.str();
 }

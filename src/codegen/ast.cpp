@@ -27,7 +27,8 @@ namespace {
 
 std::vector<std::string> t_space_names(std::size_t q, const ir::Scop& scop) {
   std::vector<std::string> names;
-  for (std::size_t k = 0; k < q; ++k) names.push_back("t" + std::to_string(k));
+  for (std::size_t k = 0; k < q; ++k)
+    names.push_back(concat("t", std::to_string(k)));
   for (const std::string& p : scop.params()) names.push_back(p);
   return names;
 }
@@ -63,7 +64,7 @@ void emit(const AstNode& n, const ir::Scop& scop,
       for (const AstPtr& c : n.children) emit(*c, scop, names, depth, os);
       break;
     case AstNode::Kind::kLoop: {
-      const std::string t = "t" + std::to_string(n.t_index);
+      const std::string t = concat("t", std::to_string(n.t_index));
       if (n.mark_parallel) {
         os << indent(depth) << "#pragma omp parallel for";
         for (const ReductionClause& rc : n.reductions)

@@ -26,7 +26,7 @@ class CEmitter {
     };
     scan(root_);
     for (std::size_t k = 0; k < q_; ++k)
-      t_names_.push_back("t" + std::to_string(k));
+      t_names_.push_back(concat("t", std::to_string(k)));
     for (const std::string& p : scop_.params()) t_names_.push_back(p);
   }
 
@@ -76,7 +76,7 @@ class CEmitter {
 
  private:
   std::string term(const BoundTerm& t, bool lower) const {
-    const std::string e = "(" + t.expr.to_string(t_names_) + ")";
+    const std::string e = concat("(", t.expr.to_string(t_names_), ")");
     if (t.denom == 1) return e;
     return std::string(lower ? "pf_ceild" : "pf_floord") + "(" + e + ", " +
            std::to_string(t.denom) + ")";
@@ -110,7 +110,7 @@ class CEmitter {
     PF_CHECK(subs.size() == array.rank());
     std::string acc;
     for (std::size_t d = 0; d < subs.size(); ++d) {
-      const std::string s = "(" + subs[d].to_string(stmt_names) + ")";
+      const std::string s = concat("(", subs[d].to_string(stmt_names), ")");
       if (d == 0) {
         acc = s;
       } else {
@@ -176,7 +176,7 @@ class CEmitter {
         for (const AstPtr& c : n.children) emit_node(*c, depth);
         break;
       case AstNode::Kind::kLoop: {
-        const std::string t = "t" + std::to_string(n.t_index);
+        const std::string t = concat("t", std::to_string(n.t_index));
         if (options_.openmp && n.mark_parallel) {
           os_ << indent(depth) << "#pragma omp parallel for";
           // OpenMP 4.5 array-section reductions over the flattened
@@ -185,7 +185,7 @@ class CEmitter {
             const ir::Array& arr = scop_.array(rc.array_id);
             std::vector<std::string> extents;
             for (const auto& e : arr.extents)
-              extents.push_back("(" + e.to_string() + ")");
+              extents.push_back(concat("(", e.to_string(), ")"));
             os_ << " reduction(" << ir::to_string(rc.op) << ":a"
                 << rc.array_id << "[0:" << join(extents, " * ") << "])";
           }
@@ -204,7 +204,7 @@ class CEmitter {
         std::size_t d = depth + 1;
         std::vector<std::string> conds;
         for (const poly::AffineExpr& g : n.guards)
-          conds.push_back("(" + g.to_string(t_names_) + ") >= 0");
+          conds.push_back(concat("(", g.to_string(t_names_), ") >= 0"));
         // Divisibility guards for non-unimodular schedules.
         for (std::size_t k = 0; k < s.dim(); ++k) {
           const i64 den = k < n.iter_denoms.size() ? n.iter_denoms[k] : 1;

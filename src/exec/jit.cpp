@@ -19,6 +19,7 @@
 #include "support/budget.h"
 #include "support/error.h"
 #include "support/metrics.h"
+#include "support/strings.h"
 #include "support/trace.h"
 
 namespace pf::exec {
@@ -47,8 +48,9 @@ std::optional<std::string> find_executable(const std::string& name) {
   std::istringstream dirs(path);
   std::string dir;
   while (std::getline(dirs, dir, ':')) {
-    if (dir.empty()) dir = ".";
-    std::string candidate = dir + "/" + name;
+    // An empty PATH entry names the working directory.
+    const std::string candidate =
+        concat(dir.empty() ? std::string_view(".") : dir, "/", name);
     if (::access(candidate.c_str(), X_OK) == 0) return candidate;
   }
   return std::nullopt;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/strings.h"
+
 namespace pf::ir {
 
 ScopBuilder::ScopBuilder(std::string name, std::vector<std::string> params)
@@ -84,7 +86,7 @@ std::size_t ScopBuilder::stmt(std::size_t array_id,
                "array '" << scop_.array(array_id).name << "' has rank "
                          << scop_.array(array_id).rank() << ", got "
                          << subscripts.size() << " subscripts");
-  if (name.empty()) name = "S" + std::to_string(next_stmt_);
+  if (name.empty()) name = concat("S", std::to_string(next_stmt_));
   ++next_stmt_;
 
   const std::vector<std::string> names = current_names();

@@ -81,11 +81,12 @@ class SimplexSolver {
 
 namespace testing {
 
-/// Test seam for differential tests. While any ExactPathScope is alive,
-/// on any thread, every simplex solve runs on BigInt cells and every
-/// IlpProblem::lexmin ignores its warm start: the solver with neither
-/// shortcut, whose answers the default path must reproduce bit for bit.
-/// Nothing outside tests creates one.
+/// Test seam for differential tests: the pipeline with no shortcut. While
+/// any ExactPathScope is alive, on any thread, every simplex solve runs on
+/// BigInt cells, every IlpProblem::lexmin ignores its warm start and
+/// nothing is memoized (poly::active_memo() is nullptr) -- the reference
+/// whose answers the default path must reproduce bit for bit. Nothing
+/// outside tests creates one.
 class ExactPathScope {
  public:
   ExactPathScope();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/strings.h"
+
 namespace pf::poly {
 
 bool AffineExpr::is_constant() const {
@@ -124,7 +126,7 @@ std::string AffineExpr::to_string(
     const i64 c = coeffs_[i];
     if (c == 0) continue;
     const std::string name =
-        i < names.size() ? names[i] : ("x" + std::to_string(i));
+        i < names.size() ? names[i] : concat("x", std::to_string(i));
     if (first) {
       if (c == -1)
         os << "-";

@@ -37,7 +37,7 @@ bool count_is_memoizable(const MemoTable::Value& v) {
 struct Ctx {
   const CountOptions& opts;
   i64 steps = 0;
-  bool use_cache = false;
+  MemoTable* memo = nullptr;  // active_memo() at the top-level call
 };
 
 // One recursion node: announce the op (fault injection point), spend one
@@ -193,8 +193,9 @@ Count count_set_prefix(const IntegerSet& s, std::size_t prefix, Ctx& ctx) {
   if (s.trivially_empty()) return Count::exact(0);
   if (prefix == 0) return probe_nonempty(s, ctx.opts.ilp);
   if (!step(ctx)) return Count::unknown();
-  if (!ctx.use_cache) return count_set_prefix_uncached(s, prefix, ctx);
+  if (ctx.memo == nullptr) return count_set_prefix_uncached(s, prefix, ctx);
   const MemoTable::Value v = memoize(
+      *ctx.memo,
       {kCountDomain, canonical_key(static_cast<i64>(prefix),
                                    ctx.opts.ilp.node_cap, s.dims(),
                                    s.constraints())},
@@ -393,8 +394,7 @@ template <typename Fn>
 Count count_top_level(const CountOptions& options, Fn&& fn) {
   support::count(support::Counter::kCountSolves);
   const auto t0 = std::chrono::steady_clock::now();
-  Ctx ctx{options, 0,
-          solve_cache_enabled() && !support::budget_limited()};
+  Ctx ctx{options, 0, active_memo()};
   Count result = Count::unknown();
   try {
     result = fn(ctx);

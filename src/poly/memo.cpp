@@ -4,6 +4,8 @@
 #include <functional>
 #include <utility>
 
+#include "lp/simplex.h"
+#include "support/budget.h"
 #include "support/context.h"
 
 namespace pf::poly {
@@ -66,14 +68,12 @@ void MemoTable::clear() {
   }
 }
 
-MemoTable& process_memo() {
-  static auto* table = new MemoTable();  // never destroyed: usable at exit
-  return *table;
-}
-
-MemoTable& current_memo() {
+MemoTable* active_memo() {
   MemoTable* memo = support::current_context().memo;
-  return memo != nullptr ? *memo : process_memo();
+  if (memo == nullptr || support::budget_limited() ||
+      lp::testing::exact_path_forced())
+    return nullptr;
+  return memo;
 }
 
 std::vector<const Constraint*> canonical_order(

@@ -5,10 +5,10 @@
 // to at most two i64, stored inline, so a hit allocates nothing. Domains
 // are the persistent store's ("solve", "count"; support/diskcache), which
 // sits under the table with the same keys. Keys compare full content (the
-// hash only picks shard and bucket), so a hit is always exact. The same
-// type serves the process-wide default and each request's table
-// (SolveCacheScope), which the request context (support/context.h) carries
-// into pool workers.
+// hash only picks shard and bucket), so a hit is always exact. Each table
+// belongs to one request (SolveCacheScope), and the request context
+// (support/context.h) carries it into pool workers. Outside a request
+// nothing is memoized: there is no process-wide table.
 //
 // Each key is computed at most once per table: a thread that misses claims
 // the key, and threads asking for a claimed key wait for its value instead
@@ -78,10 +78,12 @@ class MemoTable {
   std::array<Shard, 16> shards_;
 };
 
-/// The process-wide table: what memoization uses outside any request scope.
-MemoTable& process_memo();
-/// The calling thread's table: its request's, else process_memo().
-MemoTable& current_memo();
+/// The one memo gate: the calling thread's request table, or nullptr --
+/// memoize nothing -- outside a request scope (SolveCacheScope), under a
+/// limiting budget (a hit would skip charged work and a degraded answer
+/// must never be kept as exact), and while an lp::testing::ExactPathScope
+/// is alive (the reference path has no shortcut).
+MemoTable* active_memo();
 
 /// The rows of `constraints` sorted by (is_equality, constant,
 /// coefficients). Solving in this order makes a solve's work independent
@@ -96,15 +98,15 @@ std::vector<const Constraint*> canonical_order(
 std::vector<i64> canonical_key(i64 tag, long node_cap, std::size_t dims,
                                const std::vector<Constraint>& constraints);
 
-/// The memoized value of `key` in current_memo(). A hit counts `hit`. A
-/// miss counts `miss`, then takes the persistent store's entry or
+/// The memoized value of `key` in `table` (active_memo()). A hit counts
+/// `hit`. A miss counts `miss`, then takes the persistent store's entry or
 /// compute()s the value and commits it to both layers -- unless `keep`
 /// rejects it, in which case it is returned unmemoized.
 template <typename Compute>
-MemoTable::Value memoize(const MemoTable::Key& key, support::Counter hit,
-                         support::Counter miss, Compute&& compute,
+MemoTable::Value memoize(MemoTable& table, const MemoTable::Key& key,
+                         support::Counter hit, support::Counter miss,
+                         Compute&& compute,
                          bool (*keep)(const MemoTable::Value&) = nullptr) {
-  MemoTable& table = current_memo();
   MemoTable::Value value{};
   if (table.find_or_claim(key, &value)) {
     support::count(hit);

@@ -1,7 +1,6 @@
 #include "poly/set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -18,8 +17,6 @@ namespace pf::poly {
 namespace {
 
 enum class SolveOp : i64 { kIsEmpty = 1, kMin = 2 };
-
-std::atomic<bool> g_solve_cache_enabled{true};
 
 // Memo-table and persistent-store domain of solve results. Value layouts:
 // kIsEmpty {empty, 0}; kMin {kind, value}.
@@ -39,17 +36,8 @@ MemoTable::Key solve_key(SolveOp op, std::size_t dims,
 
 }  // namespace
 
-void set_solve_cache_enabled(bool enabled) {
-  g_solve_cache_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool solve_cache_enabled() {
-  return g_solve_cache_enabled.load(std::memory_order_relaxed);
-}
-
 void clear_solve_cache() {
-  current_memo().clear();
-  process_memo().clear();
+  if (MemoTable* memo = support::current_context().memo) memo->clear();
 }
 
 SolveCacheScope::SolveCacheScope() : table_(std::make_unique<MemoTable>()) {
@@ -131,22 +119,21 @@ bool IntegerSet::is_empty(const lp::IlpOptions& options) const {
   // A constraint-free set is the universe (even zero-dimensional, where
   // the single point is the empty tuple) -- never empty, no ILP needed.
   if (constraints_.empty()) return false;
-  if (support::budget_limited()) {
-    // Budgeted solves bypass the cache entirely: a hit would skip the ILP
-    // work and make fuel consumption depend on what other threads cached,
-    // and a degraded answer must never be memoized as exact.
+  MemoTable* memo = active_memo();
+  if (memo == nullptr) {
     try {
       return to_ilp().proven_empty(options);
     } catch (const support::BudgetExceeded&) {
-      // Conservative recovery: not *proven* empty, so report non-empty.
-      // Callers treat the set as holding a dependence, which can only
-      // constrain schedules further (sound over-approximation).
+      // Budgeted solves are never memoized (a degraded answer must not be
+      // kept as exact). Conservative recovery: not *proven* empty, so
+      // report non-empty. Callers treat the set as holding a dependence,
+      // which can only constrain schedules further (sound
+      // over-approximation).
       return false;
     }
   }
-  if (!solve_cache_enabled()) return to_ilp().proven_empty(options);
-
   const MemoTable::Value v = memoize(
+      *memo,
       solve_key(SolveOp::kIsEmpty, dims_, constraints_, nullptr,
                 options.node_cap),
       support::Counter::kSolveCacheHits, support::Counter::kSolveCacheMisses,
@@ -180,19 +167,18 @@ IntegerSet::Opt IntegerSet::integer_min(const AffineExpr& e,
                                         const lp::IlpOptions& options) const {
   PF_CHECK(e.dims() == dims_);
   if (trivially_empty_) return Opt{Opt::kEmpty, 0};
-  if (support::budget_limited()) {
-    // Same cache bypass + conservative recovery as is_empty: an
-    // inconclusive minimum degrades to kUnknown, which every caller
-    // treats pessimistically.
+  MemoTable* memo = active_memo();
+  if (memo == nullptr) {
+    // Same conservative recovery as is_empty: an inconclusive minimum
+    // degrades to kUnknown, which every caller treats pessimistically.
     try {
       return integer_min_uncached(e, options);
     } catch (const support::BudgetExceeded&) {
       return Opt{Opt::kUnknown, 0};
     }
   }
-  if (!solve_cache_enabled()) return integer_min_uncached(e, options);
-
   const MemoTable::Value v = memoize(
+      *memo,
       solve_key(SolveOp::kMin, dims_, constraints_, &e, options.node_cap),
       support::Counter::kSolveCacheHits, support::Counter::kSolveCacheMisses,
       [&] {

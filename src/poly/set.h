@@ -11,8 +11,9 @@
 //    safe choice for loop-bound generation),
 //  * LP-based redundant-constraint removal (keeps emitted bounds tidy).
 //
-// Solve cache. is_empty / integer_min / integer_max are memoized in the
-// request's memo table (poly/memo.h), keyed by the canonical
+// Solve cache. Inside a request (SolveCacheScope), is_empty /
+// integer_min / integer_max are memoized in the request's memo table
+// (poly/memo.h), keyed by the canonical
 // (gcd-normalized, sorted) constraint system plus the objective and the
 // ILP node cap; point counts (poly/count.h) share the same table under
 // their own domain. The Pluto level loop and FME redundancy elimination
@@ -24,8 +25,9 @@
 // When support/diskcache is configured, an in-memory miss additionally
 // consults the persistent on-disk store (domain "solve"), and computed
 // results are committed there, so solve work survives process restarts.
-// Budget-limited solves bypass both layers (see is_empty below), and the
-// disk layer's run-id guard keeps its hits deterministic within one run.
+// Whatever poly::active_memo() turns away -- no request scope, a limiting
+// budget, the exact reference path -- bypasses both layers, and the disk
+// layer's run-id guard keeps its hits deterministic within one run.
 #pragma once
 
 #include <memory>
@@ -40,20 +42,18 @@ namespace pf::poly {
 
 class MemoTable;
 
-/// Enable/disable the polyhedral solve and count caches (default on).
-void set_solve_cache_enabled(bool enabled);
-bool solve_cache_enabled();
-/// Drop every memoized solve and count (e.g. between bench repetitions):
-/// the process-wide table and the calling thread's request table, if any.
+/// Drop every memoized solve and count of the calling thread's request
+/// table, if it has one.
 void clear_solve_cache();
 
 /// RAII: give the calling thread's request its own memo table for solves
-/// and counts until the scope dies; pool tasks it submits share it. The
-/// batch driver wraps each compile request in one so (a) a request's
-/// cache metrics depend only on its own work -- never on what a
-/// concurrently running sibling memoized first -- and (b) a long batch's
-/// memoization footprint is freed request by request instead of
-/// accumulating for the process lifetime. The persistent on-disk cache
+/// and counts until the scope dies; pool tasks it submits share it. It is
+/// the one memo gate (poly::active_memo): without a live scope nothing is
+/// memoized, the scheduler's Farkas systems included. cli::run_request wraps every request in
+/// one, so (a) a request's cache metrics depend only on its own work --
+/// never on what a concurrently running sibling memoized first -- and
+/// (b) memoization is freed request by request instead of accumulating
+/// for the process lifetime. The persistent on-disk cache
 /// (support/diskcache) is still consulted on misses: its run-id guard
 /// makes disk hits a property of the directory state at startup, which
 /// keeps them deterministic at any --jobs. Scopes nest; the previous

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "poly/memo.h"
 #include "sched/analysis.h"
 #include "sched/farkas.h"
 #include "support/budget.h"
@@ -356,9 +357,9 @@ class Scheduler {
       dst_base = d.dst == d.src ? src_base : add_block(d.dst, d.dst_dim);
     }
 
-    // Budgeted runs and --no-solve-cache bypass the memo, as they bypass
-    // every other cache: fuel and --inject ordinals stay per build.
-    const bool memo = !support::budget_limited() && poly::solve_cache_enabled();
+    // The memo follows the one memo gate (poly::active_memo): budgeted
+    // runs bypass it, so fuel and --inject ordinals stay per build.
+    const bool memo = poly::active_memo() != nullptr;
     std::vector<i64> key;
     const std::vector<poly::Constraint>* local = nullptr;
     if (memo) {

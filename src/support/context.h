@@ -32,7 +32,7 @@ class Tracer;
 struct Context {
   Budget* budget = nullptr;            // nullptr: unlimited
   MetricsRegistry* metrics = nullptr;  // nullptr: global_metrics()
-  poly::MemoTable* memo = nullptr;     // nullptr: poly::process_memo()
+  poly::MemoTable* memo = nullptr;     // nullptr: nothing is memoized
   Tracer* tracer = nullptr;            // nullptr: spans and remarks off;
                                        // events reach only the flight
                                        // recorder

@@ -45,18 +45,43 @@ void back_substitute(RatMatrix& m, const std::vector<std::size_t>& pivot_cols) {
   }
 }
 
+// Convert an integer matrix to rationals.
+RatMatrix to_rational(const IntMatrix& m) {
+  RatMatrix r(m.rows(), m.cols());
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j) r(i, j) = Rational(m(i, j));
+  return r;
+}
+
+// Scale a rational vector to primitive integers: clear denominators,
+// divide by the gcd. A zero vector stays zero.
+IntVector to_integer_row(const RatVector& v) {
+  i64 l = 1;
+  for (const Rational& x : v) l = lcm(l, x.den());
+  IntVector out(v.size());
+  i64 g = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = checked_mul(v[i].num(), l / v[i].den());
+    g = gcd(g, out[i]);
+  }
+  if (g > 1)
+    for (i64& x : out) x /= g;
+  return out;
+}
+
+// to_integer_row on each row.
+IntMatrix to_integer_rows(const RatMatrix& m) {
+  IntMatrix out;
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    out.append_row(to_integer_row(m.row(r)));
+  return out;
+}
+
 }  // namespace
 
 std::size_t rank(const RatMatrix& m) {
   RatMatrix work = m;
   return echelonize(work).size();
-}
-
-RatMatrix rref(const RatMatrix& m) {
-  RatMatrix work = m;
-  const auto pivots = echelonize(work);
-  back_substitute(work, pivots);
-  return work;
 }
 
 RatMatrix null_space(const RatMatrix& m) {
@@ -100,76 +125,6 @@ std::optional<RatMatrix> invert(const RatMatrix& m) {
   return inv;
 }
 
-std::optional<RatVector> solve(const RatMatrix& a, const RatVector& b) {
-  PF_CHECK(a.rows() == b.size());
-  RatMatrix aug(a.rows(), a.cols() + 1);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) aug(r, c) = a(r, c);
-    aug(r, a.cols()) = b[r];
-  }
-  const auto pivots = echelonize(aug);
-  // Inconsistent if a pivot landed in the augmented column.
-  if (!pivots.empty() && pivots.back() == a.cols()) return std::nullopt;
-  back_substitute(aug, pivots);
-  RatVector x(a.cols(), Rational(0));
-  for (std::size_t p = 0; p < pivots.size(); ++p)
-    x[pivots[p]] = aug(p, a.cols());
-  return x;
-}
-
-Rational determinant(const RatMatrix& m) {
-  PF_CHECK_MSG(m.rows() == m.cols(), "determinant of non-square matrix");
-  RatMatrix work = m;
-  Rational det(1);
-  const std::size_t n = work.rows();
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t sel = col;
-    while (sel < n && work(sel, col).is_zero()) ++sel;
-    if (sel == n) return Rational(0);
-    if (sel != col) {
-      work.swap_rows(col, sel);
-      det = -det;
-    }
-    det *= work(col, col);
-    const Rational inv = work(col, col).reciprocal();
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (work(r, col).is_zero()) continue;
-      const Rational factor = work(r, col) * inv;
-      for (std::size_t c = col; c < n; ++c)
-        work(r, c) -= factor * work(col, c);
-    }
-  }
-  return det;
-}
-
-RatMatrix to_rational(const IntMatrix& m) {
-  RatMatrix r(m.rows(), m.cols());
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j) r(i, j) = Rational(m(i, j));
-  return r;
-}
-
-IntVector to_integer_row(const RatVector& v) {
-  i64 l = 1;
-  for (const Rational& x : v) l = lcm(l, x.den());
-  IntVector out(v.size());
-  i64 g = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = checked_mul(v[i].num(), l / v[i].den());
-    g = gcd(g, out[i]);
-  }
-  if (g > 1)
-    for (i64& x : out) x /= g;
-  return out;
-}
-
-IntMatrix to_integer_rows(const RatMatrix& m) {
-  IntMatrix out;
-  for (std::size_t r = 0; r < m.rows(); ++r)
-    out.append_row(to_integer_row(m.row(r)));
-  return out;
-}
-
 IntMatrix orthogonal_complement_rows(const IntMatrix& h) {
   if (h.rows() == 0) {
     // Nothing found yet: the complement is all of Z^n.
@@ -180,21 +135,6 @@ IntMatrix orthogonal_complement_rows(const IntMatrix& h) {
   const RatMatrix basis = null_space(to_rational(h));
   if (basis.rows() == 0) return IntMatrix();
   return to_integer_rows(basis);
-}
-
-i64 dot(const IntVector& a, const IntVector& b) {
-  PF_CHECK(a.size() == b.size());
-  i128 acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    acc += static_cast<i128>(a[i]) * static_cast<i128>(b[i]);
-  return narrow_i128(acc);
-}
-
-Rational dot(const RatVector& a, const RatVector& b) {
-  PF_CHECK(a.size() == b.size());
-  Rational acc(0);
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 }  // namespace pf

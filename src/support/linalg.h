@@ -1,11 +1,11 @@
 // Exact rational/integer linear algebra on small dense matrices.
 //
-// These routines back three consumers:
-//  * the Pluto scheduler's linear-independence machinery (null spaces,
-//    orthogonal complements of found hyperplane rows),
-//  * code generation (inversion of a statement's unimodular schedule to
-//    recover original iterators from transformed ones),
-//  * general utility (rank/solve) in tests and analyses.
+// These routines back two consumers:
+//  * code generation (rank, to drop dependent schedule rows, and
+//    inversion of a statement's schedule to recover original iterators
+//    from transformed ones),
+//  * the Pluto scheduler's linear-independence machinery (orthogonal
+//    complements of found hyperplane rows, through null spaces).
 #pragma once
 
 #include <optional>
@@ -24,9 +24,6 @@ using IntVector = std::vector<i64>;
 /// Rank of a rational matrix (Gaussian elimination).
 std::size_t rank(const RatMatrix& m);
 
-/// Reduced row echelon form.
-RatMatrix rref(const RatMatrix& m);
-
 /// Basis of the (right) null space {x : m * x = 0}; each row of the result
 /// is one basis vector of length m.cols(). Empty matrix if the null space
 /// is trivial.
@@ -35,24 +32,6 @@ RatMatrix null_space(const RatMatrix& m);
 /// Inverse of a square rational matrix, or nullopt if singular.
 std::optional<RatMatrix> invert(const RatMatrix& m);
 
-/// One solution x of A x = b, or nullopt if inconsistent. If the system is
-/// underdetermined, free variables are set to zero.
-std::optional<RatVector> solve(const RatMatrix& a, const RatVector& b);
-
-/// Determinant of a square rational matrix.
-Rational determinant(const RatMatrix& m);
-
-/// Convert an integer matrix to rationals.
-RatMatrix to_rational(const IntMatrix& m);
-
-/// Scale each row to the smallest integer multiple (clear denominators,
-/// divide by row gcd). Zero rows stay zero.
-IntMatrix to_integer_rows(const RatMatrix& m);
-
-/// Scale a rational vector to primitive integers (same reduction as
-/// to_integer_rows on a single row).
-IntVector to_integer_row(const RatVector& v);
-
 /// Rows spanning the orthogonal complement of the row space of `h`
 /// (h need not be full rank; duplicate/dependent rows are tolerated).
 /// Result rows are primitive integer vectors; empty if h spans everything.
@@ -60,9 +39,5 @@ IntVector to_integer_row(const RatVector& v);
 /// This is Pluto's H* = I - H^T (H H^T)^-1 H construction, computed here
 /// as the null space of H (equivalent row space).
 IntMatrix orthogonal_complement_rows(const IntMatrix& h);
-
-/// Dot product with overflow checking.
-i64 dot(const IntVector& a, const IntVector& b);
-Rational dot(const RatVector& a, const RatVector& b);
 
 }  // namespace pf

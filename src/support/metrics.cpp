@@ -110,14 +110,6 @@ const char* to_string(Counter c) {
       return "diskcache_corrupt_quarantined";
     case Counter::kDiskCacheEvictions:
       return "diskcache_evictions";
-    case Counter::kBatchRequestsOk:
-      return "batch_requests_ok";
-    case Counter::kBatchRequestsDegraded:
-      return "batch_requests_degraded";
-    case Counter::kBatchRequestsRetried:
-      return "batch_requests_retried";
-    case Counter::kBatchRequestsFailed:
-      return "batch_requests_failed";
     case Counter::kSchedOrientationSkips:
       return "sched_orientation_skips";
     case Counter::kRedundancyLps:

@@ -96,10 +96,6 @@ enum class Counter : std::size_t {
   kDiskCacheWrites,       // entries committed to disk (temp-file + rename)
   kDiskCacheCorrupt,      // corrupted entries quarantined on read
   kDiskCacheEvictions,    // entries removed by the size-cap LRU sweep
-  kBatchRequestsOk,       // batch requests that completed clean
-  kBatchRequestsDegraded,  // batch requests that completed degraded
-  kBatchRequestsRetried,  // batch requests that needed a retry to complete
-  kBatchRequestsFailed,   // batch requests that failed every attempt
   kSchedOrientationSkips,  // independence-orientation enumerations skipped
                            // (LP certificate: every orientation infeasible)
   kRedundancyLps,        // LPs solved by IntegerSet::remove_redundant

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/intmath.h"
@@ -14,6 +15,22 @@ namespace pf {
 /// range-checked. Returns nullopt on empty/garbage/trailing text/overflow.
 /// Shared by checked CLI option parsing and the POLYFUSE_* env equivalents.
 std::optional<i64> parse_i64(const std::string& text);
+
+/// Concatenate string pieces (literals, std::string, string_view) into
+/// one string, sized once. Use it instead of `"lit" + std::string&&`:
+/// with that operator, GCC 12's Release build inlines libstdc++'s
+/// insert-at-front and warns -Wrestrict (a false positive) -- and the
+/// Release build is held warning-free.
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+  const std::string_view views[] = {std::string_view(parts)...};
+  std::size_t size = 0;
+  for (const std::string_view v : views) size += v.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view v : views) out.append(v);
+  return out;
+}
 
 /// Join elements with a separator; each element is converted with
 /// std::to_string unless it already is a string.

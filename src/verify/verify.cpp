@@ -4,6 +4,7 @@
 
 #include "support/budget.h"
 #include "support/metrics.h"
+#include "support/strings.h"
 #include "support/trace.h"
 #include "verify/internal.h"
 
@@ -70,7 +71,7 @@ std::string Finding::to_string(const ir::Scop* scop) const {
   auto stmt_name = [&](std::size_t s) {
     if (scop != nullptr && s < scop->num_statements())
       return scop->statement(s).name();
-    return s == SIZE_MAX ? std::string("?") : "#" + std::to_string(s);
+    return s == SIZE_MAX ? std::string("?") : concat("#", std::to_string(s));
   };
   std::ostringstream os;
   os << verify::to_string(kind) << ": ";

@@ -550,6 +550,7 @@ TEST(Locality, TceCountStepsIndependentOfN) {
   const suite::Benchmark& b = suite::benchmark("tce");
   const ir::Scop scop = suite::parse(b);
   const ddg::DependenceGraph dg = ddg::DependenceGraph::analyze(scop);
+  poly::SolveCacheScope cache;
   auto& stats = support::current_metrics();
   auto steps_at = [&](i64 n) {
     poly::clear_solve_cache();

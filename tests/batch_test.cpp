@@ -1,7 +1,7 @@
 // Integration tests for the crash-safe batch driver and the persistent
 // disk cache, against the real binary (tools/batch.cpp, docs/service.md):
 // directory and manifest ingestion, jobs-invariant byte-identical
-// reports, warm-vs-cold cache identity, retry-with-backoff, fork-isolated
+// reports, warm-vs-cold cache identity, one run per request, fork-isolated
 // crash containment, cache-corruption immunity, and the env knobs.
 #include <gtest/gtest.h>
 
@@ -76,7 +76,7 @@ TEST_F(BatchTest, DirectoryBatchCompilesEverything) {
                           path("r.json").string());
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const std::string report = slurp(path("r.json"));
-  EXPECT_NE(report.find("\"schema\": \"polyfuse-batch-report-v1\""),
+  EXPECT_NE(report.find("\"schema\": \"polyfuse-batch-report-v2\""),
             std::string::npos);
   EXPECT_NE(report.find("\"total\": 3, \"ok\": 3"), std::string::npos);
   for (const char* stem : {"pipeline", "matmul", "dotprod"}) {
@@ -197,33 +197,56 @@ TEST_F(BatchTest, CorruptedCacheNeverAltersOutput) {
       << "corrupted cache entries must never alter emitted output";
 }
 
-TEST_F(BatchTest, TransientFaultIsRetried) {
-  const CmdResult r = run("--batch=" + in() + " --batch-out=" +
-                          path("out").string() + " --batch-report=" +
-                          path("r.json").string() +
-                          " --inject=batch.request:fail-after=1");
-  EXPECT_EQ(r.exit_code, 0) << r.err;
-  const std::string report = slurp(path("r.json"));
-  EXPECT_NE(report.find("\"status\": \"retried\""), std::string::npos);
-  EXPECT_NE(report.find("\"attempts\": 2"), std::string::npos);
-  EXPECT_NE(report.find("\"retried\": 1"), std::string::npos);
-  EXPECT_NE(report.find("\"failed\": 0"), std::string::npos);
+// Each request runs exactly once: a parse error and an injected fault are
+// two failed entries, in both executors, with nothing retried.
+TEST_F(BatchTest, FailedRequestsRunOnce) {
+  {
+    // Sorts first, so the injected fault hits dotprod (request #1).
+    std::ofstream bad(path("in") / "broken.pf");
+    bad << "scop broken(N) { this is not a program";
+  }
+  for (const char* mode : {"", " --batch-isolate"}) {
+    SCOPED_TRACE(mode);
+    const CmdResult r = run("--batch=" + in() + " --batch-out=" +
+                            path("out").string() + " --batch-report=" +
+                            path("r.json").string() + mode +
+                            " --inject=batch.request:fail-after=1");
+    EXPECT_EQ(r.exit_code, 3) << r.err;
+    const std::string report = slurp(path("r.json"));
+    EXPECT_NE(report.find("\"schema\": \"polyfuse-batch-report-v2\""),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("\"total\": 4, \"ok\": 2, \"degraded\": 0, "
+                          "\"failed\": 2}"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(report.find("injected fault (batch.request op #1)"),
+              std::string::npos)
+        << report;
+    EXPECT_NE(slurp(path("out") / "broken.err").find("polyfuse: "),
+              std::string::npos);
+    EXPECT_EQ(report.find("attempts"), std::string::npos) << report;
+    EXPECT_EQ(report.find("retried"), std::string::npos) << report;
+  }
 }
 
-TEST_F(BatchTest, RetriesExhaustedReportsFailed) {
-  // --batch-retries=0: the injected transient fault is terminal.
+// Every request's --stats carries the request's own gauges: one inner
+// worker and the tracer's event cap.
+TEST_F(BatchTest, RequestStatsCarryGauges) {
   const CmdResult r = run("--batch=" + in() + " --batch-out=" +
                           path("out").string() + " --batch-report=" +
                           path("r.json").string() +
-                          " --batch-retries=0"
-                          " --inject=batch.request:fail-after=1");
-  EXPECT_EQ(r.exit_code, 3);
-  const std::string report = slurp(path("r.json"));
-  EXPECT_NE(report.find("\"status\": \"failed\""), std::string::npos);
-  EXPECT_NE(report.find("injected transient fault"), std::string::npos);
-  EXPECT_NE(report.find("\"failed\": 1"), std::string::npos);
-  // The two healthy requests still completed.
-  EXPECT_NE(report.find("\"ok\": 2"), std::string::npos);
+                          " --jobs=2 --stats --emit=sched");
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  for (const char* stem : {"dotprod", "matmul", "pipeline"}) {
+    const std::string err = slurp(path("out") / (std::string(stem) + ".err"));
+    EXPECT_NE(err.find("gauge jobs_configured = 1\n"), std::string::npos)
+        << stem << "\n" << err;
+    EXPECT_NE(err.find("gauge trace_event_cap = "), std::string::npos)
+        << stem << "\n" << err;
+    EXPECT_NE(err.find("gauge flightrec_threads = "), std::string::npos)
+        << stem << "\n" << err;
+  }
 }
 
 TEST_F(BatchTest, IsolatedCrashIsContained) {
@@ -342,12 +365,9 @@ TEST_F(BatchTest, EnvKnobsApplyAndValidate) {
   EXPECT_FALSE(fs::is_empty(path("envcache")));
 
   // Garbage numeric env values are a hard usage error, not silently 0.
-  const CmdResult bad1 =
-      run("--batch=" + in(), "POLYFUSE_BATCH_RETRIES=banana");
-  EXPECT_EQ(bad1.exit_code, 2);
-  const CmdResult bad2 = run((fs::path(in()) / "pipeline.pf").string(),
-                             "POLYFUSE_CACHE_MAX_MB=-5");
-  EXPECT_EQ(bad2.exit_code, 2);
+  const CmdResult bad = run((fs::path(in()) / "pipeline.pf").string(),
+                            "POLYFUSE_CACHE_MAX_MB=-5");
+  EXPECT_EQ(bad.exit_code, 2);
 }
 
 TEST_F(BatchTest, FlagValidation) {

@@ -2,8 +2,6 @@
 // binary; path injected by CMake).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +10,7 @@
 
 #include "cli_modes.h"
 #include "json_check.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -24,11 +23,10 @@ struct CmdResult {
   std::string output;  // stdout + stderr
 };
 
-// ctest -j runs many cli_test processes concurrently against the same
-// TempDir, so every temp filename must be unique per process.
+// ctest -j runs many cli_test processes concurrently: each writes into
+// its own scratch directory (temp_dir.h).
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "cli_" +
-         std::to_string(::getpid()) + "_" + name;
+  return pf::testtmp::path(name);
 }
 
 std::string slurp(const std::string& path) {
@@ -55,10 +53,12 @@ struct SplitResult {
 
 // Like run_cli but keeps stdout and stderr apart, so stderr-only channels
 // (--explain) can be validated without the emitted program mixed in.
-SplitResult run_cli_split(const std::string& args) {
+SplitResult run_cli_split(const std::string& args,
+                          const std::string& env = "") {
   const std::string out_file = temp_path("stdout");
   const std::string err_file = temp_path("stderr");
-  const std::string cmd = std::string(POLYFUSE_CLI_PATH) + " " + args + " > " +
+  const std::string cmd = (env.empty() ? "" : env + " ") +
+                          std::string(POLYFUSE_CLI_PATH) + " " + args + " > " +
                           out_file + " 2> " + err_file;
   const int rc = std::system(cmd.c_str());
   return SplitResult{WEXITSTATUS(rc), slurp(out_file), slurp(err_file)};
@@ -196,11 +196,18 @@ TEST(Cli, FastlaneProducesByteIdenticalOutput) {
 }
 
 TEST(Cli, NoFastlaneFlagIsAUsageError) {
-  // The solver has one production path and no switch to pick another.
+  // Removed switches are unknown options: the solver has one production
+  // path, only a request scope memoizes, and a batch request runs once.
   const std::string path = write_program("p.pf", kPipeline);
-  const CmdResult r = run_cli("--no-fastlane " + path);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  for (const char* flag :
+       {"--no-fastlane", "--no-solve-cache", "--batch-retries=1"}) {
+    const CmdResult r = run_cli(std::string(flag) + " " + path);
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown option '" + std::string(flag) + "'"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
 }
 
 TEST(Cli, FastlaneCountersAppearInStats) {
@@ -234,14 +241,6 @@ TEST(Cli, StatsReportShowsSolverWork) {
   EXPECT_EQ(j.exit_code, 0) << j.output;
   EXPECT_NE(j.output.find("\"counters\""), std::string::npos);
   EXPECT_NE(j.output.find("\"phase_seconds\""), std::string::npos);
-
-  // With the cache disabled, the hit/miss counters stay zero.
-  const CmdResult n = run_cli("--stats --no-solve-cache --emit=c " + path);
-  EXPECT_EQ(n.exit_code, 0) << n.output;
-  EXPECT_NE(n.output.find("solve_cache_hits = 0\n"), std::string::npos)
-      << n.output;
-  EXPECT_NE(n.output.find("solve_cache_misses = 0\n"), std::string::npos)
-      << n.output;
 }
 
 TEST(Cli, TraceAndExplainEmitWellFormedJson) {
@@ -403,8 +402,10 @@ TEST(Cli, LintStrictCatchesInjectedBugs) {
   };
   for (const Case& c : cases) {
     const std::string path = write_program(c.name, c.text);
+    // A strict failure dumps a diagnostic; keep it in the scratch dir.
     const SplitResult strict =
-        run_cli_split("--lint=strict --emit=sched " + path);
+        run_cli_split("--lint=strict --emit=sched " + path,
+                      "POLYFUSE_DIAG_DIR=" + pf::testtmp::dir());
     EXPECT_EQ(strict.exit_code, 1) << c.name << ":\n" << strict.err;
     EXPECT_NE(strict.err.find(c.expect), std::string::npos)
         << c.name << ":\n" << strict.err;

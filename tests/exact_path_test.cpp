@@ -1,16 +1,13 @@
 // The exact-path differential: every paper program, under all five fusion
 // models, goes through the CLI's request pipeline (tools/driver.h) twice
 // in one process -- on the default path, and under
-// lp::testing::ExactPathScope, where every simplex solve runs on the
-// kernel's BigInt cells and no lexmin takes a warm start. The
-// --emit=sched schedule, the emitted C and the --analyze=json report must
-// be byte-identical. The POLYFUSE_JOBS environment of the ctest run sets
-// the worker count of both runs.
+// lp::testing::ExactPathScope, the pipeline with no shortcut: every
+// simplex solve runs on the kernel's BigInt cells, no lexmin takes a warm
+// start and nothing is memoized. The --emit=sched schedule, the emitted C
+// and the --analyze=json report must be byte-identical. The POLYFUSE_JOBS
+// environment of the ctest run sets the worker count of both runs.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,14 +16,9 @@
 #include "driver.h"
 #include "lp/simplex.h"
 #include "suite/suite.h"
+#include "temp_dir.h"
 
 namespace {
-
-// ctest -j runs one process per case, so temp names carry the pid.
-std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "exact_path_" +
-         std::to_string(::getpid()) + "_" + name;
-}
 
 std::vector<std::string> suite_names() {
   std::vector<std::string> names;
@@ -46,6 +38,7 @@ struct Outputs {
   long long fastlane_solves = -1;
   long long simplex_pivots = -1;
   long long warm_starts = -1;  // accepted plus rejected warm-start points
+  long long memo_uses = -1;    // hits and misses of every memo
 };
 
 // One request's stdout; its stderr goes to `err`.
@@ -65,16 +58,16 @@ long long counter(const std::string& stats_json, const std::string& name) {
 }
 
 Outputs run_model(const std::string& input, const char* model) {
-  pf::cli::Options o;
+  pf::cli::Options o;  // --emit=c
   o.input = input;
   o.model = model;
-  Outputs got;
-  std::string err;
-  o.emit = "sched";
-  got.sched = run(o, &err);
-  o.emit = "c";
+  pf::cli::Options sched = o;
+  sched.emit = "sched";
   o.analyze = o.analyze_json = true;
   o.stats = o.stats_json = true;
+  Outputs got;
+  std::string err;
+  got.sched = run(sched, &err);
   got.c = run(o, &err);
   // stderr holds the report, then the one-line --stats=json object.
   const std::size_t stats_at = err.rfind('\n', err.size() - 2) + 1;
@@ -84,6 +77,14 @@ Outputs run_model(const std::string& input, const char* model) {
   got.simplex_pivots = counter(stats, "simplex_pivots");
   got.warm_starts = counter(stats, "fastlane_warm_hits") +
                     counter(stats, "fastlane_warm_misses");
+  got.memo_uses = 0;
+  for (const char* name : {"solve_cache_hits", "solve_cache_misses",
+                           "count_cache_hits", "count_cache_misses",
+                           "farkas_memo_hits"}) {
+    const long long v = counter(stats, name);
+    EXPECT_GE(v, 0) << name << " missing from --stats=json";
+    got.memo_uses += v;
+  }
   return got;
 }
 
@@ -91,7 +92,7 @@ class ExactPath : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ExactPath, SuiteMatchesDefault) {
   const pf::suite::Benchmark& b = pf::suite::benchmark(GetParam());
-  const std::string input = temp_path(b.name + ".pf");
+  const std::string input = pf::testtmp::path(b.name + ".pf");
   std::ofstream(input) << b.source;
   for (const char* model : kModels) {
     const Outputs fast = run_model(input, model);
@@ -105,14 +106,16 @@ TEST_P(ExactPath, SuiteMatchesDefault) {
     EXPECT_EQ(exact.sched, fast.sched) << model;
     EXPECT_EQ(exact.c, fast.c) << model;
     EXPECT_EQ(exact.report, fast.report) << model;
-    // The runs took the two paths: the default one on int64 cells, the
-    // scoped one solving on BigInt cells only and never warm-starting.
+    // The runs took the two paths: the default one on int64 cells with
+    // the memo on, the scoped one solving on BigInt cells only, never
+    // warm-starting and never consulting a memo.
     EXPECT_GT(fast.fastlane_solves, 0) << model;
+    EXPECT_GT(fast.memo_uses, 0) << model;
     EXPECT_EQ(exact.fastlane_solves, 0) << model;
     EXPECT_GT(exact.simplex_pivots, 0) << model;
     EXPECT_EQ(exact.warm_starts, 0) << model;
+    EXPECT_EQ(exact.memo_uses, 0) << model;
   }
-  std::remove(input.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,6 +17,7 @@
 #include "frontend/parser.h"
 #include "sched/analysis.h"
 #include "support/budget.h"
+#include "temp_dir.h"
 
 namespace pf::exec {
 namespace {
@@ -42,8 +43,7 @@ TEST(Jit, CompileErrorIsReported) {
 // Write an executable fake "compiler" script and return its path.
 std::string write_fake_compiler(const std::string& name,
                                 const std::string& body) {
-  const std::string path = std::string(::testing::TempDir()) + "exec_" +
-                           std::to_string(::getpid()) + "_" + name;
+  const std::string path = pf::testtmp::path(name);
   {
     std::ofstream out(path);
     out << "#!/bin/sh\n" << body << "\n";

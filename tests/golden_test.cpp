@@ -7,8 +7,9 @@
 //    tests/golden/c/<program>.c. Codegen prunes loop bounds with
 //    IntegerSet::remove_redundant, so this pins that use of it too;
 //  * FarkasMemo: the scheduler's Farkas-system memo (DESIGN.md "Farkas
-//    systems by dependence shape") changes no schedule, is used on the
-//    default path and is bypassed under a budget.
+//    systems by dependence shape") is used on the default path, and a
+//    budget, which turns the memos off wherever it charges
+//    (poly::active_memo), changes no schedule.
 // Scheduler and solver speedups must leave these files untouched; a
 // deliberate output change re-records them in the same commit.
 //
@@ -16,8 +17,6 @@
 // (tools/ci.sh runs these at one and four workers). The same outputs on
 // the solver's exact path are tests/exact_path_test.cpp.
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "suite/suite.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -34,10 +34,8 @@ namespace {
 #error "POLYFUSE_CLI_PATH must be defined by the build"
 #endif
 
-// ctest -j runs one process per case, so temp names carry the pid.
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "golden_" +
-         std::to_string(::getpid()) + "_" + name;
+  return pf::testtmp::path(name);
 }
 
 std::string slurp(const std::string& path) {
@@ -110,8 +108,13 @@ TEST_P(GoldenC, MatchesRecorded) {
 
 INSTANTIATE_TEST_SUITE_P(Suite, GoldenC, ::testing::ValuesIn(suite_names()));
 
-// --no-solve-cache turns the Farkas memo off with the solve cache: the
-// schedules of all five models must be the memoized run's, byte for byte.
+// A budget that never binds turns the Farkas memo off together with the
+// charged solves' memo, and nothing else: the schedules of all five
+// models must be the memoized run's, byte for byte. (The exact path,
+// tests/exact_path_test.cpp, turns the memo off together with the int64
+// cells and warm starts.)
+constexpr const char* kNonBindingFuel = " --fuel=1000000000000";
+
 class FarkasMemo : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FarkasMemo, OffMatchesOn) {
@@ -119,7 +122,7 @@ TEST_P(FarkasMemo, OffMatchesOn) {
   for (const char* model : kModels) {
     const std::string args = std::string("--model=") + model;
     const std::string on = run_cli(b, "sched", {args});
-    const std::string off = run_cli(b, "sched", {args + " --no-solve-cache"});
+    const std::string off = run_cli(b, "sched", {args + kNonBindingFuel});
     EXPECT_EQ(off.substr(off.find('\n')), on.substr(on.find('\n')))
         << model;
   }
@@ -157,24 +160,26 @@ TEST(FarkasMemo, SwimWisefuseHits) {
   EXPECT_GT(c["farkas_builds"], 0);
 }
 
-// A budget bypasses the memo, so a fuel limit that never binds spends
-// exactly the fuel of the run with every cache off.
+// A budget bypasses every memo wherever it charges, so fuel and --inject
+// ordinals are spent per build: under a fuel limit that never binds, the
+// Farkas memo serves nothing, and the solve memo serves only the
+// budget-suspended bookkeeping (support::BudgetSuspend), a small part of
+// what it serves in the unbudgeted run.
 TEST(FarkasMemo, BudgetedRunsBypassMemo) {
   const pf::suite::Benchmark& b = pf::suite::benchmark("swim");
-  const std::string fuel = "--model=wisefuse --fuel=1000000000000";
-  auto on = stats_counters(b, fuel);
-  auto off = stats_counters(b, fuel + " --no-solve-cache");
-  EXPECT_EQ(on["farkas_memo_hits"], 0);
-  EXPECT_GT(on["farkas_builds"], 0);
-  EXPECT_EQ(on["budget_exhaustions"], 0);
-  int fuel_counters = 0;
-  for (const auto& [name, value] : on) {
-    if (name.rfind("budget_fuel_", 0) != 0) continue;
-    ++fuel_counters;
-    EXPECT_EQ(value, off[name]) << name;
-  }
-  EXPECT_GT(fuel_counters, 0);
-  EXPECT_GT(on["budget_fuel_fme_project"], 0);
+  auto on = stats_counters(b, "--model=wisefuse");
+  auto fuel = stats_counters(b, std::string("--model=wisefuse") +
+                                    kNonBindingFuel);
+  EXPECT_EQ(fuel["farkas_memo_hits"], 0);
+  EXPECT_EQ(fuel["farkas_builds"],
+            on["farkas_builds"] + on["farkas_memo_hits"]);
+  EXPECT_GT(on["farkas_memo_hits"], 0);
+  const auto solve_memo = [](std::map<std::string, long long>& c) {
+    return c["solve_cache_hits"] + c["solve_cache_misses"];
+  };
+  EXPECT_LT(10 * solve_memo(fuel), solve_memo(on));
+  EXPECT_EQ(fuel["budget_exhaustions"], 0);
+  EXPECT_GT(fuel["budget_fuel_fme_project"], 0);
 }
 
 }  // namespace

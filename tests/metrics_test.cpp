@@ -220,18 +220,19 @@ TEST(RequestContext, PoolTaskJoinsSubmitterRequest) {
   BudgetScope budget_scope(&budget);
   MetricsScope metrics;
   poly::SolveCacheScope cache_scope;
-  poly::MemoTable& table = poly::current_memo();
-  ASSERT_NE(&table, &poly::process_memo());
+  poly::MemoTable* table = poly::active_memo();
+  ASSERT_NE(table, nullptr);
   std::atomic<int> saw_budget{0};
   std::atomic<int> saw_table{0};
   {
     ThreadPool pool(4);
     pool.parallel_for(0, 16, [&](std::size_t i) {
       if (current_budget() != nullptr) ++saw_budget;
-      if (&poly::current_memo() == &table) ++saw_table;
+      if (poly::active_memo() == table) ++saw_table;
       count(Counter::kDepPairsAnalyzed);
       const poly::MemoTable::Key key("test", {static_cast<i64>(i)});
-      poly::memoize(key, Counter::kSolveCacheHits, Counter::kSolveCacheMisses,
+      poly::memoize(*table, key, Counter::kSolveCacheHits,
+                    Counter::kSolveCacheMisses,
                     [i] { return poly::MemoTable::Value{i64(i), 0}; });
     });
   }
@@ -239,7 +240,7 @@ TEST(RequestContext, PoolTaskJoinsSubmitterRequest) {
   EXPECT_EQ(saw_table.load(), 16);
   EXPECT_EQ(metrics.registry().get(Counter::kDepPairsAnalyzed), 16);
   EXPECT_EQ(metrics.registry().get(Counter::kSolveCacheMisses), 16);
-  EXPECT_EQ(table.size(), 16u);
+  EXPECT_EQ(table->size(), 16u);
   // The submitting thread keeps its own budget.
   EXPECT_EQ(current_budget(), &budget);
 }
@@ -249,13 +250,15 @@ TEST(RequestContext, PoolTaskJoinsSubmitterRequest) {
 TEST(RequestContext, MemoTableComputesEachKeyOnce) {
   MetricsScope metrics;
   poly::SolveCacheScope cache_scope;
+  poly::MemoTable& table = *poly::active_memo();
   std::atomic<int> computed{0};
   {
     ThreadPool pool(4);
     pool.parallel_for(0, 64, [&](std::size_t i) {
       const poly::MemoTable::Key key("test", {static_cast<i64>(i % 4)});
       const poly::MemoTable::Value v = poly::memoize(
-          key, Counter::kSolveCacheHits, Counter::kSolveCacheMisses, [&] {
+          table, key, Counter::kSolveCacheHits, Counter::kSolveCacheMisses,
+          [&] {
             ++computed;
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
             return poly::MemoTable::Value{static_cast<i64>(i % 4), 7};

@@ -8,12 +8,14 @@
 
 #include "ddg/dependences.h"
 #include "lp/bigint.h"
+#include "lp/simplex.h"
 #include "poly/affine.h"
 #include "poly/count.h"
 #include "poly/memo.h"
 #include "poly/set.h"
 #include "suite/suite.h"
 #include "support/budget.h"
+#include "support/context.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -399,9 +401,8 @@ TEST(IntegerSet, HashIsOrderIndependent) {
 }
 
 TEST(IntegerSet, SolveCacheHitsRepeatedQueries) {
+  SolveCacheScope cache;  // the memo is on inside a request scope only
   auto& stats = support::current_metrics();
-  ASSERT_TRUE(solve_cache_enabled());
-  clear_solve_cache();
   stats.reset();
 
   // Two structurally identical but distinct sets: the second emptiness
@@ -438,31 +439,50 @@ TEST(IntegerSet, SolveCacheHitsRepeatedQueries) {
   stats.reset();
 }
 
+// The one memo gate (active_memo) turns the memo away outside a request
+// scope, under a limiting budget and on the exact reference path.
 TEST(IntegerSet, SolveCacheCanBeDisabled) {
   auto& stats = support::current_metrics();
-  set_solve_cache_enabled(false);
-  clear_solve_cache();
   stats.reset();
   IntegerSet s(1);
   s.add_constraint(
       Constraint::ge(AffineExpr::var(1, 0), AffineExpr::constant(1, 2)));
   s.add_constraint(
       Constraint::le(AffineExpr::var(1, 0), AffineExpr::constant(1, 1)));
-  EXPECT_TRUE(s.is_empty());
-  EXPECT_TRUE(s.is_empty());
-  EXPECT_EQ(stats.get(support::Counter::kSolveCacheHits), 0);
-  EXPECT_EQ(stats.get(support::Counter::kSolveCacheMisses), 0);
-  set_solve_cache_enabled(true);
+  auto solve_twice = [&] {
+    EXPECT_TRUE(s.is_empty());
+    EXPECT_TRUE(s.is_empty());
+    EXPECT_EQ(stats.get(support::Counter::kSolveCacheHits), 0);
+    EXPECT_EQ(stats.get(support::Counter::kSolveCacheMisses), 0);
+  };
+  EXPECT_EQ(active_memo(), nullptr);
+  solve_twice();
+  {
+    SolveCacheScope cache;
+    ASSERT_NE(active_memo(), nullptr);
+    {
+      support::BudgetSpec spec;
+      spec.fuel = i64{1} << 40;
+      support::Budget budget(spec);
+      support::BudgetScope budget_scope(&budget);
+      EXPECT_EQ(active_memo(), nullptr);
+      solve_twice();
+    }
+    {
+      lp::testing::ExactPathScope exact_path;
+      EXPECT_EQ(active_memo(), nullptr);
+      solve_twice();
+    }
+  }
+  EXPECT_EQ(active_memo(), nullptr);
   stats.reset();
 }
 
 // Request isolation reaches the dependence workers: two identical
 // requests, each under a fresh MetricsScope + SolveCacheScope, do the
 // same solver work at jobs=4 -- the same as at jobs=1, down to every
-// deterministic counter and histogram -- and nothing lands in the
-// process-wide memo table.
+// deterministic counter and histogram -- and no table outlives them.
 TEST(RequestContext, ScopeIsolationCoversDependenceWorkers) {
-  clear_solve_cache();
   for (const char* name : {"swim", "gemver", "applu"}) {
     const ir::Scop scop = suite::parse(suite::benchmark(name));
     i64 ilp_solves = 0;
@@ -482,7 +502,7 @@ TEST(RequestContext, ScopeIsolationCoversDependenceWorkers) {
     EXPECT_EQ(request(4), first) << name;
     EXPECT_EQ(ilp_solves, first_solves) << name;
     EXPECT_EQ(request(1), first) << name;
-    EXPECT_EQ(process_memo().size(), 0u) << name;
+    EXPECT_EQ(support::current_context().memo, nullptr) << name;
   }
 }
 
@@ -858,6 +878,7 @@ TEST(Count, UnionOfBoxesCostIndependentOfExtent) {
     s.add_constraint(Constraint::le(y, AffineExpr::constant(2, hi1)));
     return s;
   };
+  SolveCacheScope cache;
   auto& stats = support::current_metrics();
   auto steps_to_count = [&](i64 n) {
     SetUnion u(2);
@@ -891,6 +912,7 @@ TEST(Count, SeparableCostIndependentOfExtent) {
     }
     return s;
   };
+  SolveCacheScope cache;
   auto& stats = support::current_metrics();
   auto steps_to_count_box = [&](i64 n) {
     clear_solve_cache();  // also drops the count cache

@@ -5,14 +5,13 @@
 // rejected; and unbudgeted runs must match a huge-fuel run exactly.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "json_check.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -21,8 +20,7 @@ namespace {
 #endif
 
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "robust_" +
-         std::to_string(::getpid()) + "_" + name;
+  return pf::testtmp::path(name);
 }
 
 std::string slurp(const std::string& path) {

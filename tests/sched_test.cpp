@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/reductions.h"
 #include "ddg/dependences.h"
 #include "frontend/parser.h"
 #include "fusion/models.h"
+#include "poly/set.h"
 #include "sched/farkas.h"
 #include "sched/pluto.h"
 #include "suite/suite.h"
@@ -488,7 +490,9 @@ TEST(FarkasMemo, SpansMatchCountersAndUnmemoizedBuild) {
     i64 builds = 0, memo_hits = 0;
   };
   auto run = [&](bool memo) {
-    poly::set_solve_cache_enabled(memo);
+    // The memo is on inside a request scope and off outside one.
+    std::optional<poly::SolveCacheScope> cache;
+    if (memo) cache.emplace();
     support::Tracer tracer(/*spans=*/true, /*remarks=*/false);
     support::TracerScope tracer_scope(&tracer);
     support::MetricsScope metrics;
@@ -504,7 +508,6 @@ TEST(FarkasMemo, SpansMatchCountersAndUnmemoizedBuild) {
     }
     out.builds = metrics.registry().get(support::Counter::kFarkasBuilds);
     out.memo_hits = metrics.registry().get(support::Counter::kFarkasMemoHits);
-    poly::set_solve_cache_enabled(true);
     return out;
   };
   const Run on = run(true);
@@ -538,7 +541,8 @@ TEST(FarkasMemo, SharesBuildsExactlyByShape) {
   ASSERT_EQ(dg.deps().size(), 8u);
   std::string schedules[2];
   for (const bool memo : {true, false}) {
-    poly::set_solve_cache_enabled(memo);
+    std::optional<poly::SolveCacheScope> cache;
+    if (memo) cache.emplace();
     support::MetricsScope metrics;
     const auto policy = fusion::make_policy(FusionModel::kWisefuse);
     const Schedule sch = compute_schedule(scop, dg, *policy);
@@ -549,7 +553,6 @@ TEST(FarkasMemo, SharesBuildsExactlyByShape) {
     EXPECT_EQ(metrics.registry().get(support::Counter::kFarkasMemoHits),
               memo ? 4 : 0);
   }
-  poly::set_solve_cache_enabled(true);
   EXPECT_EQ(schedules[0], schedules[1]);
 }
 

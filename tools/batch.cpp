@@ -4,20 +4,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "support/diskcache.h"
 #include "support/flightrec.h"
+#include "support/strings.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
 
@@ -32,9 +30,8 @@ struct Request {
 };
 
 struct Outcome {
-  std::string status = "failed";  // ok | degraded | retried | failed
+  std::string status = "failed";  // ok | degraded | failed
   int rc = 1;
-  int attempts = 0;
   bool crashed = false;
   std::string error;        // one line; empty unless failed
   bool wrote_output = false;
@@ -111,15 +108,15 @@ std::vector<Request> assign_stems(const std::vector<std::string>& inputs) {
   for (const std::string& input : inputs) {
     std::string stem = sanitize_stem(fs::path(input).stem().string());
     const int n = ++used[stem];
-    if (n > 1) stem += "-" + std::to_string(n);
+    if (n > 1) stem += concat("-", std::to_string(n));
     requests.push_back(Request{input, stem});
   }
   return requests;
 }
 
 // ---------------------------------------------------------------------------
-// One attempt of one request. Shared by the in-process worker task and
-// the forked child: run the request with captured streams, commit
+// One run of one request. Shared by the in-process worker task and the
+// forked child: run the request with captured streams, commit
 // <stem>.out (atomically -- a killed batch must never leave a torn
 // output under a live name) and <stem>.err.
 // ---------------------------------------------------------------------------
@@ -143,24 +140,15 @@ bool write_file_atomic(const fs::path& path, const std::string& content) {
   return true;
 }
 
-struct AttemptResult {
-  int rc = 0;
-  bool degraded = false;
-  std::string error;
-};
-
-AttemptResult run_attempt(const Options& base, const Request& req, i64 index,
-                          int attempt, const fs::path& outdir) {
-  // Bounded backoff before a retry; the first attempt starts at once.
-  if (attempt > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(50 * attempt));
-
+// Each request runs exactly once: its parse errors, strict failures and
+// crashes are deterministic, so running it again would fail the same way.
+RequestResult run_one(const Options& base, const Request& req, i64 index,
+                      const fs::path& outdir) {
   // The batch.request injection site, enforced here (not by the Budget:
   // an injection-only budget would bypass the solve caches, see
   // driver.h). The ordinal is the request *index*, so which request is
-  // hit never depends on scheduling. Soft = fail the first attempt only
-  // (a transient fault the retry path absorbs); hard = crash outright,
-  // every attempt, which --batch-isolate contains to the child.
+  // hit never depends on scheduling. Soft = fail the request; hard =
+  // crash outright, which --batch-isolate contains to the child.
   for (const support::Injection& inj : base.injections) {
     if (inj.site != support::BudgetSite::kBatchRequest ||
         inj.fail_at != index)
@@ -170,11 +158,9 @@ AttemptResult run_attempt(const Options& base, const Request& req, i64 index,
                           inj.hard ? "abort-injected" : "fault-injected",
                           index);
     if (inj.hard) std::abort();
-    if (attempt == 0)
-      return AttemptResult{
-          1, false,
-          "injected transient fault (batch.request op #" +
-              std::to_string(index) + ")"};
+    return RequestResult{1, false,
+                         "injected fault (batch.request op #" +
+                             std::to_string(index) + ")"};
   }
 
   Options ro = base;
@@ -190,9 +176,8 @@ AttemptResult run_attempt(const Options& base, const Request& req, i64 index,
 
   std::ostringstream out;
   std::ostringstream err;
-  const RequestResult r = run_request(ro, out, err);
-  AttemptResult result{r.rc, r.degraded, r.error};
-  if (r.rc == 0 &&
+  RequestResult result = run_request(ro, out, err);
+  if (result.rc == 0 &&
       !write_file_atomic(outdir / (req.stem + ".out"), out.str())) {
     result.rc = 1;
     result.error = "cannot write output file '" + req.stem + ".out'";
@@ -203,12 +188,11 @@ AttemptResult run_attempt(const Options& base, const Request& req, i64 index,
   return result;
 }
 
-void finish_outcome(Outcome* oc, const AttemptResult& ar, int attempt) {
-  oc->rc = ar.rc;
-  oc->attempts = attempt + 1;
-  oc->error = ar.error;
-  if (ar.rc == 0) {
-    oc->status = attempt > 0 ? "retried" : (ar.degraded ? "degraded" : "ok");
+void finish_outcome(Outcome* oc, const RequestResult& rr) {
+  oc->rc = rr.rc;
+  oc->error = rr.error;
+  if (rr.rc == 0) {
+    oc->status = rr.degraded ? "degraded" : "ok";
     oc->wrote_output = true;
     oc->error.clear();
   } else {
@@ -218,7 +202,7 @@ void finish_outcome(Outcome* oc, const AttemptResult& ar, int attempt) {
 
 // ---------------------------------------------------------------------------
 // In-process executor: the PR-1 thread pool fans requests out; each
-// worker task owns its request end to end (attempt loop included).
+// worker task owns its request end to end.
 // ---------------------------------------------------------------------------
 
 void run_in_process(const Options& o, const std::vector<Request>& requests,
@@ -226,13 +210,8 @@ void run_in_process(const Options& o, const std::vector<Request>& requests,
                     std::vector<Outcome>* outcomes) {
   support::ThreadPool pool(jobs);
   pool.parallel_for(0, requests.size(), [&](std::size_t i) {
-    Outcome& oc = (*outcomes)[i];
-    for (int attempt = 0; attempt <= o.batch_retries; ++attempt) {
-      const AttemptResult ar =
-          run_attempt(o, requests[i], static_cast<i64>(i), attempt, outdir);
-      finish_outcome(&oc, ar, attempt);
-      if (ar.rc == 0) return;
-    }
+    finish_outcome(&(*outcomes)[i],
+                   run_one(o, requests[i], static_cast<i64>(i), outdir));
   });
 }
 
@@ -240,8 +219,8 @@ void run_in_process(const Options& o, const std::vector<Request>& requests,
 // Fork-isolated executor. The scheduling loop runs on the main thread
 // only (fork() from a multithreaded parent is a hazard the in-process
 // pool never meets this code path); up to `jobs` children live at once.
-// The child re-points its crash diagnostic at <stem>.diag.json, runs one
-// attempt, leaves a tiny <stem>.res result file for the parent, and
+// The child re-points its crash diagnostic at <stem>.diag.json, runs the
+// request, leaves a tiny <stem>.res result file for the parent, and
 // _Exits without touching the parent's stdio buffers. A child death by
 // signal -- a real SIGSEGV or an injected SIGABRT -- is one failed entry
 // in the report, never a dead batch.
@@ -251,11 +230,11 @@ constexpr int kExitOk = 0;
 constexpr int kExitDegraded = 10;  // rc 0, but the budget chain engaged
 
 void write_child_result(const fs::path& outdir, const Request& req,
-                        const AttemptResult& ar) {
-  std::string flat = ar.error;
+                        const RequestResult& rr) {
+  std::string flat = rr.error;
   std::replace(flat.begin(), flat.end(), '\n', ' ');
   write_file_atomic(outdir / (req.stem + ".res"),
-                    "rc=" + std::to_string(ar.rc) + "\nerror=" + flat + "\n");
+                    "rc=" + std::to_string(rr.rc) + "\nerror=" + flat + "\n");
 }
 
 std::string read_child_error(const fs::path& outdir, const Request& req,
@@ -274,64 +253,46 @@ void run_isolated(const Options& o, const std::vector<Request>& requests,
   struct Child {
     pid_t pid;
     std::size_t index;
-    int attempt;
   };
-  std::deque<std::pair<std::size_t, int>> queue;  // (request, attempt)
-  for (std::size_t i = 0; i < requests.size(); ++i) queue.emplace_back(i, 0);
+  std::size_t next = 0;  // the next request to fork
   std::vector<Child> live;
 
-  auto settle = [&](std::size_t i, int attempt, bool crashed, int rc,
+  auto settle = [&](std::size_t i, bool crashed, int rc,
                     const std::string& error) {
-    Outcome& oc = (*outcomes)[i];
-    if (rc == kExitOk || rc == kExitDegraded) {
-      AttemptResult ar{0, rc == kExitDegraded, ""};
-      finish_outcome(&oc, ar, attempt);
-      return;
-    }
-    if (attempt < o.batch_retries) {
-      // A retry re-forks; hard-injected crashes crash again and
-      // eventually land here with attempts exhausted.
-      queue.emplace_back(i, attempt + 1);
-      return;
-    }
-    oc.rc = 1;
-    oc.attempts = attempt + 1;
-    oc.status = "failed";
-    oc.crashed = crashed;
-    oc.error = error;
+    const bool ok = rc == kExitOk || rc == kExitDegraded;
+    finish_outcome(&(*outcomes)[i],
+                   RequestResult{ok ? 0 : 1, rc == kExitDegraded, error});
+    (*outcomes)[i].crashed = crashed;
+  };
+  auto exit_code = [](const RequestResult& rr) {
+    return rr.rc == 0 ? (rr.degraded ? kExitDegraded : kExitOk) : 1;
   };
 
-  while (!queue.empty() || !live.empty()) {
-    while (!queue.empty() && live.size() < jobs) {
-      const auto [i, attempt] = queue.front();
-      queue.pop_front();
+  while (next < requests.size() || !live.empty()) {
+    while (next < requests.size() && live.size() < jobs) {
+      const std::size_t i = next++;
       const pid_t pid = fork();
       if (pid == 0) {
         // Child: own crash-diagnostic path (the inherited one is named
-        // after the parent pid and shared by every sibling), then one
-        // attempt. The diskcache run id was generated before the fork,
+        // after the parent pid and shared by every sibling), then the
+        // request. The diskcache run id was generated before the fork,
         // so the whole process tree reads as one run.
         support::flightrec::set_diag_path(
             (outdir / (requests[i].stem + ".diag.json")).string());
-        const AttemptResult ar = run_attempt(o, requests[i],
-                                             static_cast<i64>(i), attempt,
-                                             outdir);
-        write_child_result(outdir, requests[i], ar);
-        std::_Exit(ar.rc == 0 ? (ar.degraded ? kExitDegraded : kExitOk) : 1);
+        const RequestResult rr =
+            run_one(o, requests[i], static_cast<i64>(i), outdir);
+        write_child_result(outdir, requests[i], rr);
+        std::_Exit(exit_code(rr));
       }
       if (pid < 0) {
-        // Out of processes: degrade to running the attempt inline rather
-        // than failing the request (isolation is lost for this attempt
-        // only).
-        const AttemptResult ar = run_attempt(o, requests[i],
-                                             static_cast<i64>(i), attempt,
-                                             outdir);
-        settle(i, attempt, false,
-               ar.rc == 0 ? (ar.degraded ? kExitDegraded : kExitOk) : 1,
-               ar.error);
+        // Out of processes: degrade to running the request inline rather
+        // than failing it (isolation is lost for this request only).
+        const RequestResult rr =
+            run_one(o, requests[i], static_cast<i64>(i), outdir);
+        settle(i, false, exit_code(rr), rr.error);
         continue;
       }
-      live.push_back(Child{pid, i, attempt});
+      live.push_back(Child{pid, i});
     }
     if (live.empty()) continue;
     int status = 0;
@@ -346,12 +307,12 @@ void run_isolated(const Options& o, const std::vector<Request>& requests,
     const Request& req = requests[child.index];
     if (WIFSIGNALED(status)) {
       const int sig = WTERMSIG(status);
-      settle(child.index, child.attempt, /*crashed=*/true, /*rc=*/1,
+      settle(child.index, /*crashed=*/true, /*rc=*/1,
              "crashed with signal " + std::to_string(sig) +
                  "; diagnostic: " + req.stem + ".diag.json");
     } else {
       const int rc = WIFEXITED(status) ? WEXITSTATUS(status) : 1;
-      settle(child.index, child.attempt, /*crashed=*/false, rc,
+      settle(child.index, /*crashed=*/false, rc,
              rc == kExitOk || rc == kExitDegraded
                  ? ""
                  : read_child_error(outdir, req, rc));
@@ -364,8 +325,7 @@ void run_isolated(const Options& o, const std::vector<Request>& requests,
 }
 
 // ---------------------------------------------------------------------------
-// The deterministic batch report. No timings, pids, attempt wall-clocks
-// or cache-hit counts: everything in here is a pure function of the
+// The deterministic batch report. No timings, pids or cache-hit counts: everything in here is a pure function of the
 // inputs, the flags and the per-request outcomes, which is what makes
 // byte-identity at any --jobs (and across warm/cold cache runs) hold.
 // ---------------------------------------------------------------------------
@@ -373,16 +333,15 @@ void run_isolated(const Options& o, const std::vector<Request>& requests,
 std::string render_report(const Options& o,
                           const std::vector<Request>& requests,
                           const std::vector<Outcome>& outcomes) {
-  std::size_t ok = 0, degraded = 0, retried = 0, failed = 0;
+  std::size_t ok = 0, degraded = 0, failed = 0;
   for (const Outcome& oc : outcomes) {
     if (oc.status == "ok") ++ok;
     else if (oc.status == "degraded") ++degraded;
-    else if (oc.status == "retried") ++retried;
     else ++failed;
   }
   std::ostringstream os;
   os << "{\n";
-  os << "  \"schema\": \"polyfuse-batch-report-v1\",\n";
+  os << "  \"schema\": \"polyfuse-batch-report-v2\",\n";
   os << "  \"batch\": \"" << support::json_escape(o.batch) << "\",\n";
   os << "  \"mode\": \"" << (o.batch_isolate ? "isolate" : "in-process")
      << "\",\n";
@@ -396,7 +355,7 @@ std::string render_report(const Options& o,
     os << "    {\"input\": \"" << support::json_escape(req.input)
        << "\", \"stem\": \"" << support::json_escape(req.stem)
        << "\", \"status\": \"" << oc.status
-       << "\", \"rc\": " << oc.rc << ", \"attempts\": " << oc.attempts;
+       << "\", \"rc\": " << oc.rc;
     if (oc.wrote_output) os << ", \"output\": \"" << req.stem << ".out\"";
     if (!oc.error.empty())
       os << ", \"error\": \"" << support::json_escape(oc.error) << "\"";
@@ -405,8 +364,8 @@ std::string render_report(const Options& o,
   }
   os << "  ],\n";
   os << "  \"summary\": {\"total\": " << requests.size() << ", \"ok\": " << ok
-     << ", \"degraded\": " << degraded << ", \"retried\": " << retried
-     << ", \"failed\": " << failed << "}\n";
+     << ", \"degraded\": " << degraded << ", \"failed\": " << failed
+     << "}\n";
   os << "}\n";
   return os.str();
 }

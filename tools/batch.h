@@ -8,20 +8,20 @@
 //    --jobs workers; each request runs with jobs=1 inside, its own
 //    budget/metrics/solve-cache scope, and writes <stem>.out/<stem>.err
 //    under --batch-out.
-//  * A request that exhausts its --fuel/--time-budget degrades through
-//    the PR-5 chain and is reported "degraded", not failed. A request
-//    that fails cleanly is retried with backoff up to --batch-retries
-//    times. Under --batch-isolate each request runs in a forked child,
-//    so a hard crash (--inject=SITE:abort-after=K) is contained: the
-//    child's crash diagnostic lands in <stem>.diag.json and the batch
-//    carries on.
+//  * Each request runs exactly once, through cli::run_request. A request
+//    that exhausts its --fuel/--time-budget degrades through the PR-5
+//    chain and is reported "degraded", not failed; a request that fails
+//    is reported "failed" (a rerun would fail the same way). Under
+//    --batch-isolate each request runs in a forked child, so a hard
+//    crash (--inject=SITE:abort-after=K) is contained: the child's crash
+//    diagnostic lands in <stem>.diag.json and the batch carries on.
 //  * The --batch-report JSON is byte-identical at any --jobs: requests
 //    are listed in sorted input order and the report carries no timing,
 //    pid or cache-hit fields.
 //
-// Exit code: 0 when every request succeeded (possibly degraded or after
-// a retry), 3 when at least one request failed, 2 for setup errors
-// (unreadable batch dir/manifest, uncreatable output dir).
+// Exit code: 0 when every request succeeded (possibly degraded), 3 when
+// at least one request failed, 2 for setup errors (unreadable batch
+// dir/manifest, uncreatable output dir).
 #pragma once
 
 #include "driver.h"

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Local CI: the exact gauntlet a change must survive before review.
 #
-#   1. Plain release-ish build + full ctest, then the full ctest again
-#      at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every tier-1 test
-#      runs serial and multi-threaded whatever the host's core count.
-#      Every leg includes ExactPath.SuiteMatchesDefault, which reruns the
-#      paper suite in-process with every simplex solve on the kernel's
-#      bignum cells and no warm starts, and requires byte-identical
-#      schedules, C and --analyze=json reports.
+#   1. Plain Release build with warnings as errors (POLYFUSE_WERROR=ON,
+#      so a new warning fails the stage) + full ctest, then the full
+#      ctest again at POLYFUSE_JOBS=1 and at POLYFUSE_JOBS=4, so every
+#      tier-1 test runs serial and multi-threaded whatever the host's
+#      core count. Every leg includes ExactPath.SuiteMatchesDefault,
+#      which reruns the paper suite in-process on the reference path --
+#      every simplex solve on the kernel's bignum cells, no warm starts,
+#      no memo -- and requires byte-identical schedules, C and
+#      --analyze=json reports.
 #   2. clang-tidy over src/ and tools/ against that build's
 #      compile_commands.json (.clang-tidy: bugprone-*, performance-*,
 #      modernize-use-*; bugprone-*/performance-* findings are errors);
@@ -211,7 +213,7 @@ run_perfbench_gate() {
   done
 }
 
-run_stage "plain" "$PREFIX" -DCMAKE_BUILD_TYPE=Release
+run_stage "plain" "$PREFIX" -DCMAKE_BUILD_TYPE=Release -DPOLYFUSE_WERROR=ON
 run_jobs_legs "plain" "$PREFIX"
 run_robustness "plain" "$PREFIX"
 run_perfbench_gate "plain"

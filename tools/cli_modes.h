@@ -68,7 +68,6 @@ inline constexpr OptionDoc kOptionDocs[] = {
     {"--explain[=json]",
      "print scheduler/fusion decision remarks to stderr\n"
      "(with --batch: per request, to <stem>.err)"},
-    {"--no-solve-cache", "disable the polyhedral solve cache"},
     {"--fuel=N",
      "compute-fuel budget: abort solver work after N units\n"
      "and degrade gracefully (POLYFUSE_FUEL); see\n"
@@ -85,9 +84,8 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "repeatable, for\n"
      "testing the degradation chain (POLYFUSE_INJECT);\n"
      "lp.fastlane forces a simplex solve onto bignum cells\n"
-     "instead of a fault; batch.request fails that\n"
-     "request's first attempt (exercises the retry path);\n"
-     "S:abort-after=K instead aborts the process\n"
+     "instead of a fault; batch.request fails batch\n"
+     "request K; S:abort-after=K instead aborts the process\n"
      "(tests the crash-diagnostic path)"},
     {"--batch=PATH",
      "batch mode: compile every *.pf under directory PATH\n"
@@ -108,10 +106,6 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "hard crash (e.g. --inject=SITE:abort-after=K) is\n"
      "contained to that request and reported with its crash\n"
      "diagnostic while the rest of the batch completes"},
-    {"--batch-retries=N",
-     "retry a failed batch request up to N times with\n"
-     "backoff before reporting it failed (default 1;\n"
-     "POLYFUSE_BATCH_RETRIES)"},
     {"--cache-dir=DIR",
      "persistent on-disk solve/count cache directory\n"
      "(POLYFUSE_CACHE_DIR): crash-safe, checksummed,\n"

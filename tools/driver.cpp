@@ -98,7 +98,6 @@ std::optional<i64> parse_int_env(const char* name, i64 min) {
 
 Options parse_args(int argc, char** argv) {
   Options o;
-  bool batch_retries_set = false;
   bool cache_max_mb_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -132,8 +131,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg.rfind("--diagnose=", 0) == 0) {
       o.diagnose_file = value_of("--diagnose=");
       if (o.diagnose_file.empty()) usage("--diagnose expects a file name");
-    } else if (arg == "--no-solve-cache") o.solve_cache = false;
-    else if (arg.rfind("--fuel=", 0) == 0) {
+    } else if (arg.rfind("--fuel=", 0) == 0) {
       o.fuel = parse_int_option("--fuel", value_of("--fuel="));
       if (o.fuel < 0) usage("--fuel must be >= 0");
     } else if (arg.rfind("--time-budget=", 0) == 0) {
@@ -186,11 +184,6 @@ Options parse_args(int argc, char** argv) {
       if (o.batch_report.empty()) usage("--batch-report expects a file name");
     } else if (arg == "--batch-isolate") {
       o.batch_isolate = true;
-    } else if (arg.rfind("--batch-retries=", 0) == 0) {
-      o.batch_retries =
-          parse_int_option("--batch-retries", value_of("--batch-retries="));
-      if (o.batch_retries < 0) usage("--batch-retries must be >= 0");
-      batch_retries_set = true;
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       o.cache_dir = value_of("--cache-dir=");
       if (o.cache_dir.empty()) usage("--cache-dir expects a directory");
@@ -247,10 +240,6 @@ Options parse_args(int argc, char** argv) {
     if (const auto v = parse_int_env("POLYFUSE_CACHE_MAX_MB", 1))
       o.cache_max_mb = *v;
   }
-  if (!batch_retries_set) {
-    if (const auto v = parse_int_env("POLYFUSE_BATCH_RETRIES", 0))
-      o.batch_retries = *v;
-  }
 
   // Validate names here, not mid-pipeline: batch requests must never hit
   // a usage() exit after parse time.
@@ -272,7 +261,6 @@ Options parse_args(int argc, char** argv) {
     if (o.batch_isolate) usage("--batch-isolate needs --batch");
     if (!o.batch_out.empty()) usage("--batch-out needs --batch");
     if (!o.batch_report.empty()) usage("--batch-report needs --batch");
-    if (batch_retries_set) usage("--batch-retries needs --batch");
   } else {
     if (!o.input.empty())
       usage("--batch and an input file are mutually exclusive");
@@ -300,7 +288,6 @@ std::vector<support::Injection> budget_injections(
 
 void apply_process_config(const Options& o) {
   if (o.jobs != 0) support::set_default_jobs(o.jobs);
-  poly::set_solve_cache_enabled(o.solve_cache);
 
   if (!o.cache_dir.empty()) {
     if (!support::diskcache::configure(o.cache_dir, o.cache_max_mb))
@@ -308,12 +295,6 @@ void apply_process_config(const Options& o) {
                 << "'; persistent cache disabled\n";
     support::diskcache::set_injections(o.injections);
   }
-
-  support::gauge_set(
-      support::Gauge::kJobsConfigured,
-      static_cast<i64>(o.jobs != 0 ? o.jobs : support::default_jobs()));
-  support::gauge_set(support::Gauge::kTraceEventCap,
-                     static_cast<i64>(o.trace_max_events));
 }
 
 namespace {
@@ -662,12 +643,11 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
   return std::max(verify_rc, lint_rc);
 }
 
-// The budget and tracer a request owns, shared by the single and
-// per-request paths. With no budget flags no budget is installed and
-// every path is byte-identical to an unbudgeted build. diskcache.* /
-// batch.request injections are filtered out: they are enforced by their
-// own modules, and leaving them in the spec would mark the budget
-// "limited", which bypasses the solve caches (support/budget.h).
+// The budget and tracer a request owns. With no budget flags no budget
+// is installed and every path is byte-identical to an unbudgeted build.
+// diskcache.* / batch.request injections are filtered out: they are
+// enforced by their own modules, and leaving them in the spec would mark
+// the budget "limited", which bypasses the solve caches (support/budget.h).
 // --trace turns both tracer channels on, --explain remarks only.
 struct RequestState {
   explicit RequestState(const Options& o) {
@@ -702,8 +682,23 @@ RequestResult run_request(const Options& o, std::ostream& out,
   RequestState state(o);
   support::MetricsScope metrics;
   poly::SolveCacheScope solve_scope;
+  support::gauge_set(
+      support::Gauge::kJobsConfigured,
+      static_cast<i64>(o.jobs != 0 ? o.jobs : support::default_jobs()));
+  support::gauge_set(support::Gauge::kTraceEventCap,
+                     static_cast<i64>(o.trace_max_events));
+  // Error paths still owe the user their requested outputs: any pipeline
+  // error prints stats/explain/trace before the nonzero result, and a
+  // budget that escaped every recovery boundary first leaves a crash-style
+  // diagnostic.
   try {
     result.rc = run_pipeline(o, out, err);
+  } catch (const support::BudgetExceeded& e) {
+    err << "polyfuse: " << e.what() << "\n";
+    dump_fatal_diag(std::string("budget-exceeded:") + e.site_name(), err);
+    finish_outputs(o, err);
+    result.rc = 1;
+    result.error = e.what();
   } catch (const std::exception& e) {
     err << "polyfuse: " << e.what() << "\n";
     finish_outputs(o, err);
@@ -719,27 +714,6 @@ RequestResult run_request(const Options& o, std::ostream& out,
           metrics.registry().get(support::Counter::kBudgetInjectedFaults) >
       0;
   return result;
-}
-
-int run_single(const Options& o) {
-  RequestState state(o);
-  // Error paths still owe the user their requested outputs: a budget
-  // that escaped every recovery boundary additionally leaves a crash-
-  // style diagnostic, and any pipeline error prints stats/explain/trace
-  // before the nonzero exit.
-  try {
-    return run_pipeline(o, std::cout, std::cerr);
-  } catch (const support::BudgetExceeded& e) {
-    std::cerr << "polyfuse: " << e.what() << "\n";
-    dump_fatal_diag(std::string("budget-exceeded:") + e.site_name(),
-                    std::cerr);
-    finish_outputs(o, std::cerr);
-    return 1;
-  } catch (const pf::Error& e) {
-    std::cerr << "polyfuse: " << e.what() << "\n";
-    finish_outputs(o, std::cerr);
-    return 1;
-  }
 }
 
 }  // namespace pf::cli

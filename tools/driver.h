@@ -3,13 +3,15 @@
 // can run many requests in one process -- or in forked children -- with
 // per-request fault isolation (docs/service.md).
 //
-// The split matters for isolation: run_request() never exits the process
+// run_request() is the one request path: a single-input run and every
+// batch request go through it exactly once. It never exits the process
 // and never lets an exception escape; every failure (unreadable input,
 // parse error, budget exhaustion the degradation chain could not absorb)
 // comes back as a RequestResult. Process-wide knobs (worker pool size,
-// solve cache, the persistent disk cache) are applied once by
-// apply_process_config(); everything else -- budget, metrics registry,
-// memo table, tracer -- is per-request state.
+// the persistent disk cache) are applied once by apply_process_config();
+// everything else -- budget, metrics registry and gauges, memo table,
+// tracer -- is per-request state, so nothing process-wide grows from one
+// request to the next.
 #pragma once
 
 #include <iosfwd>
@@ -48,7 +50,6 @@ struct Options {
   std::string trace_file;     // empty = tracing off
   std::size_t trace_max_events = support::Tracer::kDefaultMaxEvents;
   std::string diagnose_file;  // empty = no on-exit diagnostic dump
-  bool solve_cache = true;
   i64 fuel = -1;            // < 0 = unlimited
   i64 time_budget_ms = -1;  // < 0 = unlimited
   std::vector<support::Injection> injections;
@@ -60,7 +61,6 @@ struct Options {
   std::string batch_out;     // per-request output directory
   std::string batch_report;  // JSON report file; empty = stdout summary only
   bool batch_isolate = false;
-  i64 batch_retries = 1;  // extra attempts for a failed request
 
   // Persistent on-disk solve/count cache (src/support/diskcache.h).
   std::string cache_dir;   // empty = disabled
@@ -76,10 +76,10 @@ struct Options {
 /// emit names, flag combinations, numeric ranges.
 Options parse_args(int argc, char** argv);
 
-/// Apply the process-wide knobs: worker-pool default, solve cache on/off,
-/// metrics gauges, and the persistent disk cache (configured
-/// from --cache-dir, with the diskcache.* injection table installed).
-/// Call exactly once, before any request runs.
+/// Apply the process-wide knobs: the worker-pool default and the
+/// persistent disk cache (configured from --cache-dir, with the
+/// diskcache.* injection table installed). Call exactly once, before any
+/// request runs.
 void apply_process_config(const Options& o);
 
 /// Outcome of one compile request.
@@ -92,14 +92,14 @@ struct RequestResult {
 
 /// Run one compile request: emitted output to `out`, reports, --stats,
 /// --explain and messages to `err`. Installs the request's own budget,
-/// tracer, metrics scope and private solve-cache scope; catches every
-/// exception. Never calls exit() and never throws.
+/// tracer, metrics scope (with the jobs_configured and trace_event_cap
+/// gauges) and solve-cache scope, the only memo table anything is
+/// memoized in; catches every exception. A budget that escapes every
+/// recovery boundary also writes the budget-exceeded:<site> fatal
+/// diagnostic. Never calls exit() (except when a --trace/--diagnose file
+/// cannot be written) and never throws.
 RequestResult run_request(const Options& o, std::ostream& out,
                           std::ostream& err);
-
-/// Classic single-input mode: stdout/stderr, --stats/--explain/--trace/
-/// --diagnose side outputs, process exit code.
-int run_single(const Options& o);
 
 /// The subset of `injections` the thread-local Budget should enforce.
 /// diskcache.* sites are enforced inside support/diskcache (an

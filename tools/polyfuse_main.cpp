@@ -4,8 +4,9 @@
 //   polyfuse --batch=DIR|MANIFEST [--batch-out=DIR] [--batch-report=FILE]
 //
 // The full option reference lives in tools/cli_modes.h (rendered by
-// --help); the single-request pipeline is tools/driver.cpp and the
-// crash-safe batch driver is tools/batch.cpp (docs/service.md).
+// --help); the one request path, cli::run_request, is tools/driver.cpp,
+// and the crash-safe batch driver that runs it per request is
+// tools/batch.cpp (docs/service.md).
 //
 // Example:
 //   polyfuse --model=wisefuse --emit=c --tile=32 kernel.pf > kernel.c
@@ -27,7 +28,8 @@ int main(int argc, char** argv) {
   try {
     const cli::Options o = cli::parse_args(argc, argv);
     cli::apply_process_config(o);
-    return o.batch.empty() ? cli::run_single(o) : cli::run_batch(o);
+    return o.batch.empty() ? cli::run_request(o, std::cout, std::cerr).rc
+                           : cli::run_batch(o);
   } catch (const pf::Error& e) {
     std::cerr << "polyfuse: " << e.what() << "\n";
     return 1;
