@@ -81,12 +81,11 @@ IntegerSet domain_in_context(const ir::Scop& scop, const ir::Statement& s) {
 
 /// Subtract every disjunct of `sub` from `from`, coalescing after each
 /// step to keep the disjunct count from compounding.
-SetUnion subtract_all(SetUnion from, const SetUnion& sub,
-                      const lp::IlpOptions& ilp) {
+SetUnion subtract_all(SetUnion from, const SetUnion& sub) {
   for (const IntegerSet& d : sub.disjuncts()) {
     if (from.trivially_empty()) break;
     from = from.subtract(d);
-    from.coalesce(ilp);
+    from.coalesce();
   }
   return from;
 }
@@ -94,11 +93,9 @@ SetUnion subtract_all(SetUnion from, const SetUnion& sub,
 }  // namespace
 
 Dataflow compute_dataflow(const ir::Scop& scop,
-                          const ddg::DependenceGraph& dg,
-                          const DataflowOptions& options) {
+                          const ddg::DependenceGraph& dg) {
   support::TraceSpan span("analysis", "compute_dataflow");
   const std::size_t p = scop.num_params();
-  const lp::IlpOptions& ilp = options.ilp;
   Dataflow out;
 
   // Writers per array (each statement writes exactly one access, [0]).
@@ -189,14 +186,14 @@ Dataflow compute_dataflow(const ir::Scop& scop,
           IntegerSet k = base;
           k.intersect(before_u);
           k.intersect(after_u);
-          if (k.is_empty(ilp)) continue;
+          if (k.is_empty()) continue;
           kills.add_disjunct(k.eliminate_dims(drop_u));
         }
       }
     }
 
-    SetUnion value_flow = subtract_all(mem_flow, kills, ilp);
-    value_flow.coalesce(ilp);
+    SetUnion value_flow = subtract_all(mem_flow, kills);
+    value_flow.coalesce();
     if (value_flow.trivially_empty()) continue;
 
     // Producer instances that source at least one value-based flow.
@@ -226,8 +223,8 @@ Dataflow compute_dataflow(const ir::Scop& scop,
       SetUnion uncovered = SetUnion::wrap(domain_in_context(scop, s));
       const auto it = covered.find(std::make_pair(s.index(), r));
       if (it != covered.end())
-        uncovered = subtract_all(std::move(uncovered), it->second, ilp);
-      uncovered.coalesce(ilp);
+        uncovered = subtract_all(std::move(uncovered), it->second);
+      uncovered.coalesce();
       rc.uncovered = std::move(uncovered);
       out.covers.push_back(std::move(rc));
     }
@@ -247,12 +244,12 @@ Dataflow compute_dataflow(const ir::Scop& scop,
       for (std::size_t k = 0; k < d.dst_dim; ++k) drop_dst[d.src_dim + k] = true;
       killed.add_disjunct(d.poly.eliminate_dims(drop_dst));
     }
-    killed.coalesce(ilp);
+    killed.coalesce();
     wl.killed = std::move(killed);
 
     SetUnion unused = SetUnion::wrap(domain_in_context(scop, s));
-    unused = subtract_all(std::move(unused), sourced[s.index()], ilp);
-    unused.coalesce(ilp);
+    unused = subtract_all(std::move(unused), sourced[s.index()]);
+    unused.coalesce();
     wl.unused = std::move(unused);
 
     out.writes.push_back(std::move(wl));

@@ -75,14 +75,9 @@ struct Dataflow {
   std::vector<WriteLiveness> writes;   // one per statement
 };
 
-struct DataflowOptions {
-  lp::IlpOptions ilp;
-};
-
 /// Compute value-based dataflow for the whole scop. `dg` must be the
 /// memory-based dependence graph of `scop` (RAR dependences unused).
 Dataflow compute_dataflow(const ir::Scop& scop,
-                          const ddg::DependenceGraph& dg,
-                          const DataflowOptions& options = {});
+                          const ddg::DependenceGraph& dg);
 
 }  // namespace pf::analysis

@@ -117,9 +117,8 @@ IntegerSet domain_in_context(const ir::Scop& scop, const ir::Statement& s) {
 
 /// " at i=0 j=5 N=8" for a witness point, or "" if none was found.
 std::string witness(const IntegerSet& region,
-                    const std::vector<std::string>& names,
-                    const lp::IlpOptions& ilp) {
-  const auto point = region.sample_point(ilp);
+                    const std::vector<std::string>& names) {
+  const auto point = region.sample_point();
   if (!point) return "";
   std::ostringstream os;
   os << " at";
@@ -131,17 +130,15 @@ std::string witness(const IntegerSet& region,
 }
 
 std::string witness(const SetUnion& region,
-                    const std::vector<std::string>& names,
-                    const lp::IlpOptions& ilp) {
+                    const std::vector<std::string>& names) {
   for (const IntegerSet& d : region.disjuncts()) {
-    std::string w = witness(d, names, ilp);
+    std::string w = witness(d, names);
     if (!w.empty()) return w;
   }
   return "";
 }
 
-void check_bounds(const ir::Scop& scop, const LintOptions& options,
-                  LintReport* report) {
+void check_bounds(const ir::Scop& scop, LintReport* report) {
   for (const ir::Statement& s : scop.statements()) {
     const IntegerSet dom = domain_in_context(scop, s);
     const std::vector<std::string> names = scop.space_names(s);
@@ -163,7 +160,7 @@ void check_bounds(const ir::Scop& scop, const LintOptions& options,
         for (const auto& [region, what] :
              {std::make_pair(below, "below 0"),
               std::make_pair(above, "beyond the extent")}) {
-          if (region.is_empty(options.ilp)) continue;
+          if (region.is_empty()) continue;
           LintFinding f;
           f.kind = LintKind::kOutOfBounds;
           f.severity = Severity::kError;
@@ -175,7 +172,7 @@ void check_bounds(const ir::Scop& scop, const LintOptions& options,
           det << (acc.is_write ? "write" : "read") << " subscript "
               << sub.to_string(names) << " can fall " << what << " (extent "
               << arr.extents[d].to_string() << ")"
-              << witness(region, names, options.ilp);
+              << witness(region, names);
           f.detail = det.str();
           report->findings.push_back(std::move(f));
         }
@@ -185,7 +182,7 @@ void check_bounds(const ir::Scop& scop, const LintOptions& options,
 }
 
 void check_uninit(const ir::Scop& scop, const Dataflow& df,
-                  const LintOptions& options, LintReport* report) {
+                  LintReport* report) {
   for (const ReadCover& rc : df.covers) {
     const ir::Statement& s = scop.statement(rc.stmt);
     const ir::Access& acc = s.accesses()[rc.access];
@@ -193,7 +190,7 @@ void check_uninit(const ir::Scop& scop, const Dataflow& df,
     // For a regular array the uncovered reads are the live-in set --
     // legitimate input. Only a `local` array has no initial contents.
     if (!arr.is_local) continue;
-    if (rc.uncovered.trivially_empty() || rc.uncovered.is_empty(options.ilp))
+    if (rc.uncovered.trivially_empty() || rc.uncovered.is_empty())
       continue;
     const std::vector<std::string> names = scop.space_names(s);
     LintFinding f;
@@ -205,14 +202,14 @@ void check_uninit(const ir::Scop& scop, const Dataflow& df,
     std::ostringstream det;
     det << "read of local array cell no write defined, instances "
         << rc.uncovered.to_string(names)
-        << witness(rc.uncovered, names, options.ilp);
+        << witness(rc.uncovered, names);
     f.detail = det.str();
     report->findings.push_back(std::move(f));
   }
 }
 
 void check_dead(const ir::Scop& scop, const Dataflow& df,
-                const LintOptions& options, LintReport* report) {
+                LintReport* report) {
   for (const WriteLiveness& wl : df.writes) {
     const ir::Statement& s = scop.statement(wl.stmt);
     const ir::Array& arr = scop.array(s.write().array_id);
@@ -220,7 +217,7 @@ void check_dead(const ir::Scop& scop, const Dataflow& df,
     // arrays are outputs: a write is only dead if also overwritten.
     SetUnion dead =
         arr.is_local ? wl.unused : wl.unused.intersect(wl.killed);
-    dead.coalesce(options.ilp);
+    dead.coalesce();
     if (dead.trivially_empty()) continue;
     const std::vector<std::string> names = scop.space_names(s);
     LintFinding f;
@@ -234,7 +231,7 @@ void check_dead(const ir::Scop& scop, const Dataflow& df,
                 ? "written value never read (local array has no live-out)"
                 : "written value overwritten before any read")
         << ", instances " << dead.to_string(names)
-        << witness(dead, names, options.ilp);
+        << witness(dead, names);
     f.detail = det.str();
     report->findings.push_back(std::move(f));
   }
@@ -285,7 +282,7 @@ void check_contiguity(const ir::Scop& scop, LintReport* report) {
 }
 
 void check_fusion_distance(const ir::Scop& scop, const Dataflow& df,
-                           const LintOptions& options, LintReport* report) {
+                           LintReport* report) {
   for (const ValueFlow& vf : df.flows) {
     if (vf.src == vf.dst) continue;  // recurrences are not a fusion issue
     if (vf.src_dim == 0 || vf.dst_dim == 0) continue;
@@ -297,8 +294,8 @@ void check_fusion_distance(const ir::Scop& scop, const Dataflow& df,
     bool have = false;
     i64 lo = 0, hi = 0;
     for (const IntegerSet& d : vf.poly.disjuncts()) {
-      const auto mn = d.integer_min(delta, options.ilp);
-      const auto mx = d.integer_max(delta, options.ilp);
+      const auto mn = d.integer_min(delta);
+      const auto mx = d.integer_max(delta);
       if (mn.kind == IntegerSet::Opt::kEmpty ||
           mx.kind == IntegerSet::Opt::kEmpty)
         continue;
@@ -345,8 +342,7 @@ void check_fusion_distance(const ir::Scop& scop, const Dataflow& df,
 
 }  // namespace
 
-LintReport run_lint(const ir::Scop& scop, const ddg::DependenceGraph& dg,
-                    const LintOptions& options) {
+LintReport run_lint(const ir::Scop& scop, const ddg::DependenceGraph& dg) {
   support::TraceSpan span("analysis", "run_lint");
   // Must-complete checker: budgeted (conservative) polyhedral answers
   // would turn into phantom findings, so the linter always runs exact.
@@ -354,21 +350,14 @@ LintReport run_lint(const ir::Scop& scop, const ddg::DependenceGraph& dg,
   PF_CHECK_MSG(&dg.scop() == &scop, "dependence graph built for another scop");
   LintReport report;
 
-  if (options.bounds) check_bounds(scop, options, &report);
+  check_bounds(scop, &report);
 
-  const bool need_dataflow = options.uninit || options.dead || options.perf;
-  if (need_dataflow) {
-    DataflowOptions dopts;
-    dopts.ilp = options.ilp;
-    const Dataflow df = compute_dataflow(scop, dg, dopts);
-    report.value_flows = df.flows.size();
-    if (options.uninit) check_uninit(scop, df, options, &report);
-    if (options.dead) check_dead(scop, df, options, &report);
-    if (options.perf) {
-      check_contiguity(scop, &report);
-      check_fusion_distance(scop, df, options, &report);
-    }
-  }
+  const Dataflow df = compute_dataflow(scop, dg);
+  report.value_flows = df.flows.size();
+  check_uninit(scop, df, &report);
+  check_dead(scop, df, &report);
+  check_contiguity(scop, &report);
+  check_fusion_distance(scop, df, &report);
 
   support::count(support::Counter::kLintCheckedAccesses,
                  static_cast<i64>(report.checked_accesses));

@@ -96,18 +96,9 @@ struct LintReport {
   std::string summary() const;
 };
 
-struct LintOptions {
-  lp::IlpOptions ilp;
-  bool bounds = true;
-  bool uninit = true;
-  bool dead = true;
-  bool perf = true;
-};
-
-/// Run every enabled lint. `dg` must be the memory-based dependence
+/// Run every lint. `dg` must be the memory-based dependence
 /// graph of `scop`. Emits one remark per finding plus a summary remark
 /// (category "lint") and feeds the lint_* stats counters.
-LintReport run_lint(const ir::Scop& scop, const ddg::DependenceGraph& dg,
-                    const LintOptions& options = {});
+LintReport run_lint(const ir::Scop& scop, const ddg::DependenceGraph& dg);
 
 }  // namespace pf::analysis

@@ -265,8 +265,7 @@ std::string LocalityReport::to_json(const ir::Scop& scop) const {
 
 LocalityReport analyze_locality(const ir::Scop& scop,
                                 const ddg::DependenceGraph& dg,
-                                const IntVector& params,
-                                const LocalityOptions& options) {
+                                const IntVector& params) {
   PF_CHECK_MSG(params.size() == scop.num_params(),
                "analyze_locality: expected " << scop.num_params()
                                              << " parameter value(s), got "
@@ -286,7 +285,7 @@ LocalityReport analyze_locality(const ir::Scop& scop,
     const ir::Statement& stmt = scop.statement(s);
     const auto dom = bind_set(stmt.domain(), stmt.dim(), params);
     rep.statements.push_back(
-        {s, dom ? poly::count_points(*dom, options.count) : Count::unknown()});
+        {s, dom ? poly::count_points(*dom) : Count::unknown()});
   }
 
   // Per-array footprint / access / reuse volumes. All access relations of
@@ -317,9 +316,8 @@ LocalityReport analyze_locality(const ir::Scop& scop,
     if (access_parts.empty()) {
       al.footprint = al.accesses = al.reuse = Count::exact(0);
     } else {
-      al.footprint = bind_ok ? poly::count_projection(graph, rank,
-                                                      options.count)
-                             : Count::unknown();
+      al.footprint =
+          bind_ok ? poly::count_projection(graph, rank) : Count::unknown();
       al.accesses = sum_counts(access_parts);
       al.reuse = reuse_volume(al.accesses, al.footprint);
     }
@@ -333,12 +331,11 @@ LocalityReport analyze_locality(const ir::Scop& scop,
   Dataflow df;
   {
     support::BudgetSuspend suspend;
-    df = compute_dataflow(scop, dg, DataflowOptions{options.count.ilp});
+    df = compute_dataflow(scop, dg);
   }
   auto count_bound_union = [&](const SetUnion& u, std::size_t iters) {
     const auto bound = bind_union(u, iters, params);
-    return bound ? poly::count_points(*bound, options.count)
-                 : Count::unknown();
+    return bound ? poly::count_points(*bound) : Count::unknown();
   };
   for (const WriteLiveness& wl : df.writes) {
     const ir::Statement& stmt = scop.statement(wl.stmt);
@@ -419,10 +416,8 @@ LocalityReport analyze_locality(const ir::Scop& scop,
             }
           }
         }
-        parts.push_back(bind_ok
-                            ? poly::count_projection(graph, rank,
-                                                     options.count)
-                            : Count::unknown());
+        parts.push_back(bind_ok ? poly::count_projection(graph, rank)
+                                : Count::unknown());
       }
       if (!any_common) continue;
       rep.pairs.push_back({s, t, sum_counts(parts)});

@@ -66,10 +66,6 @@ struct PairLocality {
   poly::Count shared_cells;
 };
 
-struct LocalityOptions {
-  poly::CountOptions count;
-};
-
 struct LocalityReport {
   IntVector params;  // the concrete parameter assignment analyzed
   bool context_satisfied = true;
@@ -93,7 +89,6 @@ struct LocalityReport {
 /// parameter. Emits "analysis" remarks when the remark channel is on.
 LocalityReport analyze_locality(const ir::Scop& scop,
                                 const ddg::DependenceGraph& dg,
-                                const IntVector& params,
-                                const LocalityOptions& options = {});
+                                const IntVector& params);
 
 }  // namespace pf::analysis

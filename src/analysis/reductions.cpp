@@ -82,7 +82,7 @@ bool match_reduction_op(const ir::Statement& s, ReductionOp op) {
 
 /// Depth up to which every disjunct of `flow` forces equal producer and
 /// consumer iterators (delta_l == 0 for l < depth).
-std::size_t flow_tie_depth(const ValueFlow& f, const lp::IlpOptions& ilp) {
+std::size_t flow_tie_depth(const ValueFlow& f) {
   const std::size_t limit = std::min(f.src_dim, f.dst_dim);
   for (std::size_t l = 0; l < limit; ++l) {
     const std::size_t dims = f.poly.dims();
@@ -92,10 +92,10 @@ std::size_t flow_tie_depth(const ValueFlow& f, const lp::IlpOptions& ilp) {
       support::budget_op(support::BudgetSite::kAnalysisReductions);
       poly::IntegerSet fwd = d;
       fwd.add_constraint(poly::Constraint::ge0(delta.plus_const(-1)));
-      if (!fwd.is_empty(ilp)) return l;
+      if (!fwd.is_empty()) return l;
       poly::IntegerSet bwd = d;
       bwd.add_constraint(poly::Constraint::ge0((-delta).plus_const(-1)));
-      if (!bwd.is_empty(ilp)) return l;
+      if (!bwd.is_empty()) return l;
     }
   }
   return limit;
@@ -154,9 +154,7 @@ ReductionInfo analyze_reductions(const ir::Scop& scop,
 
   // --- Privatizable arrays, from value-based dataflow. ---
   if (options.privatization) {
-    DataflowOptions dopt;
-    dopt.ilp = options.ilp;
-    const Dataflow df = compute_dataflow(scop, dg, dopt);
+    const Dataflow df = compute_dataflow(scop, dg);
     const std::size_t na = scop.arrays().size();
     // Per array: smallest tie depth over its flows (SIZE_MAX = no flow
     // seen yet), and whether any read observes initial contents.
@@ -167,13 +165,13 @@ ReductionInfo analyze_reductions(const ir::Scop& scop,
           scop.statement(f.dst).accesses()[f.dst_access].array_id;
       has_flow[a] = true;
       if (tainted[a] || depth[a] == 0) continue;
-      depth[a] = std::min(depth[a], flow_tie_depth(f, options.ilp));
+      depth[a] = std::min(depth[a], flow_tie_depth(f));
     }
     for (const ReadCover& c : df.covers) {
       const std::size_t a =
           scop.statement(c.stmt).accesses()[c.access].array_id;
       support::budget_op(support::BudgetSite::kAnalysisReductions);
-      if (!c.uncovered.is_empty(options.ilp)) tainted[a] = true;
+      if (!c.uncovered.is_empty()) tainted[a] = true;
     }
     for (std::size_t a = 0; a < na; ++a) {
       if (!has_flow[a] || tainted[a]) continue;

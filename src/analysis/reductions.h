@@ -62,7 +62,6 @@ struct ReductionInfo {
 };
 
 struct ReductionOptions {
-  lp::IlpOptions ilp;
   /// Skip the (dataflow-based) privatization half; the reduction half
   /// is pure structure matching and always runs.
   bool privatization = true;

@@ -61,8 +61,7 @@ class CEmitter {
         << "  long long m = a % d; return m < 0 ? m + d : m;\n}\n";
     os_ << "static long long pf_max(long long a, long long b) { return a > b "
            "? a : b; }\n\n";
-    os_ << "void " << options_.function_name
-        << "(double** arrays, const long long* params) {\n";
+    os_ << "void pf_kernel(double** arrays, const long long* params) {\n";
     for (std::size_t j = 0; j < scop_.num_params(); ++j)
       os_ << "  const long long " << scop_.params()[j] << " = params[" << j
           << "];\n";

@@ -21,8 +21,6 @@ namespace pf::codegen {
 struct CEmitOptions {
   /// Emit `#pragma omp parallel for` on loops marked parallel.
   bool openmp = true;
-  /// Name of the exported function.
-  std::string function_name = "pf_kernel";
 };
 
 std::string emit_c(const AstNode& root, const ir::Scop& scop,

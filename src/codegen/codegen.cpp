@@ -41,9 +41,8 @@ void canonicalize(std::vector<BoundTerm>* terms) {
 
 class Generator {
  public:
-  Generator(const ir::Scop& scop, const sched::Schedule& sch,
-            const CodegenOptions& options)
-      : scop_(scop), sch_(sch), options_(options) {
+  Generator(const ir::Scop& scop, const sched::Schedule& sch)
+      : scop_(scop), sch_(sch) {
     for (std::size_t l = 0; l < sch_.num_levels(); ++l)
       if (sch_.level_linear[l]) {
         ordinal_of_level_[l] = linear_levels_.size();
@@ -102,7 +101,7 @@ class Generator {
     poly::IntegerSet proj = full.eliminate_dims(remove);
     PF_CHECK_MSG(!proj.trivially_empty(),
                  "transformed domain of " << st.name() << " is empty");
-    if (options_.remove_redundant_bounds) proj.remove_redundant();
+    proj.remove_redundant();
 
     StmtInfo info;
     info.bounds.resize(q_);
@@ -111,7 +110,7 @@ class Generator {
       std::vector<bool> rm(q_ + p_, false);
       for (std::size_t d = k + 1; d < q_; ++d) rm[d] = true;
       poly::IntegerSet elim = proj.eliminate_dims(rm);
-      if (options_.remove_redundant_bounds) elim.remove_redundant();
+      elim.remove_redundant();
       // Re-embed into the [q, params] space.
       for (const poly::Constraint& c : elim.constraints()) {
         const poly::AffineExpr e = c.expr.insert_dims(k + 1, q_ - 1 - k);
@@ -350,7 +349,6 @@ class Generator {
 
   const ir::Scop& scop_;
   const sched::Schedule& sch_;
-  const CodegenOptions& options_;
   std::vector<std::size_t> linear_levels_;
   std::map<std::size_t, std::size_t> ordinal_of_level_;
   std::size_t q_ = 0, p_ = 0;
@@ -360,14 +358,13 @@ class Generator {
 
 }  // namespace
 
-AstPtr generate_ast(const ir::Scop& scop, const sched::Schedule& schedule,
-                    const CodegenOptions& options) {
+AstPtr generate_ast(const ir::Scop& scop, const sched::Schedule& schedule) {
   PF_CHECK_MSG(schedule.scop == &scop, "schedule built for another scop");
   PF_CHECK(schedule.num_statements() == scop.num_statements());
   // Codegen must always complete: there is no sound over-approximation
   // for loop bounds, so domain scanning runs with the budget suspended.
   support::BudgetSuspend budget_suspend;
-  return Generator(scop, schedule, options).run();
+  return Generator(scop, schedule).run();
 }
 
 }  // namespace pf::codegen

@@ -23,15 +23,9 @@
 
 namespace pf::codegen {
 
-struct CodegenOptions {
-  /// Run LP-based redundant-constraint elimination on projected bounds
-  /// (slower generation, tidier loops).
-  bool remove_redundant_bounds = true;
-};
-
-/// Generate the loop AST for a schedule. Throws pf::Error on unsupported
-/// (non-unimodular) schedules.
-AstPtr generate_ast(const ir::Scop& scop, const sched::Schedule& schedule,
-                    const CodegenOptions& options = {});
+/// Generate the loop AST for a schedule. Projected bounds go through
+/// LP-based redundant-constraint elimination. Throws pf::Error on
+/// unsupported (non-unimodular) schedules.
+AstPtr generate_ast(const ir::Scop& scop, const sched::Schedule& schedule);
 
 }  // namespace pf::codegen

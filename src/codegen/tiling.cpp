@@ -9,6 +9,10 @@ namespace pf::codegen {
 
 namespace {
 
+// Only chains at least this deep are tiled (tiling a single loop rarely
+// pays; 2-d+ bands do).
+constexpr std::size_t kMinBandDepth = 2;
+
 std::size_t count_t_vars(const AstNode& n) {
   switch (n.kind) {
     case AstNode::Kind::kLoop:
@@ -75,9 +79,10 @@ void narrow(AstNode& n, std::size_t q, std::size_t used, std::size_t extra,
 
 class Tiler {
  public:
-  Tiler(std::size_t q, std::size_t extra, const TilingOptions& options,
-        const std::vector<std::size_t>* band_of)
-      : q_(q), extra_(extra), dims_(0), options_(options), band_of_(band_of) {}
+  Tiler(std::size_t q, std::size_t extra, i64 tile_size,
+        const std::vector<std::size_t>& band_of)
+      : q_(q), extra_(extra), dims_(0), tile_size_(tile_size),
+        band_of_(band_of) {}
 
   std::size_t bands_tiled = 0;
   std::size_t tile_vars_used = 0;
@@ -104,7 +109,7 @@ class Tiler {
       if (cur->body->kind != AstNode::Kind::kLoop) break;
       cur = cur->body.get();
     }
-    if (chain.size() < options_.min_band_depth ||
+    if (chain.size() < kMinBandDepth ||
         tile_vars_used + chain.size() > extra_) {
       // Not tiled here; keep descending (inner chains may still qualify).
       if (node->kind == AstNode::Kind::kLoop) run(node->body);
@@ -112,7 +117,7 @@ class Tiler {
     }
 
     // Build tile loops T_0..T_{D-1} above the chain.
-    const i64 b = options_.tile_size;
+    const i64 b = tile_size_;
     std::vector<AstPtr> tile_loops;
     for (AstNode* loop : chain) {
       AstPtr t = make_loop(loop->level, q_ + tile_vars_used);
@@ -157,27 +162,25 @@ class Tiler {
 
  private:
   bool same_band(const AstNode* first, const AstNode* candidate) const {
-    if (band_of_ == nullptr) return true;
-    PF_CHECK(first->t_index < band_of_->size() &&
-             candidate->t_index < band_of_->size());
-    return (*band_of_)[first->t_index] == (*band_of_)[candidate->t_index];
+    PF_CHECK(first->t_index < band_of_.size() &&
+             candidate->t_index < band_of_.size());
+    return band_of_[first->t_index] == band_of_[candidate->t_index];
   }
 
   std::size_t q_;
   std::size_t extra_;
   std::size_t dims_;
-  const TilingOptions& options_;
-  const std::vector<std::size_t>* band_of_;
+  i64 tile_size_;
+  const std::vector<std::size_t>& band_of_;
 };
 
 std::size_t count_tileable_band_loops(const AstNode& n, std::size_t q,
-                                      std::size_t min_depth,
-                                      const std::vector<std::size_t>* band_of) {
+                                      const std::vector<std::size_t>& band_of) {
   switch (n.kind) {
     case AstNode::Kind::kBlock: {
       std::size_t total = 0;
       for (const AstPtr& c : n.children)
-        total += count_tileable_band_loops(*c, q, min_depth, band_of);
+        total += count_tileable_band_loops(*c, q, band_of);
       return total;
     }
     case AstNode::Kind::kStmt:
@@ -188,8 +191,7 @@ std::size_t count_tileable_band_loops(const AstNode& n, std::size_t q,
   std::vector<const AstNode*> chain;
   const AstNode* cur = &n;
   auto same_band = [&](const AstNode* a, const AstNode* b) {
-    return band_of == nullptr ||
-           (*band_of)[a->t_index] == (*band_of)[b->t_index];
+    return band_of[a->t_index] == band_of[b->t_index];
   };
   while (cur->kind == AstNode::Kind::kLoop && tileable(*cur, q) &&
          same_band(chain.empty() ? cur : chain.front(), cur)) {
@@ -199,11 +201,11 @@ std::size_t count_tileable_band_loops(const AstNode& n, std::size_t q,
   }
   const AstNode* below =
       chain.empty() ? cur : chain.back()->body.get();
-  std::size_t total = chain.size() >= min_depth ? chain.size() : 0;
+  std::size_t total = chain.size() >= kMinBandDepth ? chain.size() : 0;
   if (chain.empty()) {
-    if (n.body) total += count_tileable_band_loops(*n.body, q, min_depth, band_of);
+    if (n.body) total += count_tileable_band_loops(*n.body, q, band_of);
   } else {
-    total += count_tileable_band_loops(*below, q, min_depth, band_of);
+    total += count_tileable_band_loops(*below, q, band_of);
   }
   return total;
 }
@@ -230,14 +232,17 @@ void remark_parallel(AstNode& n, bool enclosing) {
 
 }  // namespace
 
-namespace {
-
-std::size_t tile_ast_impl(AstNode& root, const TilingOptions& options,
-                          const std::vector<std::size_t>* band_of) {
+std::size_t tile_ast(AstNode& root, const sched::Schedule& schedule,
+                     const ddg::DependenceGraph& dg,
+                     const TilingOptions& options) {
+  // Must-complete, like generate_ast: tiling legality is a checker over
+  // the final schedule.
+  support::BudgetSuspend budget_suspend;
+  const std::vector<std::size_t> band_of =
+      sched::permutable_bands(schedule, dg);
   PF_CHECK_MSG(options.tile_size >= 2, "tile size must be >= 2");
   const std::size_t q = count_t_vars(root);
-  const std::size_t extra =
-      count_tileable_band_loops(root, q, options.min_band_depth, band_of);
+  const std::size_t extra = count_tileable_band_loops(root, q, band_of);
   if (extra == 0) return 0;
 
   widen(root, q, extra);
@@ -260,7 +265,7 @@ std::size_t tile_ast_impl(AstNode& root, const TilingOptions& options,
     find_dims(root);
   }
 
-  Tiler tiler(q, extra, options, band_of);
+  Tiler tiler(q, extra, options.tile_size, band_of);
   tiler.set_dims(dims);
 
   // The tiler relinks through AstPtr; move the caller's node into a
@@ -276,23 +281,6 @@ std::size_t tile_ast_impl(AstNode& root, const TilingOptions& options,
 
   remark_parallel(root, false);
   return tiler.bands_tiled;
-}
-
-}  // namespace
-
-std::size_t tile_ast(AstNode& root, const sched::Schedule& schedule,
-                     const ddg::DependenceGraph& dg,
-                     const TilingOptions& options) {
-  // Must-complete, like generate_ast: tiling legality is a checker over
-  // the final schedule.
-  support::BudgetSuspend budget_suspend;
-  const std::vector<std::size_t> band_of =
-      sched::permutable_bands(schedule, dg);
-  return tile_ast_impl(root, options, &band_of);
-}
-
-std::size_t tile_ast_unchecked(AstNode& root, const TilingOptions& options) {
-  return tile_ast_impl(root, options, nullptr);
 }
 
 }  // namespace pf::codegen

@@ -32,9 +32,6 @@ namespace pf::codegen {
 struct TilingOptions {
   /// Tile size per loop (uniform).
   i64 tile_size = 32;
-  /// Only tile chains at least this deep (tiling a single loop rarely
-  /// pays; 2-d+ bands do).
-  std::size_t min_band_depth = 2;
 };
 
 /// Tile the AST in place, splitting loop chains at the schedule's
@@ -43,11 +40,5 @@ struct TilingOptions {
 std::size_t tile_ast(AstNode& root, const sched::Schedule& schedule,
                      const ddg::DependenceGraph& dg,
                      const TilingOptions& options = {});
-
-/// Tile treating every perfect rectangular chain as one permutable band.
-/// Only safe when the caller knows the schedule is fully permutable
-/// (single-statement rectangular kernels, schedules with all-forward
-/// dependences); prefer tile_ast().
-std::size_t tile_ast_unchecked(AstNode& root, const TilingOptions& options = {});
 
 }  // namespace pf::codegen

@@ -73,7 +73,6 @@ struct PairResult {
 // satisfiable candidate becomes an assumed dependence.
 std::vector<Dependence> enumerate_pair_deps(const ir::Scop& scop,
                                             std::size_t si, std::size_t sj,
-                                            const AnalysisOptions& options,
                                             bool assume_all,
                                             std::size_t* polyhedra_tested) {
   const std::size_t p = scop.num_params();
@@ -113,7 +112,6 @@ std::vector<Dependence> enumerate_pair_deps(const ir::Scop& scop,
       if (ax.array_id != bx.array_id) continue;
       const DepKind kind = classify(ax.is_write, bx.is_write);
       if (kind == DepKind::kInput) {
-        if (!options.compute_input_deps) continue;
         if (si == sj) continue;  // self-reuse adds nothing
       }
 
@@ -161,7 +159,7 @@ std::vector<Dependence> enumerate_pair_deps(const ir::Scop& scop,
             // is how we know this candidate is assumed, not proven.
             const i64 faults_before =
                 budget != nullptr ? budget->faults() : 0;
-            maybe_nonempty = !dep_poly.is_empty(options.ilp);
+            maybe_nonempty = !dep_poly.is_empty();
             assumed = budget != nullptr && budget->faults() != faults_before;
           } catch (const support::BudgetExceeded&) {
             // Fuel ran out at the per-candidate charge itself: keep the
@@ -195,8 +193,7 @@ std::vector<Dependence> enumerate_pair_deps(const ir::Scop& scop,
 // is the deterministic linear pair index (si * n + sj): the dep_pair
 // fault-injection unit, stable at every --jobs.
 PairResult analyze_pair(const ir::Scop& scop, std::size_t si, std::size_t sj,
-                        std::size_t pair_ordinal,
-                        const AnalysisOptions& options) {
+                        std::size_t pair_ordinal) {
   support::count(support::Counter::kDepPairsAnalyzed);
   const auto t0 = std::chrono::steady_clock::now();
   // The fast-lane simplex tableaux of every solve under this pair come
@@ -214,8 +211,8 @@ PairResult analyze_pair(const ir::Scop& scop, std::size_t si, std::size_t sj,
   try {
     support::budget_op_at(support::BudgetSite::kDepPair,
                           static_cast<i64>(pair_ordinal));
-    out.deps = enumerate_pair_deps(scop, si, sj, options,
-                                   /*assume_all=*/false, &polyhedra_tested);
+    out.deps = enumerate_pair_deps(scop, si, sj, /*assume_all=*/false,
+                                   &polyhedra_tested);
   } catch (const support::BudgetExceeded& e) {
     // Recovery boundary: the whole pair degrades to the conservative
     // over-approximation. Runs with the budget suspended -- the rebuild
@@ -224,8 +221,8 @@ PairResult analyze_pair(const ir::Scop& scop, std::size_t si, std::size_t sj,
     out.cause = e.cause();
     out.deps.clear();
     support::BudgetSuspend suspend;
-    out.deps = enumerate_pair_deps(scop, si, sj, options,
-                                   /*assume_all=*/true, &polyhedra_tested);
+    out.deps = enumerate_pair_deps(scop, si, sj, /*assume_all=*/true,
+                                   &polyhedra_tested);
   }
   for (const Dependence& dep : out.deps)
     if (dep.assumed) ++out.assumed;
@@ -279,7 +276,7 @@ DependenceGraph DependenceGraph::analyze(const ir::Scop& scop,
     pool.parallel_for(0, n * n, [&](std::size_t pair) {
       support::BudgetScope scope(root != nullptr ? &task_budgets[pair]
                                                  : nullptr);
-      per_pair[pair] = analyze_pair(scop, pair / n, pair % n, pair, options);
+      per_pair[pair] = analyze_pair(scop, pair / n, pair % n, pair);
     });
   }
   if (root != nullptr)

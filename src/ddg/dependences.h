@@ -57,10 +57,6 @@ struct Dependence {
 };
 
 struct AnalysisOptions {
-  lp::IlpOptions ilp;
-  /// Also compute read/read (RAR) dependences. On by default -- wisefuse
-  /// needs them.
-  bool compute_input_deps = true;
   /// Worker threads for the statement-pair fan-out. 0 means
   /// support::default_jobs() (--jobs=N / POLYFUSE_JOBS / hardware);
   /// 1 runs the exact serial path. Results are merged in deterministic

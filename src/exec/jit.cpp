@@ -177,7 +177,7 @@ std::optional<JitKernel> JitKernel::compile(const std::string& c_source,
   if (dir == nullptr)
     return fail(std::string("mkdtemp failed: ") + std::strerror(errno));
   const std::string d = dir;
-  TempDirGuard guard{d, /*armed=*/!options.keep_artifacts};
+  TempDirGuard guard{d};
   const std::string src = d + "/kernel.c";
   const std::string so = d + "/kernel.so";
   const std::string log = d + "/cc.log";
@@ -197,7 +197,7 @@ std::optional<JitKernel> JitKernel::compile(const std::string& c_source,
   std::vector<std::string> argv{*compiler};
   for (std::string& flag : split_flags(options.opt_flags))
     argv.push_back(std::move(flag));
-  if (options.openmp) argv.push_back("-fopenmp");
+  argv.push_back("-fopenmp");
   argv.push_back("-fPIC");
   argv.push_back("-shared");
   argv.push_back("-o");
@@ -238,13 +238,12 @@ std::optional<JitKernel> JitKernel::compile(const std::string& c_source,
   k.handle_ = handle;
   k.fn_ = reinterpret_cast<Fn>(sym);
   k.dir_ = d;
-  k.keep_ = options.keep_artifacts;
   guard.armed = false;  // the kernel's dtor owns cleanup now
   return k;
 }
 
 JitKernel::JitKernel(JitKernel&& o) noexcept
-    : handle_(o.handle_), fn_(o.fn_), dir_(std::move(o.dir_)), keep_(o.keep_) {
+    : handle_(o.handle_), fn_(o.fn_), dir_(std::move(o.dir_)) {
   o.handle_ = nullptr;
   o.fn_ = nullptr;
   o.dir_.clear();
@@ -260,7 +259,7 @@ JitKernel& JitKernel::operator=(JitKernel&& o) noexcept {
 
 JitKernel::~JitKernel() {
   if (handle_ != nullptr) dlclose(handle_);
-  if (!dir_.empty() && !keep_) remove_tree(dir_);
+  if (!dir_.empty()) remove_tree(dir_);
 }
 
 void JitKernel::run(ArrayStore& store) const {

@@ -14,9 +14,6 @@ namespace pf::exec {
 struct JitOptions {
   std::string compiler = "cc";
   std::string opt_flags = "-O2";
-  bool openmp = true;
-  /// Keep the temp directory (for debugging); default removes it.
-  bool keep_artifacts = false;
   /// Kill the compiler and fail the compile after this many milliseconds
   /// (< 0: no timeout). A hung backend compiler must not hang polyfuse.
   long compile_timeout_ms = 60000;
@@ -50,8 +47,7 @@ class JitKernel {
   void* handle_ = nullptr;
   using Fn = void (*)(double**, const long long*);
   Fn fn_ = nullptr;
-  std::string dir_;  // temp dir, removed in dtor unless keep_artifacts
-  bool keep_ = false;
+  std::string dir_;  // temp dir, removed in dtor
 };
 
 }  // namespace pf::exec

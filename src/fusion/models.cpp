@@ -397,7 +397,7 @@ sched::Schedule compute_schedule_degrading(const ir::Scop& scop,
   // original statement order is always legal.
   support::BudgetSuspend suspend;
   sched::Schedule fallback = sched::identity_schedule(scop);
-  sched::annotate_dependences(fallback, dg, options.ilp);
+  sched::annotate_dependences(fallback, dg);
   return fallback;
 }
 

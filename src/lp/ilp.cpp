@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "support/budget.h"
 #include "support/metrics.h"
@@ -132,8 +131,13 @@ std::optional<i64> dot_objective(const IntVector& objective,
 }  // namespace
 
 IlpResult IlpProblem::minimize(const IntVector& objective,
-                               const IlpOptions& options,
                                std::optional<i64> warm_bound) const {
+  return search(objective, warm_bound, kNodeCap);
+}
+
+IlpResult IlpProblem::search(const IntVector& objective,
+                             std::optional<i64> warm_bound,
+                             long node_cap) const {
   PF_CHECK(objective.size() == num_vars_);
   support::count(support::Counter::kIlpSolves);
   // One lp_solve "operation" per top-level minimize: the unit --inject
@@ -169,7 +173,7 @@ IlpResult IlpProblem::minimize(const IntVector& objective,
   stack.push_back({});
 
   while (!stack.empty()) {
-    if (++nodes > options.node_cap) {
+    if (++nodes > node_cap) {
       cap_hit = true;
       break;
     }
@@ -251,22 +255,20 @@ IlpResult IlpProblem::minimize(const IntVector& objective,
   return IlpResult{status, {}, 0};
 }
 
-IlpResult IlpProblem::maximize(const IntVector& objective,
-                               const IlpOptions& options) const {
+IlpResult IlpProblem::maximize(const IntVector& objective) const {
   IntVector neg(objective.size());
   for (std::size_t i = 0; i < objective.size(); ++i)
     neg[i] = checked_neg(objective[i]);
-  IlpResult r = minimize(neg, options);
+  IlpResult r = minimize(neg);
   if (r.status == IlpStatus::kOptimal) r.objective = checked_neg(r.objective);
   return r;
 }
 
-IlpResult IlpProblem::find_point(const IlpOptions& options) const {
-  return minimize(IntVector(num_vars_, 0), options);
+IlpResult IlpProblem::find_point(long node_cap) const {
+  return search(IntVector(num_vars_, 0), std::nullopt, node_cap);
 }
 
 IlpResult IlpProblem::lexmin(const std::vector<IntVector>& objectives,
-                             const IlpOptions& options,
                              const IntVector* warm_start) const {
   // Warm point: feasible for the current `work` problem, so its objective
   // value strictly bounds each stage's branch-and-bound. The external
@@ -291,13 +293,13 @@ IlpResult IlpProblem::lexmin(const std::vector<IntVector>& objectives,
   for (std::size_t k = 0; k < objectives.size(); ++k) {
     std::optional<i64> bound;
     if (warm) bound = dot_objective(objectives[k], *warm);
-    last = work.minimize(objectives[k], options, bound);
+    last = work.minimize(objectives[k], bound);
     if (last.status != IlpStatus::kOptimal) return last;
     if (k + 1 < objectives.size())
       work.add_equality(objectives[k], checked_neg(last.objective));
     if (use_warm) warm = last.point;
   }
-  if (objectives.empty()) last = find_point(options);
+  if (objectives.empty()) last = find_point();
   return last;
 }
 
@@ -336,18 +338,8 @@ bool IlpProblem::is_feasible_point(const IntVector& point) const {
   return true;
 }
 
-bool IlpProblem::proven_empty(const IlpOptions& options) const {
-  return find_point(options).status == IlpStatus::kInfeasible;
-}
-
-std::string IlpProblem::to_string() const {
-  std::ostringstream os;
-  for (const Row& r : rows_) {
-    for (std::size_t j = 0; j < r.coeffs.size(); ++j)
-      if (r.coeffs[j] != 0) os << (r.coeffs[j] > 0 ? "+" : "") << r.coeffs[j] << "x" << j << " ";
-    os << (r.is_equality ? "== " : ">= ") << -r.constant << "\n";
-  }
-  return os.str();
+bool IlpProblem::proven_empty() const {
+  return find_point().status == IlpStatus::kInfeasible;
 }
 
 }  // namespace pf::lp

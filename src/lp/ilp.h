@@ -27,9 +27,9 @@ enum class IlpStatus { kOptimal, kInfeasible, kUnbounded, kCapExceeded };
 
 const char* to_string(IlpStatus s);
 
-struct IlpOptions {
-  long node_cap = 200000;
-};
+/// Branch-and-bound nodes one search may visit before it gives up with
+/// kCapExceeded.
+inline constexpr long kNodeCap = 200000;
 
 struct IlpResult {
   IlpStatus status = IlpStatus::kInfeasible;
@@ -61,16 +61,14 @@ class IlpProblem {
   /// relaxation exceeds it *strictly*, so the search returns the same
   /// point it would have found without the bound -- just faster.
   IlpResult minimize(const IntVector& objective,
-                     const IlpOptions& options = {},
                      std::optional<i64> warm_bound = std::nullopt) const;
 
   /// max objective . x over integer points.
-  IlpResult maximize(const IntVector& objective,
-                     const IlpOptions& options = {}) const;
+  IlpResult maximize(const IntVector& objective) const;
 
   /// Any integer point. status is kOptimal (point), kInfeasible, or
-  /// kCapExceeded.
-  IlpResult find_point(const IlpOptions& options = {}) const;
+  /// kCapExceeded. `node_cap` is a test seam; every caller keeps kNodeCap.
+  IlpResult find_point(long node_cap = kNodeCap) const;
 
   /// Lexicographic minimization: minimize objectives[0], fix its value,
   /// minimize objectives[1], ... Returns the final point.
@@ -83,7 +81,6 @@ class IlpProblem {
   /// the cold search finds. testing::ExactPathScope (lp/simplex.h) turns
   /// warm starts off.
   IlpResult lexmin(const std::vector<IntVector>& objectives,
-                   const IlpOptions& options = {},
                    const IntVector* warm_start = nullptr) const;
 
   /// max objective . x over the LP relaxation (rational points of the
@@ -94,10 +91,7 @@ class IlpProblem {
 
   /// True if the constraint set has no integer point (kInfeasible). A
   /// kCapExceeded search counts as "not proven empty" -> false.
-  bool proven_empty(const IlpOptions& options = {}) const;
-
-  /// Debug rendering of all rows.
-  std::string to_string() const;
+  bool proven_empty() const;
 
  private:
   struct Row {
@@ -105,6 +99,10 @@ class IlpProblem {
     i64 constant;
     bool is_equality;
   };
+
+  // The branch-and-bound search behind minimize() and find_point().
+  IlpResult search(const IntVector& objective, std::optional<i64> warm_bound,
+                   long node_cap) const;
 
   // Normalize a row by the gcd of its coefficients; returns false if an
   // equality is thereby proven unsatisfiable over the integers.

@@ -54,10 +54,10 @@ bool step(Ctx& ctx) {
 // wrong way for counting (a capped search answers "may be non-empty",
 // which would count a phantom point), so probe through integer_min of a
 // constant objective, whose kUnknown is explicit.
-Count probe_nonempty(const IntegerSet& s, const lp::IlpOptions& ilp) {
+Count probe_nonempty(const IntegerSet& s) {
   if (s.trivially_empty()) return Count::exact(0);
   if (s.num_constraints() == 0) return Count::exact(1);  // universe
-  const auto r = s.integer_min(AffineExpr::constant(s.dims(), 0), ilp);
+  const auto r = s.integer_min(AffineExpr::constant(s.dims(), 0));
   switch (r.kind) {
     case IntegerSet::Opt::kOk:
     case IntegerSet::Opt::kUnbounded:  // feasible either way
@@ -77,21 +77,21 @@ struct Dim0Range {
   i64 hi = 0;
 };
 
-Dim0Range dim0_range(const IntegerSet& s, const lp::IlpOptions& ilp) {
+Dim0Range dim0_range(const IntegerSet& s) {
   const AffineExpr x0 = AffineExpr::var(s.dims(), 0);
-  const auto mn = s.integer_min(x0, ilp);
+  const auto mn = s.integer_min(x0);
   if (mn.kind == IntegerSet::Opt::kEmpty) return {Dim0Range::kEmpty, 0, 0};
   if (mn.kind == IntegerSet::Opt::kUnknown) return {Dim0Range::kUnknown, 0, 0};
   if (mn.kind == IntegerSet::Opt::kUnbounded) {
     // The LP relaxation can be unbounded over an integer-empty set (gcd
     // gaps); distinguish via the feasibility probe.
-    const Count probe = probe_nonempty(s, ilp);
+    const Count probe = probe_nonempty(s);
     if (probe.is_exact())
       return {probe.value == 0 ? Dim0Range::kEmpty : Dim0Range::kUnbounded, 0,
               0};
     return {Dim0Range::kUnknown, 0, 0};
   }
-  const auto mx = s.integer_max(x0, ilp);
+  const auto mx = s.integer_max(x0);
   if (mx.kind == IntegerSet::Opt::kEmpty) return {Dim0Range::kEmpty, 0, 0};
   if (mx.kind == IntegerSet::Opt::kUnknown) return {Dim0Range::kUnknown, 0, 0};
   if (mx.kind == IntegerSet::Opt::kUnbounded)
@@ -146,8 +146,7 @@ Count count_set_prefix(const IntegerSet& s, std::size_t prefix, Ctx& ctx);
 
 Count count_set_prefix_uncached(const IntegerSet& s, std::size_t prefix,
                                 Ctx& ctx) {
-  const lp::IlpOptions& ilp = ctx.opts.ilp;
-  const Dim0Range r = dim0_range(s, ilp);
+  const Dim0Range r = dim0_range(s);
   switch (r.kind) {
     case Dim0Range::kEmpty:
       return Count::exact(0);
@@ -191,14 +190,13 @@ Count count_set_prefix_uncached(const IntegerSet& s, std::size_t prefix,
 // integer point. Invariant: prefix <= s.dims().
 Count count_set_prefix(const IntegerSet& s, std::size_t prefix, Ctx& ctx) {
   if (s.trivially_empty()) return Count::exact(0);
-  if (prefix == 0) return probe_nonempty(s, ctx.opts.ilp);
+  if (prefix == 0) return probe_nonempty(s);
   if (!step(ctx)) return Count::unknown();
   if (ctx.memo == nullptr) return count_set_prefix_uncached(s, prefix, ctx);
   const MemoTable::Value v = memoize(
       *ctx.memo,
-      {kCountDomain, canonical_key(static_cast<i64>(prefix),
-                                   ctx.opts.ilp.node_cap, s.dims(),
-                                   s.constraints())},
+      {kCountDomain,
+       canonical_key(static_cast<i64>(prefix), s.dims(), s.constraints())},
       support::Counter::kCountCacheHits, support::Counter::kCountCacheMisses,
       [&] {
         const Count c = count_set_prefix_uncached(s, prefix, ctx);
@@ -258,7 +256,7 @@ Count count_union_prefix(const std::vector<IntegerSet>& disjuncts,
   if (prefix == 0) {
     bool unknown = false;
     for (const IntegerSet& d : live) {
-      const Count probe = probe_nonempty(d, ctx.opts.ilp);
+      const Count probe = probe_nonempty(d);
       if (probe.is_exact() && probe.value == 1) return Count::exact(1);
       if (!probe.is_exact()) unknown = true;
     }
@@ -273,7 +271,7 @@ Count count_union_prefix(const std::vector<IntegerSet>& disjuncts,
   std::vector<const IntegerSet*> present;
   std::vector<Dim0Range> ranges;
   for (const IntegerSet& d : live) {
-    const Dim0Range r = dim0_range(d, ctx.opts.ilp);
+    const Dim0Range r = dim0_range(d);
     switch (r.kind) {
       case Dim0Range::kEmpty:
         continue;
@@ -367,7 +365,7 @@ std::optional<std::vector<IntegerSet>> exact_images(
     std::optional<IntegerSet> image = d.exact_projection_onto_prefix(prefix);
     if (!image) return std::nullopt;
     if (image->trivially_empty()) continue;
-    std::vector<i64> key = canonical_key(0, 0, prefix, image->constraints());
+    std::vector<i64> key = canonical_key(0, prefix, image->constraints());
     if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
     keys.push_back(std::move(key));
     images.push_back(std::move(*image));

@@ -62,7 +62,6 @@ struct Count {
 };
 
 struct CountOptions {
-  lp::IlpOptions ilp;
   /// Inclusion-exclusion over a SetUnion (or over the images a
   /// projection count reduces to) visits 2^n - 1 intersections; beyond
   /// this many disjuncts the count switches to joint prefix enumeration

@@ -91,12 +91,11 @@ std::vector<const Constraint*> canonical_order(
   return rows;
 }
 
-std::vector<i64> canonical_key(i64 tag, long node_cap, std::size_t dims,
+std::vector<i64> canonical_key(i64 tag, std::size_t dims,
                                const std::vector<Constraint>& constraints) {
   std::vector<i64> blob;
-  blob.reserve(4 + constraints.size() * (dims + 2) + dims + 1);
+  blob.reserve(3 + constraints.size() * (dims + 2) + dims + 1);
   blob.push_back(tag);
-  blob.push_back(static_cast<i64>(node_cap));
   blob.push_back(static_cast<i64>(dims));
   blob.push_back(static_cast<i64>(constraints.size()));
   for (const Constraint* c : canonical_order(constraints)) {

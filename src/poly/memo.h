@@ -92,10 +92,10 @@ std::vector<const Constraint*> canonical_order(
     const std::vector<Constraint>& constraints);
 
 /// Key blob of a constraint system, shared by the solve and count caches:
-/// {tag, node_cap, dims, #rows}, then the rows (is_equality, constant,
+/// {tag, dims, #rows}, then the rows (is_equality, constant,
 /// coefficients) in canonical_order, so insertion order never splits
 /// entries.
-std::vector<i64> canonical_key(i64 tag, long node_cap, std::size_t dims,
+std::vector<i64> canonical_key(i64 tag, std::size_t dims,
                                const std::vector<Constraint>& constraints);
 
 /// The memoized value of `key` in `table` (active_memo()). A hit counts

@@ -24,9 +24,9 @@ constexpr const char* kSolveDomain = "solve";
 
 MemoTable::Key solve_key(SolveOp op, std::size_t dims,
                          const std::vector<Constraint>& constraints,
-                         const AffineExpr* objective, long node_cap) {
+                         const AffineExpr* objective) {
   std::vector<i64> blob =
-      canonical_key(static_cast<i64>(op), node_cap, dims, constraints);
+      canonical_key(static_cast<i64>(op), dims, constraints);
   if (objective) {
     blob.push_back(objective->const_term());
     for (std::size_t k = 0; k < dims; ++k) blob.push_back(objective->coeff(k));
@@ -114,7 +114,7 @@ lp::IlpProblem IntegerSet::to_ilp() const {
   return p;
 }
 
-bool IntegerSet::is_empty(const lp::IlpOptions& options) const {
+bool IntegerSet::is_empty() const {
   if (trivially_empty_) return true;
   // A constraint-free set is the universe (even zero-dimensional, where
   // the single point is the empty tuple) -- never empty, no ILP needed.
@@ -122,7 +122,7 @@ bool IntegerSet::is_empty(const lp::IlpOptions& options) const {
   MemoTable* memo = active_memo();
   if (memo == nullptr) {
     try {
-      return to_ilp().proven_empty(options);
+      return to_ilp().proven_empty();
     } catch (const support::BudgetExceeded&) {
       // Budgeted solves are never memoized (a degraded answer must not be
       // kept as exact). Conservative recovery: not *proven* empty, so
@@ -134,10 +134,9 @@ bool IntegerSet::is_empty(const lp::IlpOptions& options) const {
   }
   const MemoTable::Value v = memoize(
       *memo,
-      solve_key(SolveOp::kIsEmpty, dims_, constraints_, nullptr,
-                options.node_cap),
+      solve_key(SolveOp::kIsEmpty, dims_, constraints_, nullptr),
       support::Counter::kSolveCacheHits, support::Counter::kSolveCacheMisses,
-      [&] { return MemoTable::Value{to_ilp().proven_empty(options), 0}; });
+      [&] { return MemoTable::Value{to_ilp().proven_empty(), 0}; });
   return v[0] == 1;
 }
 
@@ -153,18 +152,16 @@ bool IntegerSet::contains(const IntVector& point) const {
   return true;
 }
 
-std::optional<IntVector> IntegerSet::sample_point(
-    const lp::IlpOptions& options) const {
+std::optional<IntVector> IntegerSet::sample_point() const {
   if (trivially_empty_) return std::nullopt;
   // Universe (any dimension, including zero): the origin is a point.
   if (constraints_.empty()) return IntVector(dims_, 0);
-  const lp::IlpResult r = to_ilp().find_point(options);
+  const lp::IlpResult r = to_ilp().find_point();
   if (r.status == lp::IlpStatus::kOptimal) return r.point;
   return std::nullopt;
 }
 
-IntegerSet::Opt IntegerSet::integer_min(const AffineExpr& e,
-                                        const lp::IlpOptions& options) const {
+IntegerSet::Opt IntegerSet::integer_min(const AffineExpr& e) const {
   PF_CHECK(e.dims() == dims_);
   if (trivially_empty_) return Opt{Opt::kEmpty, 0};
   MemoTable* memo = active_memo();
@@ -172,25 +169,24 @@ IntegerSet::Opt IntegerSet::integer_min(const AffineExpr& e,
     // Same conservative recovery as is_empty: an inconclusive minimum
     // degrades to kUnknown, which every caller treats pessimistically.
     try {
-      return integer_min_uncached(e, options);
+      return integer_min_uncached(e);
     } catch (const support::BudgetExceeded&) {
       return Opt{Opt::kUnknown, 0};
     }
   }
   const MemoTable::Value v = memoize(
       *memo,
-      solve_key(SolveOp::kMin, dims_, constraints_, &e, options.node_cap),
+      solve_key(SolveOp::kMin, dims_, constraints_, &e),
       support::Counter::kSolveCacheHits, support::Counter::kSolveCacheMisses,
       [&] {
-        const Opt r = integer_min_uncached(e, options);
+        const Opt r = integer_min_uncached(e);
         return MemoTable::Value{r.kind, r.value};
       });
   return Opt{static_cast<Opt::Kind>(v[0]), v[1]};
 }
 
-IntegerSet::Opt IntegerSet::integer_min_uncached(
-    const AffineExpr& e, const lp::IlpOptions& options) const {
-  const lp::IlpResult r = to_ilp().minimize(e.coeffs(), options);
+IntegerSet::Opt IntegerSet::integer_min_uncached(const AffineExpr& e) const {
+  const lp::IlpResult r = to_ilp().minimize(e.coeffs());
   switch (r.status) {
     case lp::IlpStatus::kOptimal:
       return Opt{Opt::kOk, checked_add(r.objective, e.const_term())};
@@ -204,9 +200,8 @@ IntegerSet::Opt IntegerSet::integer_min_uncached(
   return Opt{Opt::kUnknown, 0};
 }
 
-IntegerSet::Opt IntegerSet::integer_max(const AffineExpr& e,
-                                        const lp::IlpOptions& options) const {
-  Opt r = integer_min(-e, options);
+IntegerSet::Opt IntegerSet::integer_max(const AffineExpr& e) const {
+  Opt r = integer_min(-e);
   if (r.kind == Opt::kOk) r.value = checked_neg(r.value);
   return r;
 }

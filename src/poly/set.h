@@ -92,21 +92,21 @@ class IntegerSet {
   /// True if the set provably contains no integer point. A capped ILP
   /// search returns false ("may be non-empty") -- the conservative answer
   /// for dependence analysis.
-  bool is_empty(const lp::IlpOptions& options = {}) const;
+  bool is_empty() const;
 
   /// Membership test for an integer point.
   bool contains(const IntVector& point) const;
 
   /// Any integer point, if one is found.
-  std::optional<IntVector> sample_point(const lp::IlpOptions& options = {}) const;
+  std::optional<IntVector> sample_point() const;
 
   /// Result of an integer optimization over the set.
   struct Opt {
     enum Kind { kOk, kEmpty, kUnbounded, kUnknown } kind = kEmpty;
     i64 value = 0;  // valid iff kind == kOk
   };
-  Opt integer_min(const AffineExpr& e, const lp::IlpOptions& options = {}) const;
-  Opt integer_max(const AffineExpr& e, const lp::IlpOptions& options = {}) const;
+  Opt integer_min(const AffineExpr& e) const;
+  Opt integer_max(const AffineExpr& e) const;
 
   /// Fourier-Motzkin eliminate every dim with remove[d] == true; the
   /// result's dims are the remaining ones in original order.
@@ -152,8 +152,7 @@ class IntegerSet {
   // Returns false if the normalized constraint is unsatisfiable.
   bool normalize(Constraint& c) const;
   // integer_min without consulting the solve cache.
-  Opt integer_min_uncached(const AffineExpr& e,
-                           const lp::IlpOptions& options) const;
+  Opt integer_min_uncached(const AffineExpr& e) const;
   // FM elimination of a single dim, in place on the constraint list
   // (column k becomes all-zero; caller drops it).
   static void fm_eliminate_column(std::vector<Constraint>& cs, std::size_t k,

@@ -21,15 +21,14 @@ std::vector<Constraint> negate(const Constraint& c) {
 
 }  // namespace
 
-bool is_subset(const IntegerSet& a, const IntegerSet& b,
-               const lp::IlpOptions& options) {
+bool is_subset(const IntegerSet& a, const IntegerSet& b) {
   PF_CHECK(a.dims() == b.dims());
   if (a.trivially_empty()) return true;
   for (const Constraint& c : b.constraints()) {
     for (const Constraint& half : negate(c)) {
       IntegerSet probe = a;
       probe.add_constraint(half);
-      if (!probe.is_empty(options)) return false;
+      if (!probe.is_empty()) return false;
     }
   }
   return true;
@@ -137,9 +136,9 @@ SetUnion SetUnion::insert_dims(std::size_t pos, std::size_t count) const {
   return out;
 }
 
-bool SetUnion::is_empty(const lp::IlpOptions& options) const {
+bool SetUnion::is_empty() const {
   for (const IntegerSet& d : disjuncts_)
-    if (!d.is_empty(options)) return false;
+    if (!d.is_empty()) return false;
   return true;
 }
 
@@ -149,18 +148,17 @@ bool SetUnion::contains(const IntVector& point) const {
   return false;
 }
 
-std::optional<IntVector> SetUnion::sample_point(
-    const lp::IlpOptions& options) const {
+std::optional<IntVector> SetUnion::sample_point() const {
   for (const IntegerSet& d : disjuncts_)
-    if (auto p = d.sample_point(options)) return p;
+    if (auto p = d.sample_point()) return p;
   return std::nullopt;
 }
 
-void SetUnion::coalesce(const lp::IlpOptions& options) {
+void SetUnion::coalesce() {
   std::vector<IntegerSet> live;
   live.reserve(disjuncts_.size());
   for (IntegerSet& d : disjuncts_)
-    if (!d.is_empty(options)) live.push_back(std::move(d));
+    if (!d.is_empty()) live.push_back(std::move(d));
 
   // Drop any disjunct contained in another surviving one. On a tie
   // (mutual containment) the earlier disjunct wins, keeping the result
@@ -170,8 +168,8 @@ void SetUnion::coalesce(const lp::IlpOptions& options) {
     if (dead[i]) continue;
     for (std::size_t j = 0; j < live.size(); ++j) {
       if (i == j || dead[j]) continue;
-      if (is_subset(live[j], live[i], options) &&
-          !(j < i && is_subset(live[i], live[j], options)))
+      if (is_subset(live[j], live[i]) &&
+          !(j < i && is_subset(live[i], live[j])))
         dead[j] = true;
     }
   }

@@ -42,8 +42,7 @@ namespace pf::poly {
 /// intersecting a with the negation of any single constraint of b is
 /// (integer-)empty. Conservative under ILP node caps: may return false
 /// for a true containment, never true for a false one.
-bool is_subset(const IntegerSet& a, const IntegerSet& b,
-               const lp::IlpOptions& options = {});
+bool is_subset(const IntegerSet& a, const IntegerSet& b);
 
 class SetUnion {
  public:
@@ -82,7 +81,7 @@ class SetUnion {
 
   /// No disjunct contains an integer point. Conservative under node
   /// caps (false means "may be non-empty"), like IntegerSet::is_empty.
-  bool is_empty(const lp::IlpOptions& options = {}) const;
+  bool is_empty() const;
   /// Syntactically empty: the disjunct list is empty.
   bool trivially_empty() const { return disjuncts_.empty(); }
 
@@ -90,11 +89,11 @@ class SetUnion {
   bool contains(const IntVector& point) const;
 
   /// Any integer point of any disjunct, if one is found.
-  std::optional<IntVector> sample_point(const lp::IlpOptions& options = {}) const;
+  std::optional<IntVector> sample_point() const;
 
   /// Compact the representation: drop ILP-empty disjuncts, then drop
   /// disjuncts subsumed by a remaining one. Does not change the set.
-  void coalesce(const lp::IlpOptions& options = {});
+  void coalesce();
 
   std::string to_string(const std::vector<std::string>& names = {}) const;
 

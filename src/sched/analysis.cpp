@@ -81,8 +81,7 @@ Schedule identity_schedule(const ir::Scop& scop) {
   return sch;
 }
 
-void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg,
-                          const lp::IlpOptions& options) {
+void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg) {
   // Must-complete region: a conservative integer_min here would report a
   // dependence as never satisfied and fail the final legality check, so
   // annotation always runs exact (it is polynomial in practice).
@@ -99,14 +98,14 @@ void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg,
     for (std::size_t l = 0; l < sch.num_levels(); ++l) {
       const poly::AffineExpr diff =
           d.lift_dst(sch.rows[d.dst][l]) - d.lift_src(sch.rows[d.src][l]);
-      const auto mn = d.poly.integer_min(diff, options);
+      const auto mn = d.poly.integer_min(diff);
       PF_CHECK_MSG(mn.kind != poly::IntegerSet::Opt::kUnbounded &&
                        (mn.kind != poly::IntegerSet::Opt::kOk || mn.value >= 0),
                    "illegal schedule: dependence "
                        << dg.scop().statement(d.src).name() << " -> "
                        << dg.scop().statement(d.dst).name()
                        << " violated at level " << l);
-      const auto mx = d.poly.integer_max(diff, options);
+      const auto mx = d.poly.integer_max(diff);
       const bool carried = mx.kind == poly::IntegerSet::Opt::kUnbounded ||
                            mx.kind == poly::IntegerSet::Opt::kUnknown ||
                            (mx.kind == poly::IntegerSet::Opt::kOk &&
@@ -126,8 +125,7 @@ void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg,
 }
 
 std::vector<std::size_t> permutable_bands(const Schedule& sch,
-                                          const ddg::DependenceGraph& dg,
-                                          const lp::IlpOptions& options) {
+                                          const ddg::DependenceGraph& dg) {
   // Must-complete, like annotate_dependences: band detection is a
   // *checker* over the final schedule, not search work.
   support::BudgetSuspend budget_suspend;
@@ -155,7 +153,7 @@ std::vector<std::size_t> permutable_bands(const Schedule& sch,
         const poly::AffineExpr diff =
             d.lift_dst(sch.rows[d.dst][linear_levels[k]]) -
             d.lift_src(sch.rows[d.src][linear_levels[k]]);
-        const auto mn = d.poly.integer_min(diff, options);
+        const auto mn = d.poly.integer_min(diff);
         brk = !(mn.kind == poly::IntegerSet::Opt::kOk && mn.value >= 0) &&
               mn.kind != poly::IntegerSet::Opt::kEmpty;
       }

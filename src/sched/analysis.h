@@ -24,8 +24,7 @@ Schedule identity_schedule(const ir::Scop& scop);
 /// Fill satisfied_at / carried_at / dep_endpoints for `sch` from scratch.
 /// Throws if the schedule does not satisfy every real dependence (i.e. is
 /// illegal).
-void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg,
-                          const lp::IlpOptions& options = {});
+void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg);
 
 /// Maximal permutable bands of the schedule's linear levels: returns one
 /// band id per linear-level ordinal (outermost first). Two consecutive
@@ -34,7 +33,6 @@ void annotate_dependences(Schedule& sch, const ddg::DependenceGraph& dg,
 /// distance component at the deeper level -- the legality condition for
 /// rectangular tiling (and for loop interchange within the band).
 std::vector<std::size_t> permutable_bands(const Schedule& sch,
-                                          const ddg::DependenceGraph& dg,
-                                          const lp::IlpOptions& options = {});
+                                          const ddg::DependenceGraph& dg);
 
 }  // namespace pf::sched

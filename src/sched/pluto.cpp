@@ -5,7 +5,6 @@
 #include <numeric>
 #include <optional>
 #include <set>
-#include <iostream>
 #include <sstream>
 
 #include "poly/memo.h"
@@ -19,6 +18,16 @@
 namespace pf::sched {
 
 namespace {
+
+/// Bound on iterator coefficients of a hyperplane.
+constexpr i64 kCoeffBound = 4;
+/// Bound on the constant (shift) part of a hyperplane.
+constexpr i64 kShiftBound = 20;
+/// Bounds on the cost variables u (per parameter) and w.
+constexpr i64 kUBound = 20;
+constexpr i64 kWBound = 100;
+/// Hard cap on schedule levels (guards against policy bugs).
+constexpr std::size_t kMaxLevels = 64;
 
 class Scheduler {
  public:
@@ -109,7 +118,7 @@ class Scheduler {
       if (!init.empty()) apply_scalar_level(init);
     }
 
-    while (level_linear_.size() < opts_.max_levels) {
+    while (level_linear_.size() < kMaxLevels) {
       support::TraceSpan level_span("sched", "level");
       if (level_span.active())
         level_span.attr("level", static_cast<i64>(level_linear_.size()));
@@ -125,26 +134,6 @@ class Scheduler {
 
       if (!full) {
         auto hyperplane = find_hyperplane(active);
-        if (opts_.trace) {
-          std::cerr << "[sched] level " << level_linear_.size() << ": "
-                    << (hyperplane ? "hyperplane" : "INFEASIBLE") << " ("
-                    << active.size() << " active deps)";
-          if (!hyperplane) {
-            for (const std::size_t dep_idx : active) {
-              const ddg::Dependence& d = dg_.deps()[dep_idx];
-              std::cerr << " " << scop_.statement(d.src).name() << "->"
-                        << scop_.statement(d.dst).name() << "/"
-                        << ddg::to_string(d.kind) << "/d" << d.depth;
-            }
-          }
-          if (hyperplane) {
-            for (std::size_t s = 0; s < scop_.num_statements(); ++s)
-              std::cerr << " "
-                        << (*hyperplane)[s].to_string(
-                               scop_.space_names(scop_.statement(s)));
-          }
-          std::cerr << "\n";
-        }
         if (hyperplane) {
           if (policy_.enforce_outer_parallelism() && !seen_linear_level_ &&
               cut_for_outer_parallelism(active, *hyperplane))
@@ -189,8 +178,8 @@ class Scheduler {
         degrade_level(active, e);
       }
     }
-    PF_CHECK_MSG(level_linear_.size() < opts_.max_levels,
-                 "scheduler exceeded max_levels");
+    PF_CHECK_MSG(level_linear_.size() < kMaxLevels,
+                 "scheduler exceeded kMaxLevels");
 
     Schedule out;
     out.scop = &scop_;
@@ -229,11 +218,11 @@ class Scheduler {
                                       d.lift_src(out.rows[d.src][l]);
         poly::IntegerSet fwd = tied;
         fwd.add_constraint(poly::Constraint::ge0(diff.plus_const(-1)));
-        bool carried = !fwd.is_empty(opts_.ilp);
+        bool carried = !fwd.is_empty();
         if (!carried) {
           poly::IntegerSet bwd = tied;
           bwd.add_constraint(poly::Constraint::ge0((-diff).plus_const(-1)));
-          carried = !bwd.is_empty(opts_.ilp);
+          carried = !bwd.is_empty();
         }
         if (carried) out.carried_at[l].push_back(rd.dep_id);
         tied.add_constraint(poly::Constraint::eq0(diff));
@@ -455,13 +444,13 @@ class Scheduler {
     lp::IlpProblem& ilp = sys.base;
     // Bounds.
     const std::size_t p = scop_.num_params();
-    for (std::size_t q = 0; q < p; ++q) ilp.add_upper_bound(q, opts_.u_bound);
-    ilp.add_upper_bound(w_index_, opts_.w_bound);
+    for (std::size_t q = 0; q < p; ++q) ilp.add_upper_bound(q, kUBound);
+    ilp.add_upper_bound(w_index_, kWBound);
     for (std::size_t s = 0; s < scop_.num_statements(); ++s) {
       const std::size_t m = scop_.statement(s).dim();
       for (std::size_t k = 0; k < m; ++k)
-        ilp.add_upper_bound(c_base_[s] + k, opts_.coeff_bound);
-      ilp.add_upper_bound(c_base_[s] + m, opts_.shift_bound);
+        ilp.add_upper_bound(c_base_[s] + k, kCoeffBound);
+      ilp.add_upper_bound(c_base_[s] + m, kShiftBound);
     }
     // Dependence constraints, deduplicated across dependences (different
     // depth cases of one access pair often linearize identically).
@@ -611,14 +600,9 @@ class Scheduler {
         obj_order[c_base_[s] + k] = static_cast<i64>(k);
     }
     const lp::IlpResult r =
-        ilp.lexmin({obj_u, obj_w, obj_c, obj_order}, opts_.ilp,
+        ilp.lexmin({obj_u, obj_w, obj_c, obj_order},
                    warm_point_ ? &*warm_point_ : nullptr);
-    if (r.status != lp::IlpStatus::kOptimal) {
-      if (opts_.trace)
-        std::cerr << "[sched] lexmin status: " << lp::to_string(r.status)
-                  << "\nILP:\n" << ilp.to_string();
-      return std::nullopt;
-    }
+    if (r.status != lp::IlpStatus::kOptimal) return std::nullopt;
     warm_point_ = r.point;
 
     // Remember the winning Farkas objective (communication-volume bound
@@ -680,7 +664,7 @@ class Scheduler {
       PairState& st = pairs[{cur_pos_of_scc_[scc_s], cur_pos_of_scc_[scc_t]}];
 
       if (!st.carried) {
-        const auto mx = d.poly.integer_max(phi_diff(d, hp), opts_.ilp);
+        const auto mx = d.poly.integer_max(phi_diff(d, hp));
         st.carried = mx.kind == poly::IntegerSet::Opt::kUnbounded ||
                      mx.kind == poly::IntegerSet::Opt::kUnknown ||
                      (mx.kind == poly::IntegerSet::Opt::kOk && mx.value >= 1);
@@ -692,8 +676,8 @@ class Scheduler {
         dst_row.set_const_term(0);
         const poly::AffineExpr diff =
             d.lift_dst(dst_row) - d.lift_src(src_row);
-        const auto mn = d.poly.integer_min(diff, opts_.ilp);
-        const auto mx = d.poly.integer_max(diff, opts_.ilp);
+        const auto mn = d.poly.integer_min(diff);
+        const auto mx = d.poly.integer_max(diff);
         const bool both_zero = mn.kind == poly::IntegerSet::Opt::kOk &&
                                mn.value == 0 &&
                                mx.kind == poly::IntegerSet::Opt::kOk &&
@@ -741,7 +725,7 @@ class Scheduler {
         shared = scalar_prefix_[other] == scalar_prefix_[d.src];
       }
       if (!shared) continue;
-      const auto mx = d.poly.integer_max(phi_diff(d, hp), opts_.ilp);
+      const auto mx = d.poly.integer_max(phi_diff(d, hp));
       const bool carried = mx.kind == poly::IntegerSet::Opt::kUnbounded ||
                            mx.kind == poly::IntegerSet::Opt::kUnknown ||
                            (mx.kind == poly::IntegerSet::Opt::kOk &&
@@ -826,7 +810,7 @@ class Scheduler {
     for (const std::size_t dep_idx : active) {
       const ddg::Dependence& d = dg_.deps()[dep_idx];
       const poly::AffineExpr diff = phi_diff(d, hp);
-      const auto mn = d.poly.integer_min(diff, opts_.ilp);
+      const auto mn = d.poly.integer_min(diff);
       PF_CHECK_MSG(mn.kind != poly::IntegerSet::Opt::kUnbounded,
                    "hyperplane violates legality (unbounded-below "
                    "dependence distance)");
@@ -842,7 +826,7 @@ class Scheduler {
         satisfied_[dep_idx] = true;
         satisfied_at_[dep_idx] = level;
       }
-      const auto mx = d.poly.integer_max(diff, opts_.ilp);
+      const auto mx = d.poly.integer_max(diff);
       const bool is_carried =
           mx.kind == poly::IntegerSet::Opt::kUnbounded ||
           mx.kind == poly::IntegerSet::Opt::kUnknown ||
@@ -979,7 +963,7 @@ Schedule compute_schedule(const ir::Scop& scop,
                      {"cause", e.cause()}});
     support::BudgetSuspend suspend;
     Schedule fallback = identity_schedule(scop);
-    annotate_dependences(fallback, dg, options.ilp);
+    annotate_dependences(fallback, dg);
     remark_partition_outcomes(scop, fallback);
     return fallback;
   } catch (const Error& e) {
@@ -992,7 +976,7 @@ Schedule compute_schedule(const ir::Scop& scop,
     support::remark("sched", "scheduler stuck; fell back to identity schedule",
                     {{"policy", policy.name()}});
     Schedule fallback = identity_schedule(scop);
-    annotate_dependences(fallback, dg, options.ilp);
+    annotate_dependences(fallback, dg);
     remark_partition_outcomes(scop, fallback);
     return fallback;
   }

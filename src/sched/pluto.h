@@ -27,18 +27,6 @@
 namespace pf::sched {
 
 struct SchedulerOptions {
-  /// Bound on iterator coefficients of a hyperplane.
-  i64 coeff_bound = 4;
-  /// Bound on the constant (shift) part of a hyperplane.
-  i64 shift_bound = 20;
-  /// Bounds on the cost variables u (per parameter) and w.
-  i64 u_bound = 20;
-  i64 w_bound = 100;
-  lp::IlpOptions ilp;
-  /// Hard cap on schedule levels (guards against policy bugs).
-  std::size_t max_levels = 64;
-  /// Print per-level decisions (found hyperplane / cut) to stderr.
-  bool trace = false;
   /// Reduction self-dependences the scheduler may ignore during the
   /// hyperplane search (from analysis::analyze_reductions; see
   /// docs/reductions.md). Each is marked satisfied before the first

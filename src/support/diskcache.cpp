@@ -289,7 +289,7 @@ std::string fingerprint() {
   // configured salt. Rebuilding the cache layer (or bumping the version
   // on any format/semantic change) orphans every old entry -- they fail
   // the fingerprint-hashed file name and are LRU-swept out over time.
-  return "pfc1|" __DATE__ "|" __TIME__ "|" + state().salt;
+  return "pfc2|" __DATE__ "|" __TIME__ "|" + state().salt;
 }
 
 void set_fingerprint_salt(const std::string& salt) {

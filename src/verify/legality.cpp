@@ -34,7 +34,7 @@ poly::Constraint violated_half(const poly::AffineExpr& delta) {
 }  // namespace
 
 Report check_legality(const ddg::DependenceGraph& dg,
-                      const sched::Schedule& sch, const Options& options) {
+                      const sched::Schedule& sch) {
   support::TraceSpan span("verify", "legality");
   Report report;
   const std::string problem = detail::structure_problem(dg, sch);
@@ -74,7 +74,7 @@ Report check_legality(const ddg::DependenceGraph& dg,
       const poly::AffineExpr delta = detail::level_diff(d, sch, l);
       poly::IntegerSet violated = residual;
       violated.add_constraint(violated_half(delta));
-      if (!violated.is_empty(options.ilp)) {
+      if (!violated.is_empty()) {
         Finding f;
         f.kind = CheckKind::kLegality;
         f.dep_kind = d.kind;
@@ -89,7 +89,7 @@ Report check_legality(const ddg::DependenceGraph& dg,
         break;
       }
       residual.add_constraint(poly::Constraint::eq0(delta));
-      if (residual.trivially_empty() || residual.is_empty(options.ilp)) {
+      if (residual.trivially_empty() || residual.is_empty()) {
         settled = true;  // strongly satisfied at or above l
         break;
       }

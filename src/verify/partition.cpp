@@ -43,8 +43,8 @@ std::size_t first_diff_level(const std::vector<i64>& a,
 }  // namespace
 
 Report check_partition(const ddg::DependenceGraph& dg,
-                       const sched::Schedule& sch, const Options& options) {
-  (void)options;  // purely structural: no ILP solves needed
+                       const sched::Schedule& sch) {
+  // Purely structural: no ILP solves needed.
   support::TraceSpan span("verify", "partition");
   Report report;
   const std::string problem = detail::structure_problem(dg, sch);

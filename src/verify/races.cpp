@@ -61,8 +61,8 @@ void collect_stmts(const codegen::AstNode& n, std::vector<bool>* under) {
 class RaceWalker {
  public:
   RaceWalker(const ddg::DependenceGraph& dg, const sched::Schedule& sch,
-             const Options& options, Report* report)
-      : dg_(dg), sch_(sch), options_(options), report_(report) {}
+             Report* report)
+      : dg_(dg), sch_(sch), report_(report) {}
 
   void walk(const codegen::AstNode& n) {
     switch (n.kind) {
@@ -112,8 +112,8 @@ class RaceWalker {
       forward.add_constraint(poly::Constraint::ge0(delta.plus_const(-1)));
       poly::IntegerSet backward = std::move(tied);
       backward.add_constraint(poly::Constraint::ge0((-delta).plus_const(-1)));
-      const bool fwd = !forward.is_empty(options_.ilp);
-      const bool bwd = !backward.is_empty(options_.ilp);
+      const bool fwd = !forward.is_empty();
+      const bool bwd = !backward.is_empty();
       if (!fwd && !bwd) continue;
       if (clause_covered(loop, dep_index)) {
         ++report_->reduction_waivers;
@@ -198,14 +198,13 @@ class RaceWalker {
 
   const ddg::DependenceGraph& dg_;
   const sched::Schedule& sch_;
-  const Options& options_;
   Report* report_;
 };
 
 }  // namespace
 
 Report check_races(const ddg::DependenceGraph& dg, const sched::Schedule& sch,
-                   const codegen::AstNode& ast, const Options& options) {
+                   const codegen::AstNode& ast) {
   support::TraceSpan span("verify", "races");
   Report report;
   const std::string problem = detail::structure_problem(dg, sch);
@@ -216,7 +215,7 @@ Report check_races(const ddg::DependenceGraph& dg, const sched::Schedule& sch,
     detail::add_finding(&report, std::move(f));
     return report;
   }
-  RaceWalker walker(dg, sch, options, &report);
+  RaceWalker walker(dg, sch, &report);
   walker.walk(ast);
   if (span.active()) {
     span.attr("race_checks", static_cast<i64>(report.race_checks));

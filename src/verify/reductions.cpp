@@ -157,8 +157,7 @@ bool reduction_confirmed(const ddg::DependenceGraph& dg,
 }  // namespace detail
 
 Report check_reductions(const ddg::DependenceGraph& dg,
-                        const sched::Schedule& sch, const Options& options) {
-  (void)options;
+                        const sched::Schedule& sch) {
   support::TraceSpan span("verify", "reductions");
   Report report;
   const std::string problem = detail::structure_problem(dg, sch);

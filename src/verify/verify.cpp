@@ -147,8 +147,7 @@ std::string Report::to_string(const ir::Scop* scop) const {
 }
 
 Report run_all(const ir::Scop& scop, const ddg::DependenceGraph& dg,
-               const sched::Schedule& sch, const codegen::AstNode* ast,
-               const Options& options) {
+               const sched::Schedule& sch, const codegen::AstNode* ast) {
   support::TraceSpan span("verify", "run_all");
   // The verifier is a must-complete checker: a conservative (budgeted)
   // is_empty would fabricate "violations" that do not exist, so it always
@@ -164,12 +163,10 @@ Report run_all(const ir::Scop& scop, const ddg::DependenceGraph& dg,
     f.detail = problem;
     detail::add_finding(&report, std::move(f));
   } else {
-    if (options.reductions && !sch.relaxed_deps.empty())
-      report.merge(check_reductions(dg, sch, options));
-    if (options.legality) report.merge(check_legality(dg, sch, options));
-    if (options.races && ast != nullptr)
-      report.merge(check_races(dg, sch, *ast, options));
-    if (options.partition) report.merge(check_partition(dg, sch, options));
+    if (!sch.relaxed_deps.empty()) report.merge(check_reductions(dg, sch));
+    report.merge(check_legality(dg, sch));
+    if (ast != nullptr) report.merge(check_races(dg, sch, *ast));
+    report.merge(check_partition(dg, sch));
   }
 
   support::count(support::Counter::kVerifyCheckedDeps,

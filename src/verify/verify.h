@@ -100,30 +100,21 @@ struct Report {
   std::string summary() const;
 };
 
-struct Options {
-  lp::IlpOptions ilp;
-  bool legality = true;
-  bool races = true;
-  bool partition = true;
-  bool reductions = true;
-};
-
 /// Check (a): lexicographic positivity of every real dependence under the
 /// schedule. Needs only sch.rows / sch.level_linear (no scheduler
 /// bookkeeping).
 Report check_legality(const ddg::DependenceGraph& dg,
-                      const sched::Schedule& sch, const Options& options = {});
+                      const sched::Schedule& sch);
 
 /// Check (b): every AST loop claiming `parallel` (or `mark_parallel`)
 /// carries no real dependence between the statements under it.
 Report check_races(const ddg::DependenceGraph& dg, const sched::Schedule& sch,
-                   const codegen::AstNode& ast, const Options& options = {});
+                   const codegen::AstNode& ast);
 
 /// Check (c): the outermost fusion partition is a valid topological order
 /// of the DDG's SCC condensation and never splits an SCC.
 Report check_partition(const ddg::DependenceGraph& dg,
-                       const sched::Schedule& sch,
-                       const Options& options = {});
+                       const sched::Schedule& sch);
 
 /// Check (d): every relaxed reduction self-dependence recorded in
 /// sch.relaxed_deps is re-proven to be a genuine commutative accumulation
@@ -136,15 +127,13 @@ Report check_partition(const ddg::DependenceGraph& dg,
 /// finding, and check_legality / check_races then judge it with no
 /// waiver, so `--verify=strict` rejects bogus relaxations twice over.
 Report check_reductions(const ddg::DependenceGraph& dg,
-                        const sched::Schedule& sch,
-                        const Options& options = {});
+                        const sched::Schedule& sch);
 
-/// Run every enabled check. `ast` may be null (race check skipped --
+/// Run every check. `ast` may be null (race check skipped --
 /// e.g. when only the schedule exists). Emits one remark per finding and
 /// a summary remark (category "verify") and feeds the verify_* stats
 /// counters.
 Report run_all(const ir::Scop& scop, const ddg::DependenceGraph& dg,
-               const sched::Schedule& sch, const codegen::AstNode* ast,
-               const Options& options = {});
+               const sched::Schedule& sch, const codegen::AstNode* ast);
 
 }  // namespace pf::verify

@@ -11,8 +11,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -296,6 +298,66 @@ TEST_F(BatchTest, IsolatedCrashDumpCarriesRequestCounters) {
         << e.path().string();
   }
   EXPECT_EQ(dumps, 3);
+}
+
+// Concurrent in-process requests that fail strict lint each leave their
+// own <stem>.diag.json, with their own cause and counters, and each
+// <stem>.err names its own file.
+TEST_F(BatchTest, ConcurrentFatalDiagnosticsStaySeparate) {
+  fs::remove_all(path("in"));
+  fs::create_directories(path("in"));
+  const std::pair<const char*, const char*> programs[] = {
+      {"oob",
+       "scop oob(N) { context N >= 4; array a[N];\n"
+       "for (i = 0 .. N) { S1: a[i] = i * 1.0; } }"},
+      {"uninit",
+       "scop uninit(N) { context N >= 4; local array t[N]; array b[N];\n"
+       "for (i = 1 .. N-1) { S1: t[i] = i * 1.0; }\n"
+       "for (i = 0 .. N-1) { S2: b[i] = t[i]; } }"},
+      {"dead",
+       "scop dead(N) { context N >= 4; local array t[N]; array b[N];\n"
+       "for (i = 0 .. N-1) { S1: t[i] = i * 1.0; }\n"
+       "for (i = 0 .. N-1) { S2: b[i] = i * 2.0; } }"},
+  };
+  for (const auto& [stem, text] : programs)
+    std::ofstream(path("in") / (std::string(stem) + ".pf")) << text;
+  const CmdResult r = run("--batch=" + in() + " --batch-out=" +
+                              path("out").string() + " --batch-report=" +
+                              path("r.json").string() +
+                              " --lint=strict --emit=sched --jobs=3",
+                          "POLYFUSE_DIAG_DIR=" + root_.string());
+  EXPECT_EQ(r.exit_code, 3) << r.err;
+  // The per-request count the lint summary line reports: "checked N".
+  auto checked = [](const std::string& text, const std::string& key) {
+    const std::size_t at = text.find(key);
+    return at == std::string::npos ? -1
+                                   : std::stoll(text.substr(at + key.size()));
+  };
+  std::set<long long> seen;
+  for (const auto& [stem, text] : programs) {
+    SCOPED_TRACE(stem);
+    const fs::path diag = path("out") / (std::string(stem) + ".diag.json");
+    const std::string err = slurp(path("out") / (std::string(stem) + ".err"));
+    EXPECT_NE(err.find("polyfuse: diagnostic written to " + diag.string()),
+              std::string::npos)
+        << err;
+    ASSERT_TRUE(fs::exists(diag));
+    const std::string dump = slurp(diag);
+    EXPECT_NE(dump.find("\"cause\": \"lint-strict-failure\""),
+              std::string::npos);
+    const long long accesses = checked(err, "lint: checked ");
+    ASSERT_GT(accesses, 0) << err;
+    EXPECT_EQ(checked(dump, "\"lint_checked_accesses\": "), accesses);
+    EXPECT_EQ(checked(dump, "\"lint_errors\": "), 1);
+    seen.insert(accesses);
+  }
+  // Three programs of different sizes: three different counts.
+  EXPECT_EQ(seen.size(), 3u);
+  // Nothing went to the process-wide path.
+  for (const auto& e : fs::directory_iterator(root_))
+    EXPECT_EQ(e.path().filename().string().find("polyfuse-diag."),
+              std::string::npos)
+        << e.path();
 }
 
 // --explain and --stats land in each request's <stem>.err, recorded by

@@ -160,17 +160,6 @@ TEST(Dependences, InputDepsKeptSeparately) {
   EXPECT_TRUE(g.has_reuse_edge(1, 0));  // symmetric
 }
 
-TEST(Dependences, InputDepsCanBeDisabled) {
-  const ir::Scop s = frontend::parse_scop(R"(
-    scop t(N) { context N >= 4; array a[N]; array b[N]; array c[N];
-      for (i = 0 .. N-1) { S1: a[i] = c[i]; }
-      for (i = 0 .. N-1) { S2: b[i] = c[i]; } })");
-  AnalysisOptions opts;
-  opts.compute_input_deps = false;
-  const auto g = DependenceGraph::analyze(s, opts);
-  EXPECT_TRUE(g.rar_deps().empty());
-}
-
 TEST(Dependences, GemverBackwardDependence) {
   // The paper's Figure 1: S1 writes B[i][j]; S2 reads B[j][i]. Within a
   // shared nest this would be fusion-preventing; across separate nests the

@@ -140,7 +140,7 @@ TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {
     cold = p.lexmin(objectives);
     support::current_metrics().reset();
     const IntVector feasible{3, 1};
-    EXPECT_EQ(p.lexmin(objectives, {}, &feasible).point, cold.point);
+    EXPECT_EQ(p.lexmin(objectives, &feasible).point, cold.point);
     EXPECT_EQ(counter(support::Counter::kFastlaneWarmHits), 0);
   }
   ASSERT_EQ(cold.status, lp::IlpStatus::kOptimal);
@@ -148,21 +148,21 @@ TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {
   support::current_metrics().reset();
   // A feasible warm point (not the optimum): accepted, same answer.
   const IntVector feasible{3, 1};
-  const auto warm = p.lexmin(objectives, {}, &feasible);
+  const auto warm = p.lexmin(objectives, &feasible);
   EXPECT_EQ(counter(support::Counter::kFastlaneWarmHits), 1);
   ASSERT_EQ(warm.status, lp::IlpStatus::kOptimal);
   EXPECT_EQ(warm.point, cold.point);
 
   // A stale point (violates x0 + x1 >= 4): rejected, same answer.
   const IntVector stale{0, 0};
-  const auto rejected = p.lexmin(objectives, {}, &stale);
+  const auto rejected = p.lexmin(objectives, &stale);
   EXPECT_EQ(counter(support::Counter::kFastlaneWarmMisses), 1);
   ASSERT_EQ(rejected.status, lp::IlpStatus::kOptimal);
   EXPECT_EQ(rejected.point, cold.point);
 
   // A wrong-arity point: rejected, same answer.
   const IntVector wrong_size{1};
-  const auto sized = p.lexmin(objectives, {}, &wrong_size);
+  const auto sized = p.lexmin(objectives, &wrong_size);
   EXPECT_EQ(counter(support::Counter::kFastlaneWarmMisses), 2);
   ASSERT_EQ(sized.status, lp::IlpStatus::kOptimal);
   EXPECT_EQ(sized.point, cold.point);

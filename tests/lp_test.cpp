@@ -738,9 +738,7 @@ TEST(Ilp, NodeCapReported) {
   auto p = IlpProblem::all_free(3);
   p.add_inequality({3, -7, 11}, -1);
   p.add_inequality({-3, 7, -11}, 1);
-  IlpOptions opts;
-  opts.node_cap = 1;
-  const auto r = p.find_point(opts);
+  const auto r = p.find_point(/*node_cap=*/1);
   // With cap 1 we either got lucky with an integral vertex or hit the cap;
   // both are legal, but infeasible would be wrong (points exist).
   EXPECT_NE(r.status, IlpStatus::kInfeasible);

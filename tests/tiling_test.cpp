@@ -167,7 +167,7 @@ TEST(Tiling, NoBandNoChange) {
     scop t(N) { context N >= 4; array a[N];
       for (i = 0 .. N-1) { S1: a[i] = 1.0; } })",
                  fusion::FusionModel::kSmartfuse);
-  // Single loop: below min_band_depth.
+  // Single loop: below the minimum tiled band depth (2).
   EXPECT_EQ(b.tile({.tile_size = 8}), 0u);
 }
 

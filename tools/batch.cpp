@@ -173,6 +173,9 @@ RequestResult run_one(const Options& base, const Request& req, i64 index,
   ro.batch_out.clear();
   ro.batch_report.clear();
   ro.batch_isolate = false;
+  // Concurrent in-process requests share one process: each fatal
+  // diagnostic gets its own file, named as an isolated child's.
+  ro.diag_file = (outdir / (req.stem + ".diag.json")).string();
 
   std::ostringstream out;
   std::ostringstream err;

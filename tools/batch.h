@@ -7,7 +7,8 @@
 //    directory, or the lines of a manifest file) and scheduled across
 //    --jobs workers; each request runs with jobs=1 inside, its own
 //    budget/metrics/solve-cache scope, and writes <stem>.out/<stem>.err
-//    under --batch-out.
+//    under --batch-out. A request's fatal diagnostic (strict verify/lint
+//    failure, escaped budget) goes to <stem>.diag.json there too.
 //  * Each request runs exactly once, through cli::run_request. A request
 //    that exhausts its --fuel/--time-budget degrades through the PR-5
 //    chain and is reported "degraded", not failed; a request that fails

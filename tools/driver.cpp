@@ -331,10 +331,10 @@ void default_params(const ir::Scop& scop, IntVector* params) {
   throw pf::Error("could not guess parameter values; use --params");
 }
 
-// Every exit path -- successful or not -- funnels through here: stats
-// report, the --explain remark log, the --trace Chrome trace file and
-// the --diagnose flight-recorder dump all fire no matter which --emit
-// short-circuit returned or which error unwound the pipeline. Stats and
+// run_request calls this once, after the pipeline returned or unwound:
+// stats report, the --explain remark log, the --trace Chrome trace file
+// and the --diagnose flight-recorder dump all fire no matter which --emit
+// short-circuit returned or which error ended the pipeline. Stats and
 // remarks come from the request's own registry and tracer, so a batch
 // request reports only itself (--trace/--diagnose are single-request).
 void finish_outputs(const Options& o, std::ostream& err) {
@@ -370,11 +370,15 @@ void finish_outputs(const Options& o, std::ostream& err) {
 }
 
 // Fatal-path diagnostic: budget exhaustion and strict verify/lint
-// failures dump the same flight-recorder report a crash would, to
+// failures dump the same flight-recorder report a crash would, to the
+// request's diag_file (a batch request's <stem>.diag.json), else to
 // polyfuse-diag.<pid>.json (or POLYFUSE_DIAG_DIR). Independent of
 // --diagnose=FILE, which always writes its own "requested" dump on exit.
-void dump_fatal_diag(const std::string& cause, std::ostream& err) {
-  const std::string path = support::flightrec::default_diag_path();
+void dump_fatal_diag(const Options& o, const std::string& cause,
+                     std::ostream& err) {
+  const std::string path = o.diag_file.empty()
+                               ? support::flightrec::default_diag_path()
+                               : o.diag_file;
   if (support::flightrec::write_diag_file(path, cause.c_str()))
     err << "polyfuse: diagnostic written to " << path << "\n";
   else
@@ -391,7 +395,7 @@ int run_verify(const Options& o, const ir::Scop& scop,
   const verify::Report report = verify::run_all(scop, dg, sch, ast);
   err << report.to_string(&scop);
   if (!report.ok() && o.verify_strict) {
-    dump_fatal_diag("verify-strict-failure", err);
+    dump_fatal_diag(o, "verify-strict-failure", err);
     return 1;
   }
   return 0;
@@ -406,7 +410,7 @@ int run_lint_mode(const Options& o, const ir::Scop& scop,
   const analysis::LintReport report = analysis::run_lint(scop, dg);
   err << report.to_string(&scop);
   if (!report.ok() && o.lint_strict) {
-    dump_fatal_diag("lint-strict-failure", err);
+    dump_fatal_diag(o, "lint-strict-failure", err);
     return 1;
   }
   return 0;
@@ -442,7 +446,6 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
 
   if (o.emit == "source" && !o.lint && !o.analyze) {
     out << scop.to_string();
-    finish_outputs(o, err);
     return 0;
   }
 
@@ -481,8 +484,7 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
   std::optional<analysis::ReductionInfo> reductions;
   if (o.reductions_report || (will_schedule && !o.no_reductions)) {
     support::PhaseTimer timer("reductions");
-    analysis::ReductionOptions ropts;
-    reductions = analysis::analyze_reductions_degrading(scop, dg, ropts);
+    reductions = analysis::analyze_reductions_degrading(scop, dg);
     if (o.reductions_report) {
       if (o.reductions_json)
         err << analysis::render_reductions_json(scop, dg, *reductions);
@@ -493,12 +495,10 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
 
   if (o.emit == "source") {
     out << scop.to_string();
-    finish_outputs(o, err);
     return lint_rc;
   }
   if (o.emit == "deps") {
     out << dg.to_string();
-    finish_outputs(o, err);
     return lint_rc;
   }
 
@@ -545,7 +545,6 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
     // No AST at this point: legality + partition checks only.
     const int rc = o.verify ? run_verify(o, scop, dg, sch, nullptr, err) : 0;
     out << sch.to_string();
-    finish_outputs(o, err);
     return std::max(rc, lint_rc);
   }
 
@@ -605,10 +604,7 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
               : diff == 0.0   ? " (ok)"
                               : " (ok, reduction reassociation)")
           << "\n";
-      if (!ok) {
-        finish_outputs(o, err);
-        return 1;
-      }
+      if (!ok) return 1;
     }
     if (o.machine_report) {
       support::PhaseTimer timer("machine-report");
@@ -639,7 +635,6 @@ int run_pipeline(const Options& o, std::ostream& out, std::ostream& err) {
       out << codegen::emit_c(*ast, scop, eopts);
     }
   }
-  finish_outputs(o, err);
   return std::max(verify_rc, lint_rc);
 }
 
@@ -687,24 +682,23 @@ RequestResult run_request(const Options& o, std::ostream& out,
       static_cast<i64>(o.jobs != 0 ? o.jobs : support::default_jobs()));
   support::gauge_set(support::Gauge::kTraceEventCap,
                      static_cast<i64>(o.trace_max_events));
-  // Error paths still owe the user their requested outputs: any pipeline
-  // error prints stats/explain/trace before the nonzero result, and a
-  // budget that escaped every recovery boundary first leaves a crash-style
+  // Every path owes the user their requested outputs: finish_outputs runs
+  // once after the pipeline, whether it returned or threw, and a budget
+  // that escaped every recovery boundary first leaves a crash-style
   // diagnostic.
   try {
     result.rc = run_pipeline(o, out, err);
   } catch (const support::BudgetExceeded& e) {
     err << "polyfuse: " << e.what() << "\n";
-    dump_fatal_diag(std::string("budget-exceeded:") + e.site_name(), err);
-    finish_outputs(o, err);
+    dump_fatal_diag(o, std::string("budget-exceeded:") + e.site_name(), err);
     result.rc = 1;
     result.error = e.what();
   } catch (const std::exception& e) {
     err << "polyfuse: " << e.what() << "\n";
-    finish_outputs(o, err);
     result.rc = 1;
     result.error = e.what();
   }
+  finish_outputs(o, err);
   // "Degraded" = the degradation chain absorbed at least one budget fault
   // (fuel, deadline or injected) on the way to whatever was produced.
   // Read from the request-scoped registry, so sibling requests never

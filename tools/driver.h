@@ -61,6 +61,9 @@ struct Options {
   std::string batch_out;     // per-request output directory
   std::string batch_report;  // JSON report file; empty = stdout summary only
   bool batch_isolate = false;
+  // Where this request's fatal diagnostic goes; empty = the process path
+  // (polyfuse-diag.<pid>.json). The batch driver sets <stem>.diag.json.
+  std::string diag_file;
 
   // Persistent on-disk solve/count cache (src/support/diskcache.h).
   std::string cache_dir;   // empty = disabled
@@ -96,7 +99,7 @@ struct RequestResult {
 /// gauges) and solve-cache scope, the only memo table anything is
 /// memoized in; catches every exception. A budget that escapes every
 /// recovery boundary also writes the budget-exceeded:<site> fatal
-/// diagnostic. Never calls exit() (except when a --trace/--diagnose file
+/// diagnostic, to Options::diag_file when set. Never calls exit() (except when a --trace/--diagnose file
 /// cannot be written) and never throws.
 RequestResult run_request(const Options& o, std::ostream& out,
                           std::ostream& err);
