@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ddg/dataflow.h"
 #include "support/budget.h"
 #include "support/error.h"
 #include "support/metrics.h"
@@ -11,6 +12,10 @@
 
 namespace pf::analysis {
 
+using ddg::Dataflow;
+using ddg::ReadCover;
+using ddg::ValueFlow;
+using ddg::WriteLiveness;
 using poly::AffineExpr;
 using poly::Constraint;
 using poly::IntegerSet;
@@ -352,12 +357,12 @@ LintReport run_lint(const ir::Scop& scop, const ddg::DependenceGraph& dg) {
 
   check_bounds(scop, &report);
 
-  const Dataflow df = compute_dataflow(scop, dg);
-  report.value_flows = df.flows.size();
-  check_uninit(scop, df, &report);
-  check_dead(scop, df, &report);
+  const std::shared_ptr<const Dataflow> df = dg.dataflow();
+  report.value_flows = df->flows.size();
+  check_uninit(scop, *df, &report);
+  check_dead(scop, *df, &report);
   check_contiguity(scop, &report);
-  check_fusion_distance(scop, df, &report);
+  check_fusion_distance(scop, *df, &report);
 
   support::count(support::Counter::kLintCheckedAccesses,
                  static_cast<i64>(report.checked_accesses));

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dataflow.h"
 #include "ddg/dependences.h"
 #include "ir/scop.h"
 

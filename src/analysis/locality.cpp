@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "analysis/dataflow.h"
+#include "ddg/dataflow.h"
 #include "support/budget.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -11,6 +11,8 @@
 
 namespace pf::analysis {
 
+using ddg::ReadCover;
+using ddg::WriteLiveness;
 using poly::AffineExpr;
 using poly::Constraint;
 using poly::Count;
@@ -266,6 +268,7 @@ std::string LocalityReport::to_json(const ir::Scop& scop) const {
 LocalityReport analyze_locality(const ir::Scop& scop,
                                 const ddg::DependenceGraph& dg,
                                 const IntVector& params) {
+  PF_CHECK_MSG(&dg.scop() == &scop, "dependence graph built for another scop");
   PF_CHECK_MSG(params.size() == scop.num_params(),
                "analyze_locality: expected " << scop.num_params()
                                              << " parameter value(s), got "
@@ -328,16 +331,16 @@ LocalityReport analyze_locality(const ir::Scop& scop,
   // runs exact (BudgetSuspend): a conservative subtraction would report
   // wrong volumes, not merely unknown ones. Counting the resulting sets
   // stays under the live budget and degrades per count.
-  Dataflow df;
+  std::shared_ptr<const ddg::Dataflow> df;
   {
     support::BudgetSuspend suspend;
-    df = compute_dataflow(scop, dg);
+    df = dg.dataflow();
   }
   auto count_bound_union = [&](const SetUnion& u, std::size_t iters) {
     const auto bound = bind_union(u, iters, params);
     return bound ? poly::count_points(*bound) : Count::unknown();
   };
-  for (const WriteLiveness& wl : df.writes) {
+  for (const WriteLiveness& wl : df->writes) {
     const ir::Statement& stmt = scop.statement(wl.stmt);
     const std::size_t array = stmt.write().array_id;
     const SetUnion dead = scop.array(array).is_local
@@ -349,7 +352,7 @@ LocalityReport analyze_locality(const ir::Scop& scop,
     rep.findings.push_back(
         {VolumeFinding::kDeadWrite, wl.stmt, array, volume});
   }
-  for (const ReadCover& rc : df.covers) {
+  for (const ReadCover& rc : df->covers) {
     const ir::Statement& stmt = scop.statement(rc.stmt);
     const std::size_t array = stmt.accesses()[rc.access].array_id;
     if (!scop.array(array).is_local) continue;  // live-in, not a defect

@@ -4,7 +4,9 @@
 #include <map>
 #include <sstream>
 
+#include "ddg/dataflow.h"
 #include "support/budget.h"
+#include "support/error.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -82,7 +84,7 @@ bool match_reduction_op(const ir::Statement& s, ReductionOp op) {
 
 /// Depth up to which every disjunct of `flow` forces equal producer and
 /// consumer iterators (delta_l == 0 for l < depth).
-std::size_t flow_tie_depth(const ValueFlow& f) {
+std::size_t flow_tie_depth(const ddg::ValueFlow& f) {
   const std::size_t limit = std::min(f.src_dim, f.dst_dim);
   for (std::size_t l = 0; l < limit; ++l) {
     const std::size_t dims = f.poly.dims();
@@ -117,6 +119,7 @@ bool match_reduction(const ir::Statement& s, ReductionOp* op_out) {
 ReductionInfo analyze_reductions(const ir::Scop& scop,
                                  const ddg::DependenceGraph& dg,
                                  const ReductionOptions& options) {
+  PF_CHECK_MSG(&dg.scop() == &scop, "dependence graph built for another scop");
   ReductionInfo info;
 
   // Budget faults raised inside poly queries are recovered conservatively
@@ -154,20 +157,22 @@ ReductionInfo analyze_reductions(const ir::Scop& scop,
 
   // --- Privatizable arrays, from value-based dataflow. ---
   if (options.privatization) {
-    const Dataflow df = compute_dataflow(scop, dg);
+    // The graph's shared build while the memo gate is open. A limiting
+    // budget closes it, so this build is then charged and kept by no one.
+    const std::shared_ptr<const ddg::Dataflow> df = dg.dataflow();
     const std::size_t na = scop.arrays().size();
     // Per array: smallest tie depth over its flows (SIZE_MAX = no flow
     // seen yet), and whether any read observes initial contents.
     std::vector<std::size_t> depth(na, SIZE_MAX);
     std::vector<bool> has_flow(na, false), tainted(na, false);
-    for (const ValueFlow& f : df.flows) {
+    for (const ddg::ValueFlow& f : df->flows) {
       const std::size_t a =
           scop.statement(f.dst).accesses()[f.dst_access].array_id;
       has_flow[a] = true;
       if (tainted[a] || depth[a] == 0) continue;
       depth[a] = std::min(depth[a], flow_tie_depth(f));
     }
-    for (const ReadCover& c : df.covers) {
+    for (const ddg::ReadCover& c : df->covers) {
       const std::size_t a =
           scop.statement(c.stmt).accesses()[c.access].array_id;
       support::budget_op(support::BudgetSite::kAnalysisReductions);

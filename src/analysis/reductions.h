@@ -13,7 +13,7 @@
 // following Doerfert et al., "Polly's Polyhedral Scheduling in the
 // Presence of Reductions").
 //
-// Privatization: from the Feautrier value-based dataflow (dataflow.h), a
+// Privatization: from the Feautrier value-based dataflow (ddg/dataflow.h), a
 // `local` array is privatizable at depth k when none of its reads
 // observes initial contents and every value flow into it is tied in the
 // first k loop dimensions of producer and consumer -- each iteration of
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dataflow.h"
 #include "ddg/dependences.h"
 #include "ir/reduction.h"
 #include "ir/scop.h"

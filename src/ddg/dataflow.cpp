@@ -1,13 +1,15 @@
-#include "analysis/dataflow.h"
+#include "ddg/dataflow.h"
 
 #include <map>
 #include <tuple>
 #include <utility>
 
+#include "poly/memo.h"
 #include "support/error.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 
-namespace pf::analysis {
+namespace pf::ddg {
 
 namespace {
 
@@ -90,13 +92,14 @@ SetUnion subtract_all(SetUnion from, const SetUnion& sub) {
   return from;
 }
 
-}  // namespace
-
-Dataflow compute_dataflow(const ir::Scop& scop,
-                          const ddg::DependenceGraph& dg) {
+/// One build of the value-based dataflow of `dg`'s scop.
+std::shared_ptr<const Dataflow> compute_dataflow(const DependenceGraph& dg) {
   support::TraceSpan span("analysis", "compute_dataflow");
+  support::count(support::Counter::kDataflowBuilds);
+  const ir::Scop& scop = dg.scop();
   const std::size_t p = scop.num_params();
-  Dataflow out;
+  auto result = std::make_shared<Dataflow>();
+  Dataflow& out = *result;
 
   // Writers per array (each statement writes exactly one access, [0]).
   std::vector<std::vector<std::size_t>> writers(scop.arrays().size());
@@ -108,8 +111,8 @@ Dataflow compute_dataflow(const ir::Scop& scop,
   // walk in deterministic (src, dst, access) order.
   std::map<std::tuple<std::size_t, std::size_t, std::size_t>, SetUnion>
       groups;
-  for (const ddg::Dependence& d : dg.deps()) {
-    if (d.kind != ddg::DepKind::kFlow) continue;
+  for (const Dependence& d : dg.deps()) {
+    if (d.kind != DepKind::kFlow) continue;
     const auto key = std::make_tuple(d.src, d.dst, d.dst_access);
     auto it = groups.find(key);
     if (it == groups.end())
@@ -238,8 +241,8 @@ Dataflow compute_dataflow(const ir::Scop& scop,
     const std::size_t m = s.dim();
 
     SetUnion killed(m + p);
-    for (const ddg::Dependence& d : dg.deps()) {
-      if (d.kind != ddg::DepKind::kOutput || d.src != s.index()) continue;
+    for (const Dependence& d : dg.deps()) {
+      if (d.kind != DepKind::kOutput || d.src != s.index()) continue;
       std::vector<bool> drop_dst(d.poly.dims(), false);
       for (std::size_t k = 0; k < d.dst_dim; ++k) drop_dst[d.src_dim + k] = true;
       killed.add_disjunct(d.poly.eliminate_dims(drop_dst));
@@ -259,7 +262,22 @@ Dataflow compute_dataflow(const ir::Scop& scop,
     span.attr("value_flows", static_cast<i64>(out.flows.size()));
     span.attr("read_covers", static_cast<i64>(out.covers.size()));
   }
-  return out;
+  return result;
 }
 
-}  // namespace pf::analysis
+}  // namespace
+
+std::shared_ptr<const Dataflow> DependenceGraph::dataflow() const {
+  // The one memo gate: a closed gate keeps nothing and serves nothing, so
+  // a budgeted build stays charged and the exact path stays exact.
+  if (poly::active_memo() == nullptr) return compute_dataflow(*this);
+  std::lock_guard<std::mutex> lock(dataflow_->mu);
+  if (dataflow_->value) {
+    support::count(support::Counter::kDataflowMemoHits);
+    return dataflow_->value;
+  }
+  dataflow_->value = compute_dataflow(*this);
+  return dataflow_->value;
+}
+
+}  // namespace pf::ddg

@@ -31,6 +31,14 @@
 // Everything runs serially over the deterministically-merged dependence
 // graph, so results (and any remarks derived from them) are identical at
 // every --jobs count.
+//
+// The graph owns its dataflow: DependenceGraph::dataflow() builds it at
+// most once per graph while the one memo gate (poly::active_memo) is
+// open, and serves that build to every later asker, so --lint, --analyze
+// and --reductions in one request share it. A closed gate -- no request
+// scope, a limiting budget, lp::testing::ExactPathScope -- builds a
+// private copy and keeps nothing: a charged build must stay charged, and
+// the reference path has no shortcut.
 #pragma once
 
 #include <vector>
@@ -39,7 +47,7 @@
 #include "ir/scop.h"
 #include "poly/set_union.h"
 
-namespace pf::analysis {
+namespace pf::ddg {
 
 /// One value-based producer/consumer flow: the last-writer instances of
 /// statement `src` feeding read `dst_access` of statement `dst`.
@@ -75,9 +83,4 @@ struct Dataflow {
   std::vector<WriteLiveness> writes;   // one per statement
 };
 
-/// Compute value-based dataflow for the whole scop. `dg` must be the
-/// memory-based dependence graph of `scop` (RAR dependences unused).
-Dataflow compute_dataflow(const ir::Scop& scop,
-                          const ddg::DependenceGraph& dg);
-
-}  // namespace pf::analysis
+}  // namespace pf::ddg

@@ -20,6 +20,8 @@
 // makes; extra dependences only constrain, never break, the transformation.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,8 @@ struct AnalysisOptions {
   std::size_t jobs = 0;
 };
 
+struct Dataflow;  // ddg/dataflow.h
+
 class DependenceGraph {
  public:
   /// Run the analysis. The scop must outlive the graph.
@@ -92,14 +96,27 @@ class DependenceGraph {
   /// order of the condensation).
   SccResult sccs() const;
 
+  /// Value-based dataflow of scop() (ddg/dataflow.h). Built at most
+  /// once per graph while poly::active_memo() is open and kept for every
+  /// later asker; under a closed gate each call builds a private copy.
+  /// Safe to call from several threads.
+  std::shared_ptr<const Dataflow> dataflow() const;
+
   std::string to_string() const;
 
  private:
+  // The kept dataflow build. Copies of a graph share it.
+  struct DataflowSlot {
+    std::mutex mu;
+    std::shared_ptr<const Dataflow> value;
+  };
+
   const ir::Scop* scop_ = nullptr;
   std::vector<Dependence> deps_;
   std::vector<Dependence> rar_;
   std::vector<std::vector<bool>> adj_;      // adj_[src][dst] over real deps
   std::vector<std::vector<bool>> reuse_;    // symmetric: real or RAR
+  std::shared_ptr<DataflowSlot> dataflow_ = std::make_shared<DataflowSlot>();
 };
 
 }  // namespace pf::ddg

@@ -122,6 +122,10 @@ const char* to_string(Counter c) {
       return "farkas_builds";
     case Counter::kFarkasMemoHits:
       return "farkas_memo_hits";
+    case Counter::kDataflowBuilds:
+      return "dataflow_builds";
+    case Counter::kDataflowMemoHits:
+      return "dataflow_memo_hits";
     case Counter::kNumCounters:
       break;
   }

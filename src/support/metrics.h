@@ -105,6 +105,8 @@ enum class Counter : std::size_t {
   kSimplexCellsWritten,  // tableau cells a pivot stores a new value into
   kFarkasBuilds,         // dependence Farkas systems built (scheduler)
   kFarkasMemoHits,       // dependence Farkas systems served by shape memo
+  kDataflowBuilds,       // value-based dataflow builds (ddg/dataflow.h)
+  kDataflowMemoHits,     // dataflow requests served by the graph's build
   kNumCounters,
 };
 

@@ -1,4 +1,4 @@
-// Tests for src/analysis: value-based dataflow (compute_dataflow) and
+// Tests for src/analysis: value-based dataflow (ddg/dataflow.h) and
 // the lints (run_lint). Negative tests inject one bug each -- an
 // out-of-bounds write, a read of a never-written local-array cell, a
 // fully dead local-array write -- and assert the exact structured
@@ -9,10 +9,11 @@
 
 #include <set>
 
-#include "analysis/dataflow.h"
 #include "analysis/lint.h"
 #include "analysis/locality.h"
+#include "analysis/reductions.h"
 #include "codegen/codegen.h"
+#include "ddg/dataflow.h"
 #include "ddg/dependences.h"
 #include "exec/interp.h"
 #include "frontend/parser.h"
@@ -22,9 +23,14 @@
 #include "suite/synthetic.h"
 #include "support/budget.h"
 #include "support/metrics.h"
+#include "support/threadpool.h"
 
 namespace pf::analysis {
 namespace {
+
+using ddg::Dataflow;
+using ddg::ReadCover;
+using ddg::ValueFlow;
 
 struct Linted {
   ir::Scop scop;
@@ -56,7 +62,7 @@ TEST(Dataflow, PipelineFlows) {
     for (i = 0 .. N-1) { S2: b[i] = a[i] * 2.0; }
     for (i = 0 .. N-1) { S3: c[i] = a[i] + b[i]; }
   })");
-  const Dataflow df = compute_dataflow(l.scop, l.dg);
+  const Dataflow df = *l.dg.dataflow();
 
   // Exactly the three producer/consumer value flows, no overwrites to
   // subtract: S1->S2 (a), S1->S3 (a), S2->S3 (b).
@@ -95,7 +101,7 @@ TEST(Dataflow, LastWriterSubtraction) {
     for (i = 0 .. N-1) { S2: a[i] = i * 2.0; }
     for (i = 0 .. N-1) { S3: b[i] = a[i]; }
   })");
-  const Dataflow df = compute_dataflow(l.scop, l.dg);
+  const Dataflow df = *l.dg.dataflow();
   for (const ValueFlow& f : df.flows)
     EXPECT_FALSE(f.src == 0 && f.dst == 2)
         << "killed memory flow S1->S3 survived subtraction";
@@ -118,7 +124,7 @@ TEST(Dataflow, PartialOverwriteSplitsFlow) {
     for (i = 0 .. N-5) { S2: a[i] = i * 2.0; }
     for (i = 0 .. N-1) { S3: b[i] = a[i]; }
   })");
-  const Dataflow df = compute_dataflow(l.scop, l.dg);
+  const Dataflow df = *l.dg.dataflow();
   bool s1_feeds_s3 = false;
   for (const ValueFlow& f : df.flows)
     if (f.src == 0 && f.dst == 2) {
@@ -133,6 +139,70 @@ TEST(Dataflow, PartialOverwriteSplitsFlow) {
       }
     }
   EXPECT_TRUE(s1_feeds_s3);
+}
+
+// ---------------------------------------------------------------------------
+// One dataflow build per graph: the graph keeps the build only while the
+// memo gate (poly::active_memo) is open.
+// ---------------------------------------------------------------------------
+
+// The three consumers in the CLI's order on one graph, counted in a
+// fresh registry: {dataflow_builds, dataflow_memo_hits}.
+std::pair<i64, i64> run_three_analyses(const suite::Benchmark& b,
+                                       const ir::Scop& scop,
+                                       const ddg::DependenceGraph& dg) {
+  support::MetricsScope metrics;
+  run_lint(scop, dg);
+  analyze_locality(scop, dg, b.test_params);
+  analyze_reductions_degrading(scop, dg);
+  return {metrics.registry().get(support::Counter::kDataflowBuilds),
+          metrics.registry().get(support::Counter::kDataflowMemoHits)};
+}
+
+// Without a request scope the gate is closed and each consumer builds
+// its own; inside one the first build serves the other two.
+TEST(DataflowMemo, OnlyARequestScopeShares) {
+  const suite::Benchmark& b = suite::benchmark("swim");
+  const ir::Scop scop = suite::parse(b);
+  const ddg::DependenceGraph dg = ddg::DependenceGraph::analyze(scop);
+  EXPECT_EQ(run_three_analyses(b, scop, dg), (std::pair<i64, i64>(3, 0)));
+  poly::SolveCacheScope cache;
+  EXPECT_EQ(run_three_analyses(b, scop, dg), (std::pair<i64, i64>(1, 2)));
+  EXPECT_EQ(dg.dataflow().get(), dg.dataflow().get());
+}
+
+TEST(DataflowMemo, ConcurrentAskersShareOneBuild) {
+  Linted l(R"(scop pipeline(N) {
+    context N >= 4;
+    array a[N]; array b[N]; array c[N];
+    for (i = 0 .. N-1) { S1: a[i] = i * 0.5; }
+    for (i = 0 .. N-1) { S2: b[i] = a[i] * 2.0; }
+    for (i = 0 .. N-1) { S3: c[i] = a[i] + b[i]; }
+  })");
+  support::MetricsScope metrics;
+  poly::SolveCacheScope cache;
+  constexpr std::size_t kAskers = 8;
+  std::vector<const Dataflow*> got(kAskers, nullptr);
+  support::ThreadPool pool(4);
+  pool.parallel_for(0, kAskers,
+                    [&](std::size_t i) { got[i] = l.dg.dataflow().get(); });
+  for (const Dataflow* df : got) EXPECT_EQ(df, got[0]);
+  EXPECT_EQ(metrics.registry().get(support::Counter::kDataflowBuilds), 1);
+  EXPECT_EQ(metrics.registry().get(support::Counter::kDataflowMemoHits),
+            static_cast<i64>(kAskers) - 1);
+}
+
+// A graph serves the dataflow of its own scop, so every consumer refuses
+// a graph built for another one.
+TEST(DataflowMemo, MismatchedScopRaises) {
+  const suite::Benchmark& b = suite::benchmark("gemver");
+  const ir::Scop scop = suite::parse(b);
+  const ir::Scop other = suite::parse(b);
+  const ddg::DependenceGraph dg = ddg::DependenceGraph::analyze(scop);
+  EXPECT_THROW(run_lint(other, dg), pf::Error);
+  EXPECT_THROW(analyze_locality(other, dg, b.test_params), pf::Error);
+  EXPECT_THROW(analyze_reductions(other, dg), pf::Error);
+  EXPECT_THROW(analyze_reductions_degrading(other, dg), pf::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 // lp::testing::ExactPathScope, the pipeline with no shortcut: every
 // simplex solve runs on the kernel's BigInt cells, no lexmin takes a warm
 // start and nothing is memoized. The --emit=sched schedule, the emitted C
-// and the --analyze=json report must be byte-identical. The POLYFUSE_JOBS
+// and the --lint, --analyze=json and --reductions=json reports must be
+// byte-identical. The reports share one value-based dataflow build on the
+// default path and build one each on the exact path. The POLYFUSE_JOBS
 // environment of the ctest run sets the worker count of both runs.
 #include <gtest/gtest.h>
 
@@ -33,7 +35,7 @@ constexpr const char* kModels[] = {"baseline", "wisefuse", "smartfuse",
 struct Outputs {
   std::string sched;   // --emit=sched
   std::string c;       // --emit=c
-  std::string report;  // --analyze=json
+  std::string report;  // --lint, --analyze=json and --reductions=json
   // From the --stats=json counters of the --emit=c run.
   long long fastlane_solves = -1;
   long long simplex_pivots = -1;
@@ -63,7 +65,9 @@ Outputs run_model(const std::string& input, const char* model) {
   o.model = model;
   pf::cli::Options sched = o;
   sched.emit = "sched";
+  o.lint = true;
   o.analyze = o.analyze_json = true;
+  o.reductions_report = o.reductions_json = true;
   o.stats = o.stats_json = true;
   Outputs got;
   std::string err;
@@ -80,7 +84,7 @@ Outputs run_model(const std::string& input, const char* model) {
   got.memo_uses = 0;
   for (const char* name : {"solve_cache_hits", "solve_cache_misses",
                            "count_cache_hits", "count_cache_misses",
-                           "farkas_memo_hits"}) {
+                           "farkas_memo_hits", "dataflow_memo_hits"}) {
     const long long v = counter(stats, name);
     EXPECT_GE(v, 0) << name << " missing from --stats=json";
     got.memo_uses += v;

@@ -9,7 +9,10 @@
 //  * FarkasMemo: the scheduler's Farkas-system memo (DESIGN.md "Farkas
 //    systems by dependence shape") is used on the default path, and a
 //    budget, which turns the memos off wherever it charges
-//    (poly::active_memo), changes no schedule.
+//    (poly::active_memo), changes no schedule;
+//  * DataflowMemo: --lint, --analyze and --reductions of one request read
+//    one value-based dataflow build (DESIGN.md "Value-based dataflow once
+//    per graph"), and under a budget the reductions build their own.
 // Scheduler and solver speedups must leave these files untouched; a
 // deliberate output change re-records them in the same commit.
 //
@@ -180,6 +183,37 @@ TEST(FarkasMemo, BudgetedRunsBypassMemo) {
   EXPECT_LT(10 * solve_memo(fuel), solve_memo(on));
   EXPECT_EQ(fuel["budget_exhaustions"], 0);
   EXPECT_GT(fuel["budget_fuel_fme_project"], 0);
+}
+
+constexpr const char* kAllReports = "--lint --analyze --reductions=json";
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
+
+// Lint builds the dataflow; locality and reductions read that build.
+TEST(DataflowMemo, OneBuildPerRequest) {
+  const std::string trace = temp_path("dataflow-trace.json");
+  auto c = stats_counters(pf::suite::benchmark("swim"),
+                          std::string(kAllReports) + " --trace=" + trace);
+  EXPECT_EQ(c["dataflow_builds"], 1);
+  EXPECT_EQ(c["dataflow_memo_hits"], 2);
+  EXPECT_EQ(count_of(slurp(trace), "\"name\": \"compute_dataflow\""), 1u);
+}
+
+// Lint and locality build under BudgetSuspend, so they share one build
+// under any budget; the reductions build under the live budget, which
+// closes the gate, so theirs stays charged and is kept by no one.
+TEST(DataflowMemo, BudgetedReductionsBuildTheirOwn) {
+  auto c = stats_counters(pf::suite::benchmark("swim"),
+                          std::string(kAllReports) + kNonBindingFuel);
+  EXPECT_EQ(c["dataflow_builds"], 2);
+  EXPECT_EQ(c["dataflow_memo_hits"], 1);
+  EXPECT_EQ(c["budget_exhaustions"], 0);
 }
 
 }  // namespace

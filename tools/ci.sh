@@ -119,11 +119,14 @@ run_robustness() {
   # its counts to the structured "unknown" without failing the run.
   # analysis.reductions faults the reduction pass, which must degrade to
   # the empty (nothing-relaxed) analysis and still emit verified code.
+  # --lint --analyze share one dataflow build under BudgetSuspend, while
+  # the reductions under the injection build their own charged copy, so
+  # every site crosses both paths.
   for site in lp_solve fme_project dep_pair pluto_level fusion_model \
               count_set analysis.reductions lp.fastlane; do
     echo "-- --inject=$site:fail-after=0"
-    "$cli" --model=wisefuse --inject="$site:fail-after=0" --analyze \
-      --explain $checks "$input" >/dev/null 2>&1 ||
+    "$cli" --model=wisefuse --inject="$site:fail-after=0" --lint --analyze \
+      --reductions --explain $checks "$input" >/dev/null 2>&1 ||
       { echo "injection at $site broke the pipeline"; exit 1; }
   done
   echo "==== [$name] robustness: reduction injection on a reduction input ===="
