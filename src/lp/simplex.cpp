@@ -568,23 +568,12 @@ SimplexSolver::Result SimplexSolver::minimize(
   PF_CHECK(objective.size() == num_vars_);
   SolveProbe probe;
   if (!testing::exact_path_forced()) {
-    if (support::budget_injection_fires(support::BudgetSite::kLpFastlane)) {
-      // --inject lp.fastlane:fail-after=K forces this solve onto BigInt
-      // cells; both instances return the same bits, so this is a pure
-      // coverage knob, not a fault.
+    try {
+      Result res = solve<i64>(objective);
+      support::count(support::Counter::kFastlaneSolves);
+      return res;
+    } catch (const FastlaneOverflow&) {
       support::count(support::Counter::kFastlaneFallbacks);
-      support::observe(support::Hist::kFastlaneFallbackCause,
-                       support::kFallbackSimplexInjected);
-    } else {
-      try {
-        Result res = solve<i64>(objective);
-        support::count(support::Counter::kFastlaneSolves);
-        return res;
-      } catch (const FastlaneOverflow&) {
-        support::count(support::Counter::kFastlaneFallbacks);
-        support::observe(support::Hist::kFastlaneFallbackCause,
-                         support::kFallbackSimplexOverflow);
-      }
     }
   }
   return solve<BigInt>(objective);

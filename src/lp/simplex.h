@@ -8,7 +8,7 @@
 //
 // One tableau kernel runs on two cell types: int64 cells first, and
 // arbitrary-precision BigInt cells (lp/bigint.h) when the int64 instance
-// would overflow or an `lp.fastlane` injection fires. Both take the same
+// would overflow (or under lp::testing::ExactPathScope). Both take the same
 // pivots and return the same Result; the only error left is an optimum
 // whose values do not fit in 64-bit Rationals.
 //

@@ -35,7 +35,6 @@ Counter fuel_counter(BudgetSite site) {
       return Counter::kBudgetFuelCountSet;
     case BudgetSite::kAnalysisReductions:
       return Counter::kBudgetFuelReductions;
-    case BudgetSite::kLpFastlane:  // fast-lane attempts never charge fuel
     case BudgetSite::kDiskcacheRead:   // cache I/O sites never charge fuel
     case BudgetSite::kDiskcacheWrite:  // (injection-only, see diskcache.h)
     case BudgetSite::kBatchRequest:    // batch requests never charge fuel
@@ -81,8 +80,6 @@ const char* to_string(BudgetSite site) {
       return "jit_cc";
     case BudgetSite::kCountSet:
       return "count_set";
-    case BudgetSite::kLpFastlane:
-      return "lp.fastlane";
     case BudgetSite::kAnalysisReductions:
       return "analysis.reductions";
     case BudgetSite::kDiskcacheRead:
@@ -134,9 +131,8 @@ std::optional<Injection> parse_injection(const std::string& text,
   if (!site)
     return fail("unknown injection site '" + site_name +
                 "' (expected lp_solve, fme_project, dep_pair, pluto_level, "
-                "fusion_model, jit_cc, count_set, lp.fastlane, "
-                "analysis.reductions, diskcache.read, diskcache.write, or "
-                "batch.request)");
+                "fusion_model, jit_cc, count_set, analysis.reductions, "
+                "diskcache.read, diskcache.write, or batch.request)");
   const std::string rest = text.substr(colon + 1);
   const std::string soft_key = "fail-after=";
   const std::string hard_key = "abort-after=";
@@ -190,19 +186,6 @@ void Budget::op_at(BudgetSite site, i64 ordinal) {
       if (inj.hard) hard_abort(site, ordinal);
       fault(site, BudgetExceeded::Kind::kInjected, ordinal);
     }
-}
-
-bool Budget::injection_fires(BudgetSite site) {
-  const i64 ordinal = ops_[static_cast<std::size_t>(site)]++;
-  for (const Injection& inj : injections_)
-    if (inj.site == site && inj.fail_at == ordinal) {
-      if (inj.hard) hard_abort(site, ordinal);
-      count(Counter::kBudgetInjectedFaults);
-      record_event(flightrec::EventKind::kFault, to_string(site),
-                   "fault-injected", ordinal);
-      return true;
-    }
-  return false;
 }
 
 i64 Budget::task_allowance(std::size_t tasks) const {

@@ -58,7 +58,6 @@ enum class BudgetSite : std::size_t {
   kFusionModel,  // fusion-policy work (pre-fusion order computation)
   kJitCc,        // one external JIT compiler invocation
   kCountSet,     // one point-counting recursion step (--analyze)
-  kLpFastlane,   // one int64 fast-lane attempt (injection forces fallback)
   kAnalysisReductions,  // reduction/privatization classification pass
   kDiskcacheRead,   // one persistent-cache entry read (injection-only;
                     // handled inside support/diskcache, never charged here)
@@ -151,13 +150,6 @@ class Budget {
   /// pair index of the parallel dependence phase) rather than per budget.
   void op_at(BudgetSite site, i64 ordinal);
 
-  /// Non-throwing injection probe for fallback-style sites (lp.fastlane):
-  /// advances the site's op ordinal and reports whether an injection
-  /// matches it. The injected fault is counted in stats but, unlike op(),
-  /// does not raise faults() or throw -- a forced fast-lane fallback is
-  /// still an exact answer, not a degraded one.
-  bool injection_fires(BudgetSite site);
-
   i64 fuel_remaining() const { return fuel_; }
   /// Fuel spent through this budget (sub-budget spend counts once
   /// absorbed).
@@ -248,13 +240,6 @@ inline void budget_op(BudgetSite site) {
 /// Announce an operation with an explicit deterministic ordinal.
 inline void budget_op_at(BudgetSite site, i64 ordinal) {
   if (Budget* b = current_budget()) b->op_at(site, ordinal);
-}
-
-/// Probe the calling thread's budget for a matching injection without
-/// throwing; false when no budget is installed.
-inline bool budget_injection_fires(BudgetSite site) {
-  Budget* b = current_budget();
-  return b != nullptr && b->injection_fires(site);
 }
 
 }  // namespace pf::support

@@ -139,16 +139,6 @@ void copy_bounded(char* dst, std::size_t cap, const char* src) {
   dst[i] = '\0';
 }
 
-bool env_disabled() {
-  const char* env = std::getenv("POLYFUSE_NO_FLIGHTREC");
-  return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{!env_disabled()};
-  return flag;
-}
-
 // ---------------------------------------------------------------------------
 // Async-signal-safe JSON writer: an fd, a small flush buffer, and
 // hand-rolled integer/string formatting. No allocation, no locale, no
@@ -383,12 +373,6 @@ const char* to_string(EventKind kind) {
   return "?";
 }
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
-
-void set_enabled(bool on) {
-  enabled_flag().store(on, std::memory_order_relaxed);
-}
-
 double now_us() {
   return std::chrono::duration<double, std::micro>(Clock::now() -
                                                    recorder_epoch())
@@ -406,7 +390,7 @@ int thread_index() {
 void append(EventKind kind, const char* category, const char* name, i64 a,
             double t_us, int tid) noexcept {
   // After the thread returned its slot, the ring may be another's.
-  if (!enabled() || tl_slot_returned) return;
+  if (tl_slot_returned) return;
   Ring* ring = slot_ring(tid);
   if (ring == nullptr) return;  // beyond kMaxRings live threads
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
@@ -495,8 +479,6 @@ bool dump(int fd, const char* cause) noexcept {
 #else
   w.raw("\"debug\"");
 #endif
-  w.raw(", \"recorder_enabled\": ");
-  w.raw(enabled() ? "true" : "false");
   w.raw(",\n\"invocation\": \"");
   // Pre-escaped at set_invocation() time; write the bytes verbatim.
   w.raw_n(g_invocation_escaped.data(), g_invocation_escaped.size());

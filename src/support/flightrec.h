@@ -12,10 +12,10 @@
 // event path, which stamps them with this recorder's clock and thread
 // index; the request tracer uses the same two. Recording is wait-free --
 // a global sequence fetch_add, a bounded byte copy into the thread's own
-// slot, no locks, no allocation after ring creation -- so it stays on in
-// production builds. Its cost is measured, not gated:
-// docs/observability.md records a perfbench A/B with and without
-// POLYFUSE_NO_FLIGHTREC=1.
+// slot, no locks, no allocation after ring creation -- so it is always
+// on; there is no switch. Its cost is measured, not gated:
+// docs/observability.md keeps a dated perfbench A/B against a build
+// with recording switched off.
 //
 // Dumping is async-signal-safe: install_crash_handler() hooks the fatal
 // signals (SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL) with a handler that
@@ -31,9 +31,6 @@
 // still writing; an event may be torn (mixed fields). Events carry a
 // global sequence number so a torn or stale entry is detectable, and
 // the dump is ordered best-effort, not transactional.
-//
-// POLYFUSE_NO_FLIGHTREC=1 disables recording entirely (the overhead A/B
-// knob for benchmarks); dumps then contain only the metrics snapshot.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +68,6 @@ struct Event {
   i64 a = 0;
 };
 
-/// Recording gate; initialized from POLYFUSE_NO_FLIGHTREC on first use.
-bool enabled();
-void set_enabled(bool on);
-
 /// The one clock: microseconds since the recorder's epoch.
 double now_us();
 
@@ -84,8 +77,8 @@ double now_us();
 int thread_index();
 
 /// Append one stamped event to the calling thread's ring. Strings are
-/// copied (truncated) into the fixed-size event; never throws, no-op
-/// when disabled. Only support::record_event calls this.
+/// copied (truncated) into the fixed-size event; never throws. Only
+/// support::record_event calls this.
 void append(EventKind kind, const char* category, const char* name, i64 a,
             double t_us, int tid) noexcept;
 

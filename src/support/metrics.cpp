@@ -146,8 +146,6 @@ const char* to_string(Gauge g) {
   switch (g) {
     case Gauge::kJobsConfigured:
       return "jobs_configured";
-    case Gauge::kTraceEventCap:
-      return "trace_event_cap";
     case Gauge::kFlightrecThreads:
       return "flightrec_threads";
     case Gauge::kNumGauges:
@@ -164,8 +162,6 @@ const char* to_string(Hist h) {
       return "ilp_nodes_per_solve";
     case Hist::kFmeRowsPerElimination:
       return "fme_rows_per_elimination";
-    case Hist::kFastlaneFallbackCause:
-      return "fastlane_fallback_cause";
     case Hist::kSimplexSolveMicros:
       return "simplex_solve_us";
     case Hist::kIlpSolveMicros:
@@ -182,11 +178,6 @@ const char* to_string(Hist h) {
   return "?";
 }
 
-HistLayout hist_layout(Hist h) {
-  return h == Hist::kFastlaneFallbackCause ? HistLayout::kLinear
-                                           : HistLayout::kLog2;
-}
-
 bool hist_is_runtime(Hist h) {
   switch (h) {
     case Hist::kSimplexSolveMicros:
@@ -199,11 +190,8 @@ bool hist_is_runtime(Hist h) {
   }
 }
 
-std::size_t hist_bucket_index(HistLayout layout, i64 value) {
+std::size_t hist_bucket_index(i64 value) {
   if (value <= 0) return 0;
-  if (layout == HistLayout::kLinear)
-    return std::min<std::size_t>(static_cast<std::size_t>(value),
-                                 kHistBuckets - 1);
   // bit_width(v) in [1, 64] for v > 0; bucket i >= 1 covers
   // [2^(i-1), 2^i - 1], the last bucket absorbs the tail.
   return std::min<std::size_t>(
@@ -212,17 +200,15 @@ std::size_t hist_bucket_index(HistLayout layout, i64 value) {
       kHistBuckets - 1);
 }
 
-i64 hist_bucket_lower_bound(HistLayout layout, std::size_t b) {
+i64 hist_bucket_lower_bound(std::size_t b) {
   if (b == 0) return 0;
-  if (layout == HistLayout::kLinear) return static_cast<i64>(b);
   return i64{1} << (b - 1);
 }
 
 void MetricsRegistry::observe(Hist h, i64 value) {
   HistData& hd = hists_[static_cast<std::size_t>(h)];
   hd.sum.fetch_add(value, std::memory_order_relaxed);
-  hd.buckets[hist_bucket_index(hist_layout(h), value)].fetch_add(
-      1, std::memory_order_relaxed);
+  hd.buckets[hist_bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
   i64 cur = hd.min.load(std::memory_order_relaxed);
   while (value < cur &&
          !hd.min.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
@@ -333,7 +319,7 @@ i64 approx_percentile(const MetricsRegistry& reg, Hist h, double q) {
   i64 seen = 0;
   for (std::size_t b = 0; b < kHistBuckets; ++b) {
     seen += reg.hist_bucket(h, b);
-    if (seen > rank) return hist_bucket_lower_bound(hist_layout(h), b);
+    if (seen > rank) return hist_bucket_lower_bound(b);
   }
   return reg.hist_max(h);
 }
@@ -389,9 +375,7 @@ namespace {
 
 void emit_hist_json(std::ostringstream& os, const MetricsRegistry& reg,
                     Hist h) {
-  os << "\"" << to_string(h) << "\": {\"layout\": \""
-     << (hist_layout(h) == HistLayout::kLog2 ? "log2" : "linear")
-     << "\", \"count\": " << reg.hist_count(h)
+  os << "\"" << to_string(h) << "\": {\"count\": " << reg.hist_count(h)
      << ", \"sum\": " << reg.hist_sum(h) << ", \"min\": " << reg.hist_min(h)
      << ", \"max\": " << reg.hist_max(h) << ", \"buckets\": [";
   for (std::size_t b = 0; b < kHistBuckets; ++b) {

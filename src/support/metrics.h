@@ -6,15 +6,15 @@
 //    without contention.
 //
 //  * Gauges -- last-written configuration/footprint values (worker
-//    threads configured, trace-event cap). Merged by max on absorb.
+//    threads configured, flight-recorder threads). Merged by max on
+//    absorb.
 //
 //  * Histograms -- fixed-boundary distributions of per-operation values:
 //    pivots per simplex solve, branch-and-bound nodes per ILP solve,
 //    solve wall time, FME rows per elimination, dependence-pair analysis
-//    time, fast-lane fallback causes. Buckets are powers of two
-//    (bucket i >= 1 covers [2^(i-1), 2^i - 1]) so observation is one
-//    bit_width plus a few relaxed atomic adds; categorical histograms
-//    (fallback causes) use a linear layout instead.
+//    time. Buckets are powers of two (bucket i >= 1 covers
+//    [2^(i-1), 2^i - 1]) so observation is one bit_width plus a few
+//    relaxed atomic adds.
 //
 // Scoping: metrics flow into the *current* registry, the metrics field of
 // the calling thread's request context (support/context.h), defaulting to
@@ -122,7 +122,6 @@ bool counter_is_runtime(Counter c);
 
 enum class Gauge : std::size_t {
   kJobsConfigured = 0,  // effective worker-thread count of the run
-  kTraceEventCap,       // tracer in-memory buffer cap (events per channel)
   kFlightrecThreads,    // flight-recorder ring slots: peak threads recording
   kNumGauges,
 };
@@ -135,7 +134,6 @@ enum class Hist : std::size_t {
   kSimplexPivotsPerSolve = 0,  // pivots per SimplexSolver::minimize
   kIlpNodesPerSolve,           // B&B nodes per IlpProblem::minimize
   kFmeRowsPerElimination,      // rows generated per pairwise FM elimination
-  kFastlaneFallbackCause,      // categorical: see FastlaneFallbackCause
   kSimplexSolveMicros,         // wall microseconds per simplex solve
   kIlpSolveMicros,             // wall microseconds per ILP solve
   kDepPairMicros,              // wall microseconds per dependence pair
@@ -148,32 +146,19 @@ constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::kNumHists);
 
 const char* to_string(Hist h);
 
-/// Bucket layout: log2 for magnitude distributions, linear for
-/// small categorical codes.
-enum class HistLayout { kLog2, kLinear };
-
-HistLayout hist_layout(Hist h);
-
 /// Wall-clock histograms live under the "runtime" subtree of to_json():
 /// their buckets can never be byte-identical across runs.
 bool hist_is_runtime(Hist h);
 
-/// Category codes observed into Hist::kFastlaneFallbackCause (linear
-/// buckets; the bucket index *is* the code).
-enum FastlaneFallbackCause : i64 {
-  kFallbackSimplexOverflow = 0,  // int64 tableau overflowed mid-solve
-  kFallbackSimplexInjected = 1,  // --inject=lp.fastlane forced the solve over
-};
-
-/// Fixed bucket count for every histogram. Log2 layout: bucket 0 holds
-/// values <= 0, bucket i in [1, kHistBuckets-2] holds [2^(i-1), 2^i - 1],
-/// and the last bucket holds everything >= 2^(kHistBuckets-2).
+/// Fixed bucket count for every histogram. Bucket 0 holds values <= 0,
+/// bucket i in [1, kHistBuckets-2] holds [2^(i-1), 2^i - 1], and the last
+/// bucket holds everything >= 2^(kHistBuckets-2).
 constexpr std::size_t kHistBuckets = 24;
 
-/// The bucket a value lands in under `layout` (exposed for tests).
-std::size_t hist_bucket_index(HistLayout layout, i64 value);
+/// The bucket a value lands in (exposed for tests).
+std::size_t hist_bucket_index(i64 value);
 /// Smallest value mapping to bucket `b` (exposed for tests).
-i64 hist_bucket_lower_bound(HistLayout layout, std::size_t b);
+i64 hist_bucket_lower_bound(std::size_t b);
 
 /// One registry of counters + gauges + histograms + phase timings.
 /// Recording is thread-safe and lock-free (phase timers take a mutex;

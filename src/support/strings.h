@@ -13,7 +13,7 @@ namespace pf {
 
 /// Strict decimal i64 parse: optional sign, digits, full consumption,
 /// range-checked. Returns nullopt on empty/garbage/trailing text/overflow.
-/// Shared by checked CLI option parsing and the POLYFUSE_* env equivalents.
+/// Used for POLYFUSE_JOBS and --inject ordinals.
 std::optional<i64> parse_i64(const std::string& text);
 
 /// Concatenate string pieces (literals, std::string, string_view) into

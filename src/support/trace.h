@@ -29,9 +29,8 @@
 //    is byte-identical at every --jobs count.
 //
 // Without a tracer, or with the channel off, a gated call site costs one
-// thread-local read. `polyfuse --trace=FILE` (or POLYFUSE_TRACE=FILE)
-// gives the request a tracer with both channels on; `--explain` one with
-// remarks only.
+// thread-local read. `polyfuse --trace=FILE` gives the request a tracer
+// with both channels on; `--explain` one with remarks only.
 #pragma once
 
 #include <cstddef>
@@ -73,7 +72,8 @@ class Tracer {
   /// Channels and the in-memory cap are fixed for the tracer's lifetime.
   /// Once it holds `max_events` events, further events are dropped and
   /// counted in trace_events_dropped; the flight recorder still sees
-  /// every event, its rings overwrite instead of dropping.
+  /// every event, its rings overwrite instead of dropping. Requests use
+  /// the default; a smaller cap is for tests.
   Tracer(bool spans, bool remarks, std::size_t max_events = kDefaultMaxEvents)
       : spans_(spans), remarks_(remarks), max_events_(max_events) {}
   Tracer(const Tracer&) = delete;

@@ -2,7 +2,7 @@
 // disk cache, against the real binary (tools/batch.cpp, docs/service.md):
 // directory and manifest ingestion, jobs-invariant byte-identical
 // reports, warm-vs-cold cache identity, one run per request, fork-isolated
-// crash containment, cache-corruption immunity, and the env knobs.
+// crash containment and cache-corruption immunity.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -233,7 +233,7 @@ TEST_F(BatchTest, FailedRequestsRunOnce) {
 }
 
 // Every request's --stats carries the request's own gauges: one inner
-// worker and the tracer's event cap.
+// worker and the flight-recorder threads.
 TEST_F(BatchTest, RequestStatsCarryGauges) {
   const CmdResult r = run("--batch=" + in() + " --batch-out=" +
                           path("out").string() + " --batch-report=" +
@@ -243,8 +243,6 @@ TEST_F(BatchTest, RequestStatsCarryGauges) {
   for (const char* stem : {"dotprod", "matmul", "pipeline"}) {
     const std::string err = slurp(path("out") / (std::string(stem) + ".err"));
     EXPECT_NE(err.find("gauge jobs_configured = 1\n"), std::string::npos)
-        << stem << "\n" << err;
-    EXPECT_NE(err.find("gauge trace_event_cap = "), std::string::npos)
         << stem << "\n" << err;
     EXPECT_NE(err.find("gauge flightrec_threads = "), std::string::npos)
         << stem << "\n" << err;
@@ -413,23 +411,6 @@ TEST_F(BatchTest, BudgetExhaustionDegradesNotFails) {
   const std::string report = slurp(path("r.json"));
   EXPECT_NE(report.find("\"status\": \"degraded\""), std::string::npos);
   EXPECT_NE(report.find("\"failed\": 0"), std::string::npos);
-}
-
-TEST_F(BatchTest, EnvKnobsApplyAndValidate) {
-  // POLYFUSE_CACHE_DIR enables the cache without a flag.
-  const CmdResult r =
-      run("--batch=" + in() + " --batch-out=" + path("out").string() +
-              " --batch-report=" + path("r.json").string(),
-          "POLYFUSE_CACHE_DIR=" + path("envcache").string());
-  EXPECT_EQ(r.exit_code, 0) << r.err;
-  EXPECT_NE(slurp(path("r.json")).find("\"enabled\": true"),
-            std::string::npos);
-  EXPECT_FALSE(fs::is_empty(path("envcache")));
-
-  // Garbage numeric env values are a hard usage error, not silently 0.
-  const CmdResult bad = run((fs::path(in()) / "pipeline.pf").string(),
-                            "POLYFUSE_CACHE_MAX_MB=-5");
-  EXPECT_EQ(bad.exit_code, 2);
 }
 
 TEST_F(BatchTest, FlagValidation) {

@@ -126,22 +126,6 @@ TEST(Budget, InjectionFiresOnceAtItsOrdinal) {
   EXPECT_EQ(b.faults(), 1);
 }
 
-TEST(Budget, InjectionFiresIsNonThrowingAndChargesNoFuel) {
-  // The lp.fastlane site is injection-only: a match forces a fast-lane
-  // fallback via a boolean, never a BudgetExceeded, and attempts never
-  // spend fuel (both lanes give identical answers, so a forced fallback
-  // is not degradation).
-  BudgetSpec spec;
-  spec.fuel = 10;
-  spec.injections.push_back({BudgetSite::kLpFastlane, 1});
-  Budget b(spec);
-  EXPECT_FALSE(b.injection_fires(BudgetSite::kLpFastlane));  // ordinal 0
-  EXPECT_TRUE(b.injection_fires(BudgetSite::kLpFastlane));   // ordinal 1
-  EXPECT_FALSE(b.injection_fires(BudgetSite::kLpFastlane));  // single-shot
-  EXPECT_EQ(b.spent(), 0);
-  EXPECT_EQ(b.faults(), 0);
-}
-
 TEST(Budget, OpAtUsesTheCallerOrdinal) {
   BudgetSpec spec;
   spec.injections.push_back({BudgetSite::kDepPair, 7});

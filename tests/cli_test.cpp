@@ -36,7 +36,7 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// `env` is prepended verbatim, e.g. "POLYFUSE_TRACE=/tmp/t.json".
+// `env` is prepended verbatim, e.g. "POLYFUSE_DIAG_DIR=/tmp/d".
 CmdResult run_cli(const std::string& args, const std::string& env = "") {
   const std::string out_file = temp_path("out");
   const std::string cmd = (env.empty() ? "" : env + " ") +
@@ -176,38 +176,81 @@ TEST(Cli, JobsProduceByteIdenticalOutput) {
 }
 
 TEST(Cli, FastlaneProducesByteIdenticalOutput) {
-  // The int64 fast lane is a pure performance path: --emit output must
-  // be byte-identical when an lp.fastlane injection forces solves onto
-  // the bignum cells, at any job count. This is the acceptance bar for
-  // the lane's fallback contract; the whole-suite differential is
-  // tests/exact_path_test.cpp.
+  // The int64 fast lane serves every solve of this program at any job
+  // count, and the output is byte-identical across them. The
+  // differential against bignum cells (lp::testing::ExactPathScope) is
+  // tests/exact_path_test.cpp, over the whole suite.
   const std::string path = write_program("p.pf", kPipeline);
   for (const char* emit : {"--emit=c", "--emit=deps", "--emit=sched"}) {
-    for (const char* jobs : {"--jobs=1", "--jobs=8"}) {
-      const std::string base = std::string(jobs) + " " + emit + " " + path;
-      const CmdResult lane_on = run_cli(base);
-      const CmdResult forced =
-          run_cli("--inject=lp.fastlane:fail-after=0 " + base);
-      EXPECT_EQ(lane_on.exit_code, 0) << lane_on.output;
-      EXPECT_EQ(forced.exit_code, 0) << forced.output;
-      EXPECT_EQ(lane_on.output, forced.output) << emit << " " << jobs;
+    const std::string base = std::string("--stats ") + emit + " " + path;
+    const SplitResult serial = run_cli_split("--jobs=1 " + base);
+    const SplitResult parallel = run_cli_split("--jobs=8 " + base);
+    EXPECT_EQ(serial.exit_code, 0) << serial.err;
+    EXPECT_EQ(parallel.exit_code, 0) << parallel.err;
+    EXPECT_EQ(serial.out, parallel.out) << emit;
+    for (const SplitResult* r : {&serial, &parallel}) {
+      EXPECT_NE(r->err.find("fastlane_fallbacks = 0\n"), std::string::npos)
+          << emit << "\n" << r->err;
+      EXPECT_EQ(r->err.find("fastlane_solves = 0\n"), std::string::npos)
+          << emit << "\n" << r->err;
     }
   }
 }
 
 TEST(Cli, NoFastlaneFlagIsAUsageError) {
   // Removed switches are unknown options: the solver has one production
-  // path, only a request scope memoizes, and a batch request runs once.
+  // path, only a request scope memoizes, a batch request runs once, and
+  // only lp::testing::ExactPathScope forces bignum solves.
   const std::string path = write_program("p.pf", kPipeline);
-  for (const char* flag :
-       {"--no-fastlane", "--no-solve-cache", "--batch-retries=1"}) {
+  const struct {
+    const char* flag;
+    const char* message;
+  } removed[] = {
+      {"--no-fastlane", "unknown option '--no-fastlane'"},
+      {"--no-solve-cache", "unknown option '--no-solve-cache'"},
+      {"--batch-retries=1", "unknown option '--batch-retries=1'"},
+      {"--inject=lp.fastlane:fail-after=0",
+       "unknown injection site 'lp.fastlane'"},
+  };
+  for (const auto& [flag, message] : removed) {
     const CmdResult r = run_cli(std::string(flag) + " " + path);
     EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
-    EXPECT_NE(r.output.find("unknown option '" + std::string(flag) + "'"),
-              std::string::npos)
-        << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
     EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
   }
+}
+
+TEST(Cli, RemovedEnvVarsAreIgnored) {
+  // Flags are the only request configuration: each variable below once
+  // mirrored a flag or switched something off, and now changes nothing.
+  // --explain makes a changed budget, injection or tracer cap visible.
+  const std::string path = write_program("p.pf", kPipeline);
+  const std::string args = "--explain --emit=c " + path;
+  const SplitResult clean = run_cli_split(args);
+  ASSERT_EQ(clean.exit_code, 0) << clean.err;
+  const std::string trace = temp_path("env_trace.json");
+  const std::string cache = temp_path("env_cache");
+  for (const std::string& env :
+       {std::string("POLYFUSE_FUEL=0"),
+        std::string("POLYFUSE_INJECT=fusion_model:fail-after=0"),
+        "POLYFUSE_TRACE=" + trace, "POLYFUSE_CACHE_DIR=" + cache,
+        std::string("POLYFUSE_CACHE_MAX_MB=-5"),
+        std::string("POLYFUSE_TIME_BUDGET_MS=x"),
+        std::string("POLYFUSE_TRACE_MAX_EVENTS=1"),
+        std::string("POLYFUSE_NO_FLIGHTREC=1")}) {
+    const std::string diag = temp_path("env_diag.json");
+    const SplitResult r = run_cli_split("--diagnose=" + diag + " " + args, env);
+    EXPECT_EQ(r.exit_code, 0) << env << "\n" << r.err;
+    EXPECT_EQ(r.out, clean.out) << env;
+    EXPECT_EQ(r.err, clean.err) << env;
+    // The flight recorder stays on: the requested dump holds events.
+    const std::string dump = slurp(diag);
+    EXPECT_NE(dump.find("\"events_recorded\": "), std::string::npos) << env;
+    EXPECT_EQ(dump.find("\"events_recorded\": 0,"), std::string::npos)
+        << env;
+  }
+  EXPECT_FALSE(std::filesystem::exists(trace));
+  EXPECT_FALSE(std::filesystem::exists(cache));
 }
 
 TEST(Cli, FastlaneCountersAppearInStats) {
@@ -216,16 +259,7 @@ TEST(Cli, FastlaneCountersAppearInStats) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("fastlane_solves"), std::string::npos);
   EXPECT_NE(r.output.find("fastlane_rate"), std::string::npos);
-  // An lp.fastlane injection forces fallbacks without failing the run.
-  // fail-after=0 fires once per per-pair sub-budget (docs/robustness.md
-  // "Determinism across --jobs"), so assert nonzero rather than a count.
-  const CmdResult inj = run_cli(
-      "--stats --inject=lp.fastlane:fail-after=0 --emit=sched " + path);
-  EXPECT_EQ(inj.exit_code, 0) << inj.output;
-  EXPECT_EQ(inj.output.find("fastlane_fallbacks = 0"), std::string::npos)
-      << inj.output;
-  EXPECT_EQ(inj.output.find("budget_injected_faults = 0"), std::string::npos)
-      << inj.output;
+  EXPECT_NE(r.output.find("fastlane_fallbacks"), std::string::npos);
 }
 
 TEST(Cli, StatsReportShowsSolverWork) {
@@ -274,17 +308,6 @@ TEST(Cli, ExplainIsByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.err.find("fusion candidate"), std::string::npos);
   EXPECT_NE(serial.err.find("verdict=fused"), std::string::npos);
   EXPECT_NE(serial.err.find("outer_parallelism="), std::string::npos);
-}
-
-TEST(Cli, PolyfuseTraceEnvVarEnablesTracing) {
-  const std::string path = write_program("p.pf", kPipeline);
-  const std::string trace = temp_path("env_trace.json");
-  const CmdResult r =
-      run_cli("--emit=c " + path, "POLYFUSE_TRACE=" + trace);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  const std::string tj = slurp(trace);
-  EXPECT_TRUE(pf::testjson::valid(tj));
-  EXPECT_NE(tj.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(Cli, VerifyStrictPassesUnderEveryModel) {
@@ -570,16 +593,17 @@ TEST(Cli, AnalyzeFeedsExplainAndMachineReport) {
 }
 
 TEST(Cli, AnalyzeCountsSurviveFastlaneFallback) {
-  // Counting differential under the fast-lane fault injection: the
-  // simplex kernel's bignum cells must produce the byte-identical report.
+  // The counting report is well-formed and byte-identical at any job
+  // count. The differential against bignum cells is
+  // ExactPath.SuiteMatchesDefault (tests/exact_path_test.cpp).
   const std::string path = write_program("p.pf", kPipeline);
   const std::string base = "--analyze=json --params=8 --emit=source " + path;
-  const SplitResult lane_on = run_cli_split(base);
-  const SplitResult inj =
-      run_cli_split("--inject=lp.fastlane:fail-after=0 " + base);
-  EXPECT_EQ(lane_on.exit_code, 0) << lane_on.err;
-  EXPECT_EQ(inj.exit_code, 0) << inj.err;
-  EXPECT_EQ(lane_on.err, inj.err);
+  const SplitResult serial = run_cli_split("--jobs=1 " + base);
+  const SplitResult parallel = run_cli_split("--jobs=8 " + base);
+  EXPECT_EQ(serial.exit_code, 0) << serial.err;
+  EXPECT_EQ(parallel.exit_code, 0) << parallel.err;
+  EXPECT_TRUE(pf::testjson::valid(serial.err)) << serial.err;
+  EXPECT_EQ(serial.err, parallel.err);
 }
 
 // ---------------------------------------------------------------------------
@@ -741,8 +765,8 @@ TEST(Cli, StatsJsonHistogramsDeterministicAcrossJobs) {
   // Every histogram the registry defines is present.
   for (const char* h :
        {"\"simplex_pivots_per_solve\"", "\"ilp_nodes_per_solve\"",
-        "\"fme_rows_per_elimination\"", "\"fastlane_fallback_cause\"",
-        "\"simplex_solve_us\"", "\"ilp_solve_us\"", "\"dep_pair_us\""})
+        "\"fme_rows_per_elimination\"", "\"simplex_solve_us\"",
+        "\"ilp_solve_us\"", "\"dep_pair_us\""})
     EXPECT_NE(serial.err.find(h), std::string::npos) << h;
   EXPECT_TRUE(pf::testjson::valid(
       serial.err.substr(0, serial.err.find_last_of('}') + 1)))
@@ -848,30 +872,6 @@ TEST(Cli, StrictLintFailureStillPrintsStatsAndDumpsDiag) {
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(slurp(diags[0]).find("\"cause\": \"lint-strict-failure\""),
             std::string::npos);
-}
-
-TEST(Cli, TraceMaxEventsEnvCapsBufferAndCounts) {
-  const std::string path = write_program("p.pf", kPipeline);
-  const std::string trace = temp_path("capped_trace.json");
-  const SplitResult uncapped =
-      run_cli_split("--trace=" + trace + " --stats --emit=sched " + path);
-  EXPECT_EQ(uncapped.exit_code, 0) << uncapped.err;
-  EXPECT_NE(uncapped.err.find("trace_events_dropped = 0"), std::string::npos)
-      << uncapped.err;
-
-  const std::string out_file = temp_path("capout");
-  const std::string cmd = "POLYFUSE_TRACE_MAX_EVENTS=1 " +
-                          std::string(POLYFUSE_CLI_PATH) + " --trace=" + trace +
-                          " --stats --emit=sched " + path + " > /dev/null 2> " +
-                          out_file;
-  const int rc = std::system(cmd.c_str());
-  const std::string err = slurp(out_file);
-  EXPECT_EQ(WEXITSTATUS(rc), 0) << err;
-  // With a one-event cap nearly everything is dropped -- and counted.
-  EXPECT_EQ(err.find("trace_events_dropped = 0"), std::string::npos) << err;
-  EXPECT_NE(err.find("trace_events_dropped"), std::string::npos) << err;
-  // The capped trace file is still well-formed JSON.
-  EXPECT_TRUE(pf::testjson::valid(slurp(trace)));
 }
 
 TEST(Cli, MalformedNumericOptionsExitWithUsage) {

@@ -1,9 +1,8 @@
 // Differential tests for the solver's int64 instance: the simplex
 // kernel on int64 cells and the warm-started lexmin must return exactly
 // what lp::testing::ExactPathScope's path returns (every solve on BigInt
-// cells, no warm start) -- on random inputs, on inputs engineered to
-// overflow int64 mid-solve, and with fallbacks forced through the
-// `lp.fastlane` injection site.
+// cells, no warm start) -- on random inputs and on inputs engineered to
+// overflow int64 mid-solve.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -18,7 +17,6 @@
 #include "poly/set.h"
 #include "sched/pluto.h"
 #include "suite/synthetic.h"
-#include "support/budget.h"
 #include "support/metrics.h"
 
 namespace pf {
@@ -97,32 +95,6 @@ TEST(Fastlane, OverflowFallsBackToExactLaneMidPipeline) {
   ASSERT_EQ(fast.status, lp::Status::kOptimal);
   // Cheapest way to reach sum x_i/p_i = 1 is the smallest prime.
   EXPECT_EQ(fast.objective, Rational(99961));
-}
-
-TEST(Fastlane, InjectionForcesSimplexFallbackWithoutFault) {
-  support::BudgetSpec spec;
-  spec.injections.push_back({support::BudgetSite::kLpFastlane, 1});
-  support::Budget b(spec);
-  support::BudgetScope scope(&b);
-  support::current_metrics().reset();
-
-  auto s = lp::SimplexSolver::all_nonneg(2);
-  s.add_inequality(RatVector{Rational(1), Rational(0)}, Rational(-2));
-  s.add_inequality(RatVector{Rational(0), Rational(1)}, Rational(-3));
-  const RatVector obj{Rational(1), Rational(1)};
-
-  const auto r0 = s.minimize(obj);  // ordinal 0: fast lane
-  const auto r1 = s.minimize(obj);  // ordinal 1: injected -> exact lane
-  const auto r2 = s.minimize(obj);  // ordinal 2: single-shot, fast again
-  expect_same_result(r0, r1, "injected solve");
-  expect_same_result(r0, r2, "post-injection solve");
-  EXPECT_EQ(r0.objective, Rational(5));
-
-  EXPECT_EQ(counter(support::Counter::kFastlaneSolves), 2);
-  EXPECT_EQ(counter(support::Counter::kFastlaneFallbacks), 1);
-  EXPECT_EQ(counter(support::Counter::kBudgetInjectedFaults), 1);
-  // A forced fallback is not a fault: nothing throws, nothing degrades.
-  EXPECT_EQ(b.faults(), 0);
 }
 
 TEST(Fastlane, LexminWarmStartReturnsTheColdAnswer) {

@@ -35,13 +35,11 @@ struct SplitResult {
   std::string out, err;
 };
 
-// `env` is prepended verbatim, e.g. "POLYFUSE_FUEL=0".
-SplitResult run_cli(const std::string& args, const std::string& env = "") {
+SplitResult run_cli(const std::string& args) {
   const std::string out_file = temp_path("stdout");
   const std::string err_file = temp_path("stderr");
-  const std::string cmd = (env.empty() ? "" : env + " ") +
-                          std::string(POLYFUSE_CLI_PATH) + " " + args + " > " +
-                          out_file + " 2> " + err_file;
+  const std::string cmd = std::string(POLYFUSE_CLI_PATH) + " " + args +
+                          " > " + out_file + " 2> " + err_file;
   const int rc = std::system(cmd.c_str());
   return SplitResult{WEXITSTATUS(rc), slurp(out_file), slurp(err_file)};
 }
@@ -183,26 +181,6 @@ TEST(Robustness, HugeFuelMatchesUnbudgetedOutput) {
   EXPECT_EQ(budgeted.err.find("degraded"), std::string::npos) << budgeted.err;
 }
 
-// ---- env equivalents -------------------------------------------------
-
-TEST(Robustness, EnvVarsMirrorTheFlags) {
-  const std::string path = write_program("p.pf", kPipeline);
-  const std::string args = "--model=wisefuse --explain --emit=c " + path;
-  const SplitResult flag = run_cli("--fuel=0 " + args);
-  const SplitResult env = run_cli(args, "POLYFUSE_FUEL=0");
-  EXPECT_EQ(flag.exit_code, 0) << flag.err;
-  EXPECT_EQ(flag.out, env.out);
-  EXPECT_EQ(flag.err, env.err);
-
-  const SplitResult inj_flag =
-      run_cli("--inject=fusion_model:fail-after=0 " + args);
-  const SplitResult inj_env =
-      run_cli(args, "POLYFUSE_INJECT=fusion_model:fail-after=0");
-  EXPECT_EQ(inj_flag.exit_code, 0) << inj_flag.err;
-  EXPECT_EQ(inj_flag.out, inj_env.out);
-  EXPECT_EQ(inj_flag.err, inj_env.err);
-}
-
 // ---- malformed flags -------------------------------------------------
 
 TEST(Robustness, MalformedBudgetFlagsAreRejected) {
@@ -219,8 +197,6 @@ TEST(Robustness, MalformedBudgetFlagsAreRejected) {
     EXPECT_EQ(r.exit_code, 2) << bad << ":\n" << r.err;
     EXPECT_NE(r.err.find("usage:"), std::string::npos) << bad;
   }
-  const SplitResult env_bad = run_cli(path, "POLYFUSE_FUEL=nope");
-  EXPECT_EQ(env_bad.exit_code, 2) << env_bad.err;
 }
 
 // ---- stats surface ---------------------------------------------------

@@ -16,8 +16,8 @@
 #      skipped with a notice when clang-tidy is not installed.
 #   3. Robustness sweep on the plain build: the pipeline under tight
 #      compute-fuel budgets, a wall-clock budget, and one injected fault
-#      per solver site (incl. forced lp.fastlane simplex fallbacks) must still
-#      emit verified, validated code (docs/robustness.md). The sweep also
+#      per solver site must still emit verified, validated code
+#      (docs/robustness.md). The sweep also
 #      covers the persistent disk cache (injected cache-I/O faults and
 #      corrupted entries must be output-invisible), a fork-isolated batch
 #      with an injected hard crash, and recovery after a SIGKILL mid-batch
@@ -113,8 +113,6 @@ run_robustness() {
   echo "==== [$name] robustness: time budget ===="
   "$cli" --model=wisefuse --time-budget=10000 $checks "$input" >/dev/null
   echo "==== [$name] robustness: fault injection ===="
-  # lp.fastlane is injection-only: it forces a simplex solve onto the
-  # kernel's bignum instance, which must be output-invisible.
   # count_set faults the --analyze counting engine, which must degrade
   # its counts to the structured "unknown" without failing the run.
   # analysis.reductions faults the reduction pass, which must degrade to
@@ -123,7 +121,7 @@ run_robustness() {
   # the reductions under the injection build their own charged copy, so
   # every site crosses both paths.
   for site in lp_solve fme_project dep_pair pluto_level fusion_model \
-              count_set analysis.reductions lp.fastlane; do
+              count_set analysis.reductions; do
     echo "-- --inject=$site:fail-after=0"
     "$cli" --model=wisefuse --inject="$site:fail-after=0" --lint --analyze \
       --reductions --explain $checks "$input" >/dev/null 2>&1 ||

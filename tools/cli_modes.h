@@ -56,9 +56,7 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "print pipeline perf counters + histograms to stderr\n"
      "(with --batch: per request, to <stem>.err)"},
     {"--trace=FILE",
-     "write Chrome trace-event JSON (or POLYFUSE_TRACE=FILE);\n"
-     "POLYFUSE_TRACE_MAX_EVENTS caps the in-memory buffer;\n"
-     "single request only"},
+     "write Chrome trace-event JSON; single request only"},
     {"--diagnose=FILE",
      "write the flight-recorder diagnostic JSON (recent\n"
      "spans/remarks/faults + metrics snapshot) on exit; the\n"
@@ -70,23 +68,18 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "(with --batch: per request, to <stem>.err)"},
     {"--fuel=N",
      "compute-fuel budget: abort solver work after N units\n"
-     "and degrade gracefully (POLYFUSE_FUEL); see\n"
-     "docs/robustness.md"},
+     "and degrade gracefully; see docs/robustness.md"},
     {"--time-budget=MS",
-     "wall-clock budget for solver work, in milliseconds\n"
-     "(POLYFUSE_TIME_BUDGET_MS)"},
+     "wall-clock budget for solver work, in milliseconds"},
     {"--inject=S:fail-after=K",
      "deterministically fail the K-th operation at site S\n"
      "(lp_solve, fme_project, dep_pair, pluto_level,\n"
-     "fusion_model, jit_cc, count_set, lp.fastlane,\n"
-     "analysis.reductions, diskcache.read, diskcache.write,\n"
-     "batch.request);\n"
-     "repeatable, for\n"
-     "testing the degradation chain (POLYFUSE_INJECT);\n"
-     "lp.fastlane forces a simplex solve onto bignum cells\n"
-     "instead of a fault; batch.request fails batch\n"
-     "request K; S:abort-after=K instead aborts the process\n"
-     "(tests the crash-diagnostic path)"},
+     "fusion_model, jit_cc, count_set, analysis.reductions,\n"
+     "diskcache.read, diskcache.write, batch.request);\n"
+     "repeatable, for testing the degradation chain;\n"
+     "batch.request fails batch request K; S:abort-after=K\n"
+     "instead aborts the process (tests the crash-diagnostic\n"
+     "path)"},
     {"--batch=PATH",
      "batch mode: compile every *.pf under directory PATH\n"
      "(or every line of manifest file PATH) as independent\n"
@@ -107,14 +100,13 @@ inline constexpr OptionDoc kOptionDocs[] = {
      "contained to that request and reported with its crash\n"
      "diagnostic while the rest of the batch completes"},
     {"--cache-dir=DIR",
-     "persistent on-disk solve/count cache directory\n"
-     "(POLYFUSE_CACHE_DIR): crash-safe, checksummed,\n"
-     "content-addressed; corrupt entries are quarantined\n"
-     "misses, never wrong answers -- see docs/service.md"},
+     "persistent on-disk solve/count cache directory:\n"
+     "crash-safe, checksummed, content-addressed; corrupt\n"
+     "entries are quarantined misses, never wrong answers\n"
+     "-- see docs/service.md"},
     {"--cache-max-mb=N",
      "size cap for --cache-dir in megabytes; an LRU sweep\n"
-     "keeps the directory under it (default 256;\n"
-     "POLYFUSE_CACHE_MAX_MB)"},
+     "keeps the directory under it (default 256)"},
 };
 
 /// The program-checking modes every user-facing document must mention.

@@ -28,7 +28,6 @@
 #include "support/diskcache.h"
 #include "support/flightrec.h"
 #include "support/metrics.h"
-#include "support/strings.h"
 #include "support/threadpool.h"
 #include "support/trace.h"
 #include "verify/verify.h"
@@ -81,24 +80,10 @@ i64 parse_int_option(const std::string& flag, const std::string& text) {
   return v;
 }
 
-// The checked path for integer POLYFUSE_* env knobs: same strict parsing
-// as the flags (pf::parse_i64 -- full consumption, range checked), same
-// usage() exit on garbage, plus a knob-specific minimum.
-std::optional<i64> parse_int_env(const char* name, i64 min) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  const auto v = pf::parse_i64(env);
-  if (!v || *v < min)
-    usage(std::string(name) + " expects an integer >= " +
-          std::to_string(min) + ", got '" + env + "'");
-  return *v;
-}
-
 }  // namespace
 
 Options parse_args(int argc, char** argv) {
   Options o;
-  bool cache_max_mb_set = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value_of = [&](const std::string& prefix) {
@@ -191,7 +176,6 @@ Options parse_args(int argc, char** argv) {
       o.cache_max_mb =
           parse_int_option("--cache-max-mb", value_of("--cache-max-mb="));
       if (o.cache_max_mb < 1) usage("--cache-max-mb must be >= 1");
-      cache_max_mb_set = true;
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       usage("unknown option '" + arg + "'");
     } else if (o.input.empty()) {
@@ -200,47 +184,6 @@ Options parse_args(int argc, char** argv) {
       usage("multiple inputs given");
     }
   }
-  if (o.trace_file.empty()) {
-    // Env-var equivalent of --trace, mirroring POLYFUSE_JOBS.
-    if (const char* env = std::getenv("POLYFUSE_TRACE"))
-      if (*env != '\0') o.trace_file = env;
-  }
-  // Cap on the request tracer's in-memory event buffer; events beyond it
-  // are dropped and counted in trace_events_dropped.
-  if (const auto v = parse_int_env("POLYFUSE_TRACE_MAX_EVENTS", 0))
-    o.trace_max_events = static_cast<std::size_t>(*v);
-  // Env equivalents of the budget flags, mirroring POLYFUSE_TRACE.
-  // Explicit flags win; env values get the same checked parsing.
-  if (o.fuel < 0) {
-    if (const auto v = parse_int_env("POLYFUSE_FUEL", 0)) o.fuel = *v;
-  }
-  if (o.time_budget_ms < 0) {
-    if (const auto v = parse_int_env("POLYFUSE_TIME_BUDGET_MS", 1))
-      o.time_budget_ms = *v;
-  }
-  if (o.injections.empty()) {
-    if (const char* env = std::getenv("POLYFUSE_INJECT"))
-      if (*env != '\0') {
-        std::stringstream ss(env);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-          std::string err;
-          const auto inj = support::parse_injection(tok, &err);
-          if (!inj) usage("POLYFUSE_INJECT: " + err);
-          o.injections.push_back(*inj);
-        }
-      }
-  }
-  // Persistent-cache and batch env knobs, same precedence rules.
-  if (o.cache_dir.empty()) {
-    if (const char* env = std::getenv("POLYFUSE_CACHE_DIR"))
-      if (*env != '\0') o.cache_dir = env;
-  }
-  if (!cache_max_mb_set) {
-    if (const auto v = parse_int_env("POLYFUSE_CACHE_MAX_MB", 1))
-      o.cache_max_mb = *v;
-  }
-
   // Validate names here, not mid-pipeline: batch requests must never hit
   // a usage() exit after parse time.
   static constexpr const char* kModels[] = {"wisefuse", "smartfuse", "nofuse",
@@ -653,7 +596,7 @@ struct RequestState {
     if (bspec.limited()) budget.emplace(bspec);
     budget_scope.emplace(budget ? &*budget : nullptr);
     if (!o.trace_file.empty() || o.explain)
-      tracer.emplace(!o.trace_file.empty(), true, o.trace_max_events);
+      tracer.emplace(!o.trace_file.empty(), true);
     tracer_scope.emplace(tracer ? &*tracer : nullptr);
   }
   std::optional<support::Budget> budget;
@@ -680,8 +623,6 @@ RequestResult run_request(const Options& o, std::ostream& out,
   support::gauge_set(
       support::Gauge::kJobsConfigured,
       static_cast<i64>(o.jobs != 0 ? o.jobs : support::default_jobs()));
-  support::gauge_set(support::Gauge::kTraceEventCap,
-                     static_cast<i64>(o.trace_max_events));
   // Every path owes the user their requested outputs: finish_outputs runs
   // once after the pipeline, whether it returned or threw, and a budget
   // that escaped every recovery boundary first leaves a crash-style

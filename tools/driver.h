@@ -20,7 +20,6 @@
 
 #include "support/budget.h"
 #include "support/linalg.h"
-#include "support/trace.h"
 
 namespace pf::cli {
 
@@ -48,7 +47,6 @@ struct Options {
   bool explain = false;
   bool explain_json = false;
   std::string trace_file;     // empty = tracing off
-  std::size_t trace_max_events = support::Tracer::kDefaultMaxEvents;
   std::string diagnose_file;  // empty = no on-exit diagnostic dump
   i64 fuel = -1;            // < 0 = unlimited
   i64 time_budget_ms = -1;  // < 0 = unlimited
@@ -74,7 +72,7 @@ struct Options {
 /// error message, 2 with one.
 [[noreturn]] void usage(const std::string& error = "");
 
-/// Parse argv (with the POLYFUSE_* env fallbacks). Invalid input exits
+/// Parse argv; flags are the only request configuration. Invalid input exits
 /// through usage(); the returned Options are fully validated -- model and
 /// emit names, flag combinations, numeric ranges.
 Options parse_args(int argc, char** argv);
@@ -95,12 +93,12 @@ struct RequestResult {
 
 /// Run one compile request: emitted output to `out`, reports, --stats,
 /// --explain and messages to `err`. Installs the request's own budget,
-/// tracer, metrics scope (with the jobs_configured and trace_event_cap
-/// gauges) and solve-cache scope, the only memo table anything is
-/// memoized in; catches every exception. A budget that escapes every
-/// recovery boundary also writes the budget-exceeded:<site> fatal
-/// diagnostic, to Options::diag_file when set. Never calls exit() (except when a --trace/--diagnose file
-/// cannot be written) and never throws.
+/// tracer, metrics scope (with the jobs_configured gauge) and solve-cache
+/// scope, the only memo table anything is memoized in; catches every
+/// exception. A budget that escapes every recovery boundary also writes
+/// the budget-exceeded:<site> fatal diagnostic, to Options::diag_file when
+/// set. Never calls exit() (except when a --trace/--diagnose file cannot
+/// be written) and never throws.
 RequestResult run_request(const Options& o, std::ostream& out,
                           std::ostream& err);
 
